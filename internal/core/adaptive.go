@@ -2,11 +2,9 @@ package core
 
 import (
 	"fmt"
-	"time"
 
 	"skipper/internal/layers"
 	"skipper/internal/tensor"
-	"skipper/internal/trace"
 )
 
 // AdaptiveSkipper extends Skipper with activity-aware checkpoint placement —
@@ -59,13 +57,6 @@ func (a *AdaptiveSkipper) Validate(cfg Config, net *layers.Network) error {
 	return nil
 }
 
-func (a *AdaptiveSkipper) metric() SAMMetric {
-	if a.Metric == nil {
-		return SpikeSum{}
-	}
-	return a.Metric
-}
-
 func (a *AdaptiveSkipper) momentum() float64 {
 	if a.Momentum == 0 {
 		return 0.7
@@ -75,140 +66,26 @@ func (a *AdaptiveSkipper) momentum() float64 {
 
 // placements returns this batch's checkpoint timesteps.
 func (a *AdaptiveSkipper) placements(T int) []int {
-	if a.profile == nil || len(a.profile) != T {
+	if len(a.profile) != T {
 		return CheckpointTimes(T, a.C)
 	}
 	return EqualActivityBounds(a.profile, a.C, a.ln)
 }
 
-// EqualActivityBounds places C checkpoint starts so each segment holds
-// roughly 1/C of the total activity mass, while keeping every segment
-// strictly longer than minLen (the L_n constraint). The first bound is
-// always 0.
-func EqualActivityBounds(profile []float64, C, minLen int) []int {
-	T := len(profile)
-	bounds := make([]int, 1, C)
-	bounds[0] = 0
-	if C == 1 {
-		return bounds
-	}
-	var total float64
-	for _, v := range profile {
-		total += v
-	}
-	if total <= 0 {
-		return CheckpointTimes(T, C)
-	}
-	target := total / float64(C)
-	var acc float64
-	for t := 0; t < T && len(bounds) < C; t++ {
-		acc += profile[t]
-		if acc >= target*float64(len(bounds)) {
-			next := t + 1
-			// Enforce the minimum segment length on both sides.
-			if next-bounds[len(bounds)-1] <= minLen {
-				next = bounds[len(bounds)-1] + minLen + 1
-			}
-			remainingSegs := C - len(bounds)
-			if next > T-remainingSegs*(minLen+1) {
-				next = T - remainingSegs*(minLen+1)
-			}
-			if next <= bounds[len(bounds)-1] {
-				continue
-			}
-			bounds = append(bounds, next)
-		}
-	}
-	for len(bounds) < C {
-		bounds = append(bounds, bounds[len(bounds)-1]+minLen+1)
-	}
-	return bounds
-}
-
-// TrainBatch implements Strategy; the structure mirrors Skipper.TrainBatch
-// with per-batch boundary placement and an EMA profile update.
+// TrainBatch implements Strategy: Skipper's percentile filter over bounds
+// placed from the activity profile, which this batch's SAM trace then
+// updates for the next batch.
 func (a *AdaptiveSkipper) TrainBatch(tr *Trainer, input []*tensor.Tensor, labels []int) (StepStats, error) {
 	T := tr.Cfg.T
-	st := StepStats{N: len(labels)}
-	rs := tr.newRecordStore()
-	defer rs.dropAll()
-
-	bounds := a.placements(T)
-	la := newLossAccumulator(tr.Cfg, tr.lossDenom, labels)
-	sam := &samTrace{metric: a.metric(), scores: make([]float64, T)}
-	if err := checkpointForward(tr, input, la, bounds, rs, &st, sam); err != nil {
-		return st, err
+	sam := newSAMTrace(a.Metric, T)
+	st, err := tr.trainSegments(input, labels, segmentPlan{
+		name:      "adaptive skipper",
+		bounds:    a.placements(T),
+		sam:       sam,
+		survivors: Skipper{C: a.C, P: a.P}.selectSurvivors,
+	})
+	if err == nil {
+		a.profile = sam.foldInto(a.profile, a.momentum())
 	}
-	st.Loss, st.Correct = la.Loss, la.Correct
-
-	// Update the activity profile for the next batch's placement.
-	if a.profile == nil || len(a.profile) != T {
-		a.profile = append([]float64(nil), sam.scores...)
-	} else {
-		m := a.momentum()
-		for t := range a.profile {
-			a.profile[t] = m*a.profile[t] + (1-m)*sam.scores[t]
-		}
-	}
-
-	// Everything from here on is replay: freeze first-pass-only side
-	// effects (batch-norm running statistics).
-	tr.Net.BeginRecompute()
-	defer tr.Net.EndRecompute()
-
-	scratch, err := tr.deltaScratch(len(labels))
-	if err != nil {
-		return st, fmt.Errorf("core: adaptive skipper scratch: %w", err)
-	}
-	defer scratch.Release()
-
-	outIdx := len(tr.Net.Layers) - 1
-	inner := Skipper{C: a.C, P: a.P, Metric: a.Metric}
-	var deltas []*layers.Delta
-	lossInjected := false
-	for seg := len(bounds) - 1; seg >= 0; seg-- {
-		start := bounds[seg]
-		end := T
-		if seg+1 < len(bounds) {
-			end = bounds[seg+1]
-		}
-		survivors := inner.selectSurvivors(sam.scores, start, end, la, &st)
-
-		rec := time.Now()
-		states := rs.get(start)
-		for _, t := range survivors {
-			states = tr.Net.ForwardStep(input[t], states)
-			if err := rs.put(t, states); err != nil {
-				return st, fmt.Errorf("core: adaptive skipper recompute t=%d: %w", t, err)
-			}
-			st.RecomputedSteps++
-		}
-		tr.phaseDone(&st.RecomputeTime, "recompute", rec,
-			trace.Attr{Key: "seg", Val: int64(seg)},
-			trace.Attr{Key: "survivors", Val: int64(len(survivors))})
-
-		bwd := time.Now()
-		for i := len(survivors) - 1; i >= -1; i-- {
-			t := start
-			if i >= 0 {
-				t = survivors[i]
-			}
-			var inject map[int]*tensor.Tensor
-			if dl := la.at(t); dl != nil {
-				inject = map[int]*tensor.Tensor{outIdx: dl}
-				if t == T-1 {
-					lossInjected = true
-				}
-			}
-			deltas = tr.Net.BackwardStep(input[t], rs.get(t), inject, deltas)
-			rs.drop(t)
-			st.BackwardSteps++
-		}
-		tr.phaseDone(&st.BackwardTime, "backward", bwd, trace.Attr{Key: "seg", Val: int64(seg)})
-		tr.segmentFlushed(len(bounds)-seg, len(bounds))
-	}
-	if !lossInjected {
-		return st, fmt.Errorf("core: adaptive skipper never injected the loss gradient")
-	}
-	return st, nil
+	return st, err
 }

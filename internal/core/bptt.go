@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"time"
 
 	"skipper/internal/layers"
 	"skipper/internal/tensor"
@@ -25,44 +24,8 @@ func (BPTT) Validate(cfg Config, net *layers.Network) error {
 	return nil
 }
 
-// TrainBatch implements Strategy.
+// TrainBatch implements Strategy: every step kept, one segment, nothing to
+// replay.
 func (BPTT) TrainBatch(tr *Trainer, input []*tensor.Tensor, labels []int) (StepStats, error) {
-	T := tr.Cfg.T
-	st := StepStats{N: len(labels)}
-	rs := tr.newRecordStore()
-	defer rs.dropAll()
-
-	la := newLossAccumulator(tr.Cfg, tr.lossDenom, labels)
-	fwd := time.Now()
-	var states []*layers.LayerState
-	for t := 0; t < T; t++ {
-		states = tr.Net.ForwardStep(input[t], states)
-		if err := rs.put(t, states); err != nil {
-			return st, fmt.Errorf("core: bptt forward t=%d: %w", t, err)
-		}
-		la.observe(t, tr.Net.Logits(states))
-		st.ForwardSteps++
-	}
-	tr.phaseDone(&st.ForwardTime, "forward", fwd)
-	st.Loss, st.Correct = la.Loss, la.Correct
-
-	bwd := time.Now()
-	scratch, err := tr.deltaScratch(len(labels))
-	if err != nil {
-		return st, fmt.Errorf("core: bptt backward scratch: %w", err)
-	}
-	defer scratch.Release()
-	outIdx := len(tr.Net.Layers) - 1
-	var deltas []*layers.Delta
-	for t := T - 1; t >= 0; t-- {
-		var inject map[int]*tensor.Tensor
-		if dl := la.at(t); dl != nil {
-			inject = map[int]*tensor.Tensor{outIdx: dl}
-		}
-		deltas = tr.Net.BackwardStep(input[t], rs.get(t), inject, deltas)
-		rs.drop(t)
-		st.BackwardSteps++
-	}
-	tr.phaseDone(&st.BackwardTime, "backward", bwd)
-	return st, nil
+	return tr.trainSegments(input, labels, segmentPlan{name: "bptt", bounds: []int{0}, keepAll: true})
 }

@@ -2,12 +2,9 @@ package core
 
 import (
 	"fmt"
-	"time"
 
 	"skipper/internal/layers"
-	"skipper/internal/mem"
 	"skipper/internal/tensor"
-	"skipper/internal/trace"
 )
 
 // Checkpoint is temporal activation checkpointing (paper Sec. V): the first
@@ -37,128 +34,8 @@ func (c Checkpoint) Validate(cfg Config, net *layers.Network) error {
 	return ValidateCheckpoints(cfg.T, c.C, net.StatefulCount())
 }
 
-// TrainBatch implements Strategy.
+// TrainBatch implements Strategy: uniform bounds, every interior step
+// replayed.
 func (c Checkpoint) TrainBatch(tr *Trainer, input []*tensor.Tensor, labels []int) (StepStats, error) {
-	st := StepStats{N: len(labels)}
-	rs := tr.newRecordStore()
-	defer rs.dropAll()
-
-	// Step 1: forward in time, storing records only at checkpoint times.
-	// The rolling (transient) record is charged while it is live so the
-	// device sees the true instantaneous footprint.
-	la := newLossAccumulator(tr.Cfg, tr.lossDenom, labels)
-	if err := checkpointForward(tr, input, la, CheckpointTimes(tr.Cfg.T, c.C), rs, &st, nil); err != nil {
-		return st, err
-	}
-	st.Loss, st.Correct = la.Loss, la.Correct
-
-	// Everything from here on is replay: freeze first-pass-only side
-	// effects (batch-norm running statistics).
-	tr.Net.BeginRecompute()
-	defer tr.Net.EndRecompute()
-
-	// Steps 2..5: per segment, last to first — recompute, then backprop.
-	scratch, err := tr.deltaScratch(len(labels))
-	if err != nil {
-		return st, fmt.Errorf("core: ckpt backward scratch: %w", err)
-	}
-	defer scratch.Release()
-
-	T := tr.Cfg.T
-	outIdx := len(tr.Net.Layers) - 1
-	var deltas []*layers.Delta
-	for s := c.C - 1; s >= 0; s-- {
-		start, end := SegmentBounds(T, c.C, s)
-		// Recompute the segment's interior from the stored boundary record.
-		rec := time.Now()
-		states := rs.get(start)
-		for t := start + 1; t < end; t++ {
-			states = tr.Net.ForwardStep(input[t], states)
-			if err := rs.put(t, states); err != nil {
-				return st, fmt.Errorf("core: ckpt recompute t=%d: %w", t, err)
-			}
-			st.RecomputedSteps++
-		}
-		tr.phaseDone(&st.RecomputeTime, "recompute", rec, trace.Attr{Key: "seg", Val: int64(s)})
-
-		// Backward through the segment, consuming and freeing its records.
-		bwd := time.Now()
-		for t := end - 1; t >= start; t-- {
-			var inject map[int]*tensor.Tensor
-			if dl := la.at(t); dl != nil {
-				inject = map[int]*tensor.Tensor{outIdx: dl}
-			}
-			deltas = tr.Net.BackwardStep(input[t], rs.get(t), inject, deltas)
-			rs.drop(t)
-			st.BackwardSteps++
-		}
-		tr.phaseDone(&st.BackwardTime, "backward", bwd, trace.Attr{Key: "seg", Val: int64(s)})
-		tr.segmentFlushed(c.C-s, c.C)
-	}
-	return st, nil
-}
-
-// checkpointForward performs the storing-only-checkpoints first forward
-// pass shared by Checkpoint, Skipper, and AdaptiveSkipper: records are kept
-// only at the given checkpoint timesteps. The loss accumulator observes the
-// readout at every covered timestep; when sam is non-nil it also records
-// the per-timestep activity score s_t (paper Eq. 4).
-func checkpointForward(tr *Trainer, input []*tensor.Tensor, la *lossAccumulator, cps []int, rs *recordStore, st *StepStats, sam *samTrace) error {
-	T := tr.Cfg.T
-	cpTimes := map[int]bool{}
-	for _, t := range cps {
-		cpTimes[t] = true
-	}
-	fwd := time.Now()
-	var states []*layers.LayerState
-	var rolling *memBlockHolder
-	for t := 0; t < T; t++ {
-		states = tr.Net.ForwardStep(input[t], states)
-		st.ForwardSteps++
-		if sam != nil {
-			sam.scores[t] = sam.metric.Score(tr.Net, states)
-		}
-		la.observe(t, tr.Net.Logits(states))
-		if cpTimes[t] {
-			var err error
-			if tr.Cfg.CompressSpikes {
-				err = rs.putPacked(t, states)
-			} else {
-				err = rs.put(t, states)
-			}
-			if err != nil {
-				rolling.release()
-				return fmt.Errorf("core: ckpt forward t=%d: %w", t, err)
-			}
-			rolling.release()
-			rolling = nil
-			continue
-		}
-		// Transient: charge the rolling record, release the previous one.
-		b, err := tr.Dev.Alloc(mem.Activations, stateBytes(states))
-		if err != nil {
-			rolling.release()
-			return fmt.Errorf("core: ckpt forward t=%d: %w", t, err)
-		}
-		rolling.release()
-		rolling = &memBlockHolder{b}
-	}
-	rolling.release()
-	tr.phaseDone(&st.ForwardTime, "forward", fwd)
-	return nil
-}
-
-// samTrace carries the SAM scores of the first forward pass.
-type samTrace struct {
-	metric SAMMetric
-	scores []float64
-}
-
-// memBlockHolder makes releasing an optional rolling block nil-safe.
-type memBlockHolder struct{ b *mem.Block }
-
-func (h *memBlockHolder) release() {
-	if h != nil {
-		h.b.Release()
-	}
+	return tr.trainSegments(input, labels, segmentPlan{name: "ckpt", bounds: CheckpointTimes(tr.Cfg.T, c.C)})
 }

@@ -187,6 +187,50 @@ func SegmentBounds(T, C, s int) (start, end int) {
 	return start, end
 }
 
+// EqualActivityBounds places C checkpoint starts so each segment holds
+// roughly 1/C of the total activity mass, while keeping every segment
+// strictly longer than minLen (the L_n constraint). The first bound is
+// always 0.
+func EqualActivityBounds(profile []float64, C, minLen int) []int {
+	T := len(profile)
+	bounds := make([]int, 1, C)
+	bounds[0] = 0
+	if C == 1 {
+		return bounds
+	}
+	var total float64
+	for _, v := range profile {
+		total += v
+	}
+	if total <= 0 {
+		return CheckpointTimes(T, C)
+	}
+	target := total / float64(C)
+	var acc float64
+	for t := 0; t < T && len(bounds) < C; t++ {
+		acc += profile[t]
+		if acc >= target*float64(len(bounds)) {
+			next := t + 1
+			// Enforce the minimum segment length on both sides.
+			if next-bounds[len(bounds)-1] <= minLen {
+				next = bounds[len(bounds)-1] + minLen + 1
+			}
+			remainingSegs := C - len(bounds)
+			if next > T-remainingSegs*(minLen+1) {
+				next = T - remainingSegs*(minLen+1)
+			}
+			if next <= bounds[len(bounds)-1] {
+				continue
+			}
+			bounds = append(bounds, next)
+		}
+	}
+	for len(bounds) < C {
+		bounds = append(bounds, bounds[len(bounds)-1]+minLen+1)
+	}
+	return bounds
+}
+
 // ValidateCheckpoints enforces the paper's boundary conditions (Sec. V-A):
 // 1 <= C <= T, and each time segment must be longer than the number of
 // stateful layers so spikes can propagate through the whole stack within a

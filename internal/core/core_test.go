@@ -268,21 +268,33 @@ func TestBudgetBaselineOOMsCheckpointFits(t *testing.T) {
 
 func TestDeviceBalancedAfterTraining(t *testing.T) {
 	const T = 12
-	net, data, _, _ := tinySetup(t, T)
-	dev := mem.Unlimited()
-	cfg := Config{T: T, Batch: 2, Device: dev, MaxBatchesPerEpoch: 2}
-	tr, err := NewTrainer(net, data, Skipper{C: 2, P: 20}, cfg)
-	if err != nil {
-		t.Fatal(err)
+	strategies := []Strategy{
+		BPTT{},
+		Checkpoint{C: 2},
+		Skipper{C: 2, P: 20},
+		&AdaptiveSkipper{C: 2, P: 20},
+		TBPTT{Window: 6},
+		&TBPTTLBP{Window: 6, LocalAt: []int{1}},
 	}
-	if _, err := tr.TrainEpoch(); err != nil {
-		t.Fatal(err)
+	for _, strat := range strategies {
+		t.Run(strat.Name(), func(t *testing.T) {
+			net, data, _, _ := tinySetup(t, T)
+			dev := mem.Unlimited()
+			cfg := Config{T: T, Batch: 2, Device: dev, MaxBatchesPerEpoch: 2}
+			tr, err := NewTrainer(net, data, strat, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := tr.TrainEpoch(); err != nil {
+				t.Fatal(err)
+			}
+			tr.Close()
+			if got := dev.Allocated(); got != 0 {
+				t.Fatalf("device leaks %d bytes after Close", got)
+			}
+			tr.Close() // double close is safe
+		})
 	}
-	tr.Close()
-	if got := dev.Allocated(); got != 0 {
-		t.Fatalf("device leaks %d bytes after Close", got)
-	}
-	tr.Close() // double close is safe
 }
 
 func TestTrainEpochAndEvaluate(t *testing.T) {

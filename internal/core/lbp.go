@@ -100,8 +100,8 @@ func (lb *TBPTTLBP) Close() {
 func (lb *TBPTTLBP) TrainBatch(tr *Trainer, input []*tensor.Tensor, labels []int) (StepStats, error) {
 	T := tr.Cfg.T
 	st := StepStats{N: len(labels)}
-	rs := tr.newRecordStore()
-	defer rs.dropAll()
+	p := tr.newPass(input, &st)
+	defer p.rs.dropAll()
 
 	scratch, err := tr.deltaScratch(len(labels))
 	if err != nil {
@@ -115,38 +115,35 @@ func (lb *TBPTTLBP) TrainBatch(tr *Trainer, input []*tensor.Tensor, labels []int
 	for _, i := range lb.LocalAt {
 		boundary[i] = true
 	}
+	// Backward with gradient flow BLOCKED at block boundaries (local
+	// supervision).
+	p.backStep = func(x *tensor.Tensor, states []*layers.LayerState, gradsAt map[int]*tensor.Tensor, deltas []*layers.Delta) []*layers.Delta {
+		return lb.backwardStepBlocked(tr.Net, x, states, gradsAt, deltas, boundary)
+	}
 
 	numWindows := (T + lb.Window - 1) / lb.Window
 	var carry []*layers.LayerState
 	var lastLogits *tensor.Tensor
 	for w0 := 0; w0 < T; w0 += lb.Window {
-		w1 := w0 + lb.Window
-		if w1 > T {
-			w1 = T
-		}
-		// Forward through the window, integrating the aux potentials.
+		w1 := min(w0+lb.Window, T)
+		window := stepRange(w0, w1)
+
+		// Forward through the window, then integrate the aux potentials over
+		// its stored spikes.
 		fwd := time.Now()
-		states := carry
-		var auxU map[int]*tensor.Tensor
-		for t := w0; t < w1; t++ {
-			states = tr.Net.ForwardStep(input[t], states)
-			if err := rs.put(t, states); err != nil {
-				return st, fmt.Errorf("core: tbptt-lbp forward t=%d: %w", t, err)
-			}
-			st.ForwardSteps++
-			if lb.aux == nil {
-				if err := lb.ensureAux(tr, states, classes); err != nil {
-					return st, err
-				}
-			}
-			if auxU == nil {
-				auxU = map[int]*tensor.Tensor{}
-				for site := range lb.aux {
-					auxU[site] = tensor.New(len(labels), classes)
-				}
-			}
-			for site, ac := range lb.aux {
-				o := states[site].O
+		states, err := p.forward(window, carry)
+		if err != nil {
+			return st, fmt.Errorf("core: tbptt-lbp forward %w", err)
+		}
+		st.ForwardSteps += len(window)
+		if err := lb.ensureAux(tr, states, classes); err != nil {
+			return st, err
+		}
+		auxU := map[int]*tensor.Tensor{}
+		for site, ac := range lb.aux {
+			auxU[site] = tensor.New(len(labels), classes)
+			for _, t := range window {
+				o := p.rs.get(t)[site].O
 				flat := o.Reshape(o.Dim(0), o.Len()/o.Dim(0))
 				tmp := tensor.New(len(labels), classes)
 				tensor.MatMulTransB(tr.Net.Pool(), tmp, flat, ac.w)
@@ -165,41 +162,35 @@ func (lb *TBPTTLBP) TrainBatch(tr *Trainer, input []*tensor.Tensor, labels []int
 			auxLoss, _, daux := lossGrad(auxU[site], labels, tr.lossDenom)
 			loss += auxLoss
 			// ∂L/∂o_t at the site is dauxW for every t in the window.
-			o := rs.get(w1 - 1)[site].O
+			o := states[site].O
 			inj := tensor.New(len(labels), o.Len()/o.Dim(0))
 			tensor.MatMul(tr.Net.Pool(), inj, daux, ac.w)
 			injections[site] = inj.Reshape(o.Shape()...)
 			// ∂W_aux += Σ_t dauxᵀ·o_t.
-			for t := w0; t < w1; t++ {
-				ot := rs.get(t)[site].O
+			for _, t := range window {
+				ot := p.rs.get(t)[site].O
 				flat := ot.Reshape(ot.Dim(0), ot.Len()/ot.Dim(0))
 				tensor.MatMulTransAAcc(tr.Net.Pool(), ac.g, daux, flat)
 			}
 		}
 		st.Loss += loss / float64(numWindows)
 
-		// Backward within the window, with gradient flow BLOCKED at block
-		// boundaries (local supervision).
+		// Backward within the window only: every step takes the local
+		// injections, the window's last step also the network loss.
 		bwd := time.Now()
-		var deltas []*layers.Delta
-		for t := w1 - 1; t >= w0; t-- {
-			inject := map[int]*tensor.Tensor{}
-			for site, inj := range injections {
-				inject[site] = inj
-			}
-			if t == w1-1 {
-				inject[outIdx] = dlogits
-			}
-			deltas = lb.backwardStepBlocked(tr.Net, input[t], rs.get(t), inject, deltas, boundary)
+		p.deltas = nil
+		p.backward(window, w1-1, func(t int) map[int]*tensor.Tensor {
 			if t != w1-1 {
-				rs.drop(t)
+				return injections
 			}
-			st.BackwardSteps++
-		}
-		carry = rs.get(w1 - 1)
-		if w0 > 0 {
-			rs.drop(w0 - 1)
-		}
+			top := map[int]*tensor.Tensor{outIdx: dlogits}
+			for site, inj := range injections {
+				top[site] = inj
+			}
+			return top
+		})
+		carry = states
+		p.rs.drop(w0 - 1)
 		tr.phaseDone(&st.BackwardTime, "backward", bwd)
 	}
 

@@ -42,19 +42,26 @@ func packState(st *layers.LayerState) *packedState {
 	return ps
 }
 
-// unpack reconstructs the original record exactly.
-func (ps *packedState) unpack() *layers.LayerState {
+// unpack rebuilds the record. Dense, every packed spike plane expands back
+// to floats and the original is reconstructed exactly. Lazy, the planes
+// travel as LayerState.OPacked and the packed-aware layer kernels consume
+// the bits directly; LayerState.DenseO materialises on demand for any
+// consumer that still needs floats. Non-binary outputs (readout membranes)
+// were never packed and come back dense either way.
+func (ps *packedState) unpack(lazy bool) *layers.LayerState {
 	if ps == nil {
 		return nil
 	}
-	st := &layers.LayerState{U: ps.u}
+	st := &layers.LayerState{U: ps.u, O: ps.oRaw}
 	if ps.oPacked != nil {
-		st.O = ps.oPacked.Unpack()
-	} else {
-		st.O = ps.oRaw
+		if lazy {
+			st.OPacked = ps.oPacked
+		} else {
+			st.O = ps.oPacked.Unpack()
+		}
 	}
 	for _, sub := range ps.sub {
-		st.Sub = append(st.Sub, sub.unpack())
+		st.Sub = append(st.Sub, sub.unpack(lazy))
 	}
 	return st
 }
@@ -90,41 +97,11 @@ func packStates(states []*layers.LayerState) ([]*packedState, int64) {
 	return out, bytes
 }
 
-// unpackStates reconstructs the record set.
-func unpackStates(ps []*packedState) []*layers.LayerState {
+// unpackStates reconstructs the record set, keeping spikes packed when lazy.
+func unpackStates(ps []*packedState, lazy bool) []*layers.LayerState {
 	out := make([]*layers.LayerState, len(ps))
 	for i, p := range ps {
-		out[i] = p.unpack()
-	}
-	return out
-}
-
-// unpackLazy rebuilds the record without expanding spike bits: packed spike
-// planes travel as LayerState.OPacked and the packed-aware layer kernels
-// consume them directly. Non-binary outputs (readout membranes) were never
-// packed and come back dense. LayerState.DenseO materialises on demand for
-// any consumer that still needs floats.
-func (ps *packedState) unpackLazy() *layers.LayerState {
-	if ps == nil {
-		return nil
-	}
-	st := &layers.LayerState{U: ps.u}
-	if ps.oPacked != nil {
-		st.OPacked = ps.oPacked
-	} else {
-		st.O = ps.oRaw
-	}
-	for _, sub := range ps.sub {
-		st.Sub = append(st.Sub, sub.unpackLazy())
-	}
-	return st
-}
-
-// unpackStatesLazy reconstructs the record set keeping spikes packed.
-func unpackStatesLazy(ps []*packedState) []*layers.LayerState {
-	out := make([]*layers.LayerState, len(ps))
-	for i, p := range ps {
-		out[i] = p.unpackLazy()
+		out[i] = p.unpack(lazy)
 	}
 	return out
 }

@@ -108,3 +108,52 @@ func SAMByName(name string) (SAMMetric, error) {
 func SpikeSumThreshold(scores []float64, p float64) float64 {
 	return stats.Percentile(scores, p)
 }
+
+// selectSurvivors returns the recompute timesteps of segment [start, end):
+// interior steps whose SAM score clears SST_c, always including every
+// loss-carrying timestep. The checkpoint step `start` is excluded (it is
+// stored, not recomputed).
+func (s Skipper) selectSurvivors(scores []float64, start, end int, la *lossAccumulator, st *StepStats) []int {
+	if end <= start+1 {
+		return nil
+	}
+	segScores := scores[start+1 : end]
+	sst := SpikeSumThreshold(segScores, s.P)
+	var out []int
+	for t := start + 1; t < end; t++ {
+		if scores[t] >= sst || la.covers(t) {
+			out = append(out, t)
+		} else {
+			st.SkippedSteps++
+		}
+	}
+	return out
+}
+
+// samTrace carries the SAM scores of the first forward pass.
+type samTrace struct {
+	metric SAMMetric
+	scores []float64
+}
+
+// newSAMTrace returns an empty T-step trace; a nil metric means the paper's
+// spike sum.
+func newSAMTrace(metric SAMMetric, T int) *samTrace {
+	if metric == nil {
+		metric = SpikeSum{}
+	}
+	return &samTrace{metric: metric, scores: make([]float64, T)}
+}
+
+// foldInto returns the exponential moving average of an activity profile
+// and this trace: profile·momentum + scores·(1−momentum). A profile of
+// another length (none yet, or a changed T) is replaced by the trace.
+func (s *samTrace) foldInto(profile []float64, momentum float64) []float64 {
+	if len(profile) != len(s.scores) {
+		return s.scores
+	}
+	for t, v := range s.scores {
+		profile[t] = momentum*profile[t] + (1-momentum)*v
+	}
+	return profile
+}

@@ -1,0 +1,217 @@
+package core
+
+import (
+	"fmt"
+	"time"
+
+	"skipper/internal/layers"
+	"skipper/internal/mem"
+	"skipper/internal/tensor"
+	"skipper/internal/trace"
+)
+
+// segmentPlan is what BPTT, Checkpoint, Skipper and AdaptiveSkipper declare
+// for a batch: which (U_t, o_t) records the first pass keeps (Sec. V) and
+// which timesteps the second pass replays (Sec. VI, Eq. 4–7). trainSegments
+// is the one loop that runs it.
+type segmentPlan struct {
+	// name prefixes error messages ("ckpt", "skipper", ...).
+	name string
+	// bounds is the boundary plan: the segment start timesteps, ascending
+	// from 0. The first pass keeps a record at each; segment i spans
+	// [bounds[i], bounds[i+1]) and the last one runs to T.
+	bounds []int
+	// keepAll also keeps every step between the bounds (BPTT): nothing is
+	// left to replay, the records stay unpacked (each is read exactly once),
+	// and the batch is unsegmented to callers — the segment hook is silent.
+	keepAll bool
+	// sam, when non-nil, receives the activity score s_t (Eq. 4) of every
+	// first-pass timestep.
+	sam *samTrace
+	// survivors is the survivor policy: the interior timesteps of segment
+	// [start, end) to replay, ascending, given the first pass's SAM scores
+	// (it counts what it drops in st.SkippedSteps). Nil replays every
+	// interior step.
+	survivors func(scores []float64, start, end int, la *lossAccumulator, st *StepStats) []int
+}
+
+// trainSegments runs one batch under the plan and leaves the parameter
+// gradients accumulated on the network.
+func (tr *Trainer) trainSegments(input []*tensor.Tensor, labels []int, plan segmentPlan) (StepStats, error) {
+	T := tr.Cfg.T
+	st := StepStats{N: len(labels)}
+	p := tr.newPass(input, &st)
+	defer p.rs.dropAll()
+
+	// Step 1: forward in time, keeping only the planned records.
+	la := newLossAccumulator(tr.Cfg, tr.lossDenom, labels)
+	if err := p.firstPass(plan, la); err != nil {
+		return st, err
+	}
+	st.Loss, st.Correct = la.Loss, la.Correct
+
+	// Everything from here on is replay: freeze first-pass-only side
+	// effects (batch-norm running statistics).
+	tr.Net.BeginRecompute()
+	defer tr.Net.EndRecompute()
+
+	scratch, err := tr.deltaScratch(len(labels))
+	if err != nil {
+		return st, fmt.Errorf("core: %s backward scratch: %w", plan.name, err)
+	}
+	defer scratch.Release()
+
+	outIdx := len(tr.Net.Layers) - 1
+	lossInjected := false
+	inject := func(t int) map[int]*tensor.Tensor {
+		dl := la.at(t)
+		if dl == nil {
+			return nil
+		}
+		lossInjected = lossInjected || t == T-1
+		return map[int]*tensor.Tensor{outIdx: dl}
+	}
+
+	// Steps 2..5: per segment, last to first — select, replay, backprop.
+	n, end := len(plan.bounds), T
+	for seg := n - 1; seg >= 0; seg-- {
+		start := plan.bounds[seg]
+		segAttr := trace.Attr{Key: "seg", Val: int64(seg)}
+
+		// Step 2: SST_c from the segment's SAM scores picks the surviving
+		// timesteps. The boundary step itself is stored, not replayed.
+		walk := stepRange(start, end)
+		if plan.survivors != nil {
+			sel := time.Now()
+			survivors := plan.survivors(plan.sam.scores, start, end, la, &st)
+			tr.tracer().SpanAt(trace.TrackTrain, "sam_select", sel, time.Since(sel), segAttr,
+				trace.Attr{Key: "survivors", Val: int64(len(survivors))})
+			walk = append(walk[:1], survivors...)
+		}
+
+		// Steps 3/4: shallow recompute over survivors only. State hops
+		// directly between surviving timesteps.
+		if !plan.keepAll {
+			replay, rec := walk[1:], time.Now()
+			if _, err := p.forward(replay, p.rs.get(start)); err != nil {
+				return st, fmt.Errorf("core: %s recompute %w", plan.name, err)
+			}
+			st.RecomputedSteps += len(replay)
+			tr.phaseDone(&st.RecomputeTime, "recompute", rec, segAttr,
+				trace.Attr{Key: "survivors", Val: int64(len(replay))})
+		}
+
+		// Step 5: backward over the segment's records, consuming and
+		// freeing them.
+		bwd := time.Now()
+		p.backward(walk, -1, inject)
+		tr.phaseDone(&st.BackwardTime, "backward", bwd, segAttr)
+		if tr.segmentHook != nil && !plan.keepAll {
+			tr.segmentHook(n-seg, n)
+		}
+		end = start
+	}
+	if !lossInjected {
+		return st, fmt.Errorf("core: %s never injected the loss gradient (T-1 not visited)", plan.name)
+	}
+	return st, nil
+}
+
+// pass is one batch's working set — the input train, the record store, the
+// running δ and the step counters — and the per-segment helpers every
+// strategy's loop is built from.
+type pass struct {
+	tr    *Trainer
+	input []*tensor.Tensor
+	rs    *recordStore
+	st    *StepStats
+	// deltas is the δ recursion's carry between backward steps (and, for the
+	// two-pass strategies, between segments).
+	deltas []*layers.Delta
+	// backStep is the per-timestep δ recursion; TBPTT-LBP substitutes its
+	// gradient-blocked variant.
+	backStep func(x *tensor.Tensor, states []*layers.LayerState, gradsAt map[int]*tensor.Tensor, deltas []*layers.Delta) []*layers.Delta
+}
+
+func (tr *Trainer) newPass(input []*tensor.Tensor, st *StepStats) *pass {
+	return &pass{tr: tr, input: input, rs: tr.newRecordStore(), st: st, backStep: tr.Net.BackwardStep}
+}
+
+// stepRange lists the timesteps [a, b).
+func stepRange(a, b int) []int {
+	steps := make([]int, 0, b-a)
+	for t := a; t < b; t++ {
+		steps = append(steps, t)
+	}
+	return steps
+}
+
+// firstPass is the storing forward pass over all T timesteps: records are
+// kept at the plan's timesteps only (bit-packed under CompressSpikes); any
+// other step's is charged as the rolling record while it is live, so the
+// device sees the true instantaneous footprint. The loss accumulator
+// observes the readout at every timestep.
+func (p *pass) firstPass(plan segmentPlan, la *lossAccumulator) error {
+	tr := p.tr
+	isBound := map[int]bool{}
+	for _, t := range plan.bounds {
+		isBound[t] = true
+	}
+	packed := tr.Cfg.CompressSpikes && !plan.keepAll
+	fwd := time.Now()
+	var states []*layers.LayerState
+	var rolling *mem.Block
+	for t := 0; t < tr.Cfg.T; t++ {
+		states = tr.Net.ForwardStep(p.input[t], states)
+		p.st.ForwardSteps++
+		if plan.sam != nil {
+			plan.sam.scores[t] = plan.sam.metric.Score(tr.Net, states)
+		}
+		la.observe(t, tr.Net.Logits(states))
+		// Allocate the new record before releasing the previous rolling one:
+		// both are live while the step computes.
+		var next *mem.Block
+		var err error
+		if plan.keepAll || isBound[t] {
+			err = p.rs.put(t, states, packed)
+		} else {
+			next, err = tr.Dev.Alloc(mem.Activations, stateBytes(states))
+		}
+		rolling.Release()
+		rolling = next
+		if err != nil {
+			return fmt.Errorf("core: %s forward t=%d: %w", plan.name, t, err)
+		}
+	}
+	rolling.Release()
+	tr.phaseDone(&p.st.ForwardTime, "forward", fwd)
+	return nil
+}
+
+// forward advances the network from states over the given timesteps (hopping
+// directly from one listed step to the next), storing every record, and
+// returns the last step's state.
+func (p *pass) forward(steps []int, states []*layers.LayerState) ([]*layers.LayerState, error) {
+	for _, t := range steps {
+		states = p.tr.Net.ForwardStep(p.input[t], states)
+		if err := p.rs.put(t, states, false); err != nil {
+			return nil, fmt.Errorf("t=%d: %w", t, err)
+		}
+	}
+	return states, nil
+}
+
+// backward walks δ back over the stored records of the given timesteps,
+// last to first, dropping each as it is consumed — except keep's (-1: none),
+// which a windowed caller still needs as the next window's start state.
+// inject returns the loss gradients entering at timestep t, by layer index.
+func (p *pass) backward(steps []int, keep int, inject func(t int) map[int]*tensor.Tensor) {
+	for i := len(steps) - 1; i >= 0; i-- {
+		t := steps[i]
+		p.deltas = p.backStep(p.input[t], p.rs.get(t), inject(t), p.deltas)
+		if t != keep {
+			p.rs.drop(t)
+		}
+		p.st.BackwardSteps++
+	}
+}

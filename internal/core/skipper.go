@@ -2,11 +2,9 @@ package core
 
 import (
 	"fmt"
-	"time"
 
 	"skipper/internal/layers"
 	"skipper/internal/tensor"
-	"skipper/internal/trace"
 )
 
 // Skipper is activation checkpointing with time-skipping (paper Sec. VI).
@@ -47,115 +45,13 @@ func (s Skipper) Validate(cfg Config, net *layers.Network) error {
 	return ValidateSkip(cfg.T, s.C, net.StatefulCount(), s.P)
 }
 
-func (s Skipper) metric() SAMMetric {
-	if s.Metric == nil {
-		return SpikeSum{}
-	}
-	return s.Metric
-}
-
-// TrainBatch implements Strategy.
+// TrainBatch implements Strategy: uniform bounds, and per segment the
+// SST_c percentile filter over the first pass's SAM scores.
 func (s Skipper) TrainBatch(tr *Trainer, input []*tensor.Tensor, labels []int) (StepStats, error) {
-	T := tr.Cfg.T
-	st := StepStats{N: len(labels)}
-	rs := tr.newRecordStore()
-	defer rs.dropAll()
-
-	// Step 1: checkpointed forward with SAM tracing.
-	la := newLossAccumulator(tr.Cfg, tr.lossDenom, labels)
-	sam := &samTrace{metric: s.metric(), scores: make([]float64, T)}
-	if err := checkpointForward(tr, input, la, CheckpointTimes(T, s.C), rs, &st, sam); err != nil {
-		return st, err
-	}
-	st.Loss, st.Correct = la.Loss, la.Correct
-
-	// Everything from here on is replay: freeze first-pass-only side
-	// effects (batch-norm running statistics).
-	tr.Net.BeginRecompute()
-	defer tr.Net.EndRecompute()
-
-	scratch, err := tr.deltaScratch(len(labels))
-	if err != nil {
-		return st, fmt.Errorf("core: skipper backward scratch: %w", err)
-	}
-	defer scratch.Release()
-
-	outIdx := len(tr.Net.Layers) - 1
-	var deltas []*layers.Delta
-	lossInjected := false
-	for seg := s.C - 1; seg >= 0; seg-- {
-		start, end := SegmentBounds(T, s.C, seg)
-
-		// Step 2: SST_c from the segment's SAM scores, then select the
-		// surviving (recomputed) timesteps. The checkpoint step itself is
-		// stored, and every loss-carrying step (the last LossWindow ones,
-		// including the global final step) is always kept.
-		sel := time.Now()
-		survivors := s.selectSurvivors(sam.scores, start, end, la, &st)
-		tr.tracer().SpanAt(trace.TrackTrain, "sam_select", sel, time.Since(sel),
-			trace.Attr{Key: "seg", Val: int64(seg)},
-			trace.Attr{Key: "survivors", Val: int64(len(survivors))})
-
-		// Step 3/4: shallow recompute over survivors only. State hops
-		// directly between surviving timesteps.
-		rec := time.Now()
-		states := rs.get(start)
-		for _, t := range survivors {
-			states = tr.Net.ForwardStep(input[t], states)
-			if err := rs.put(t, states); err != nil {
-				return st, fmt.Errorf("core: skipper recompute t=%d: %w", t, err)
-			}
-			st.RecomputedSteps++
-		}
-		tr.phaseDone(&st.RecomputeTime, "recompute", rec,
-			trace.Attr{Key: "seg", Val: int64(seg)},
-			trace.Attr{Key: "survivors", Val: int64(len(survivors))})
-
-		// Step 5: backward over the shallow graph (survivors in reverse,
-		// then the checkpoint step).
-		bwd := time.Now()
-		for i := len(survivors) - 1; i >= -1; i-- {
-			t := start
-			if i >= 0 {
-				t = survivors[i]
-			}
-			var inject map[int]*tensor.Tensor
-			if dl := la.at(t); dl != nil {
-				inject = map[int]*tensor.Tensor{outIdx: dl}
-				if t == T-1 {
-					lossInjected = true
-				}
-			}
-			deltas = tr.Net.BackwardStep(input[t], rs.get(t), inject, deltas)
-			rs.drop(t)
-			st.BackwardSteps++
-		}
-		tr.phaseDone(&st.BackwardTime, "backward", bwd, trace.Attr{Key: "seg", Val: int64(seg)})
-		tr.segmentFlushed(s.C-seg, s.C)
-	}
-	if !lossInjected {
-		return st, fmt.Errorf("core: skipper never injected the loss gradient (T-1 not visited)")
-	}
-	return st, nil
-}
-
-// selectSurvivors returns the recompute timesteps of segment [start, end):
-// interior steps whose SAM score clears SST_c, always including every
-// loss-carrying timestep. The checkpoint step `start` is excluded (it is
-// stored, not recomputed).
-func (s Skipper) selectSurvivors(scores []float64, start, end int, la *lossAccumulator, st *StepStats) []int {
-	if end <= start+1 {
-		return nil
-	}
-	segScores := scores[start+1 : end]
-	sst := SpikeSumThreshold(segScores, s.P)
-	var out []int
-	for t := start + 1; t < end; t++ {
-		if scores[t] >= sst || la.covers(t) {
-			out = append(out, t)
-		} else {
-			st.SkippedSteps++
-		}
-	}
-	return out
+	return tr.trainSegments(input, labels, segmentPlan{
+		name:      "skipper",
+		bounds:    CheckpointTimes(tr.Cfg.T, s.C),
+		sam:       newSAMTrace(s.Metric, tr.Cfg.T),
+		survivors: s.selectSurvivors,
+	})
 }

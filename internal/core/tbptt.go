@@ -41,8 +41,8 @@ func (tb TBPTT) Validate(cfg Config, net *layers.Network) error {
 func (tb TBPTT) TrainBatch(tr *Trainer, input []*tensor.Tensor, labels []int) (StepStats, error) {
 	T := tr.Cfg.T
 	st := StepStats{N: len(labels)}
-	rs := tr.newRecordStore()
-	defer rs.dropAll()
+	p := tr.newPass(input, &st)
+	defer p.rs.dropAll()
 
 	scratch, err := tr.deltaScratch(len(labels))
 	if err != nil {
@@ -51,26 +51,19 @@ func (tb TBPTT) TrainBatch(tr *Trainer, input []*tensor.Tensor, labels []int) (S
 	defer scratch.Release()
 
 	outIdx := len(tr.Net.Layers) - 1
-	numWindows := 0
 	var carry []*layers.LayerState
 	var lastLogits *tensor.Tensor
 	for w0 := 0; w0 < T; w0 += tb.Window {
-		w1 := w0 + tb.Window
-		if w1 > T {
-			w1 = T
-		}
-		numWindows++
+		w1 := min(w0+tb.Window, T)
+		window := stepRange(w0, w1)
 
 		// Forward through the window, storing its records.
 		fwd := time.Now()
-		states := carry
-		for t := w0; t < w1; t++ {
-			states = tr.Net.ForwardStep(input[t], states)
-			if err := rs.put(t, states); err != nil {
-				return st, fmt.Errorf("core: tbptt forward t=%d: %w", t, err)
-			}
-			st.ForwardSteps++
+		states, err := p.forward(window, carry)
+		if err != nil {
+			return st, fmt.Errorf("core: tbptt forward %w", err)
 		}
+		st.ForwardSteps += len(window)
 		tr.phaseDone(&st.ForwardTime, "forward", fwd)
 
 		// Loss at the window boundary; gradients summed over windows.
@@ -82,25 +75,18 @@ func (tb TBPTT) TrainBatch(tr *Trainer, input []*tensor.Tensor, labels []int) (S
 		// Backward within the window only; the computation graph (records)
 		// is discarded afterwards and δ is NOT carried across the boundary.
 		bwd := time.Now()
-		var deltas []*layers.Delta
-		for t := w1 - 1; t >= w0; t-- {
-			var inject map[int]*tensor.Tensor
+		p.deltas = nil
+		p.backward(window, w1-1, func(t int) map[int]*tensor.Tensor {
 			if t == w1-1 {
-				inject = map[int]*tensor.Tensor{outIdx: dlogits}
+				return map[int]*tensor.Tensor{outIdx: dlogits}
 			}
-			deltas = tr.Net.BackwardStep(input[t], rs.get(t), inject, deltas)
-			if t != w1-1 {
-				rs.drop(t)
-			}
-			st.BackwardSteps++
-		}
-		// The boundary record stays alive only long enough to seed the next
-		// window's state carry; detached (no gradient flows back into it).
-		carry = rs.get(w1 - 1)
-		if w0 > 0 {
-			rs.drop(w0 - 1)
-		}
-		_ = deltas
+			return nil
+		})
+		// The boundary record stays alive only to seed the next window's state
+		// carry (detached: no gradient flows back into it); the previous
+		// window's, if there was one, goes.
+		carry = states
+		p.rs.drop(w0 - 1)
 		tr.phaseDone(&st.BackwardTime, "backward", bwd)
 	}
 	// Accuracy is judged on the final window's logits, the network's output

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"bytes"
+	"encoding/json"
 	"math"
 	"testing"
 
@@ -8,9 +10,10 @@ import (
 	"skipper/internal/trace"
 )
 
-// traceRun trains a capped Skipper epoch on a runtime carrying the given
-// tracer and returns the epoch aggregate plus the trained weights' checksum.
-func traceRun(t *testing.T, tr *trace.Tracer) (EpochStats, float64) {
+// traceRun trains a capped epoch of the strategy on a runtime carrying the
+// given tracer and returns the epoch aggregate plus the trained weights'
+// checksum.
+func traceRun(t *testing.T, strat Strategy, tr *trace.Tracer) (EpochStats, float64) {
 	t.Helper()
 	opts := []RuntimeOption{WithThreads(2), WithSeed(9)}
 	if tr != nil {
@@ -28,7 +31,7 @@ func traceRun(t *testing.T, tr *trace.Tracer) (EpochStats, float64) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	trn, err := rt.NewTrainer(net, data, Skipper{C: 2, P: 15}, Config{
+	trn, err := rt.NewTrainer(net, data, strat, Config{
 		T: 12, Batch: 2, MaxBatchesPerEpoch: 3,
 	})
 	if err != nil {
@@ -54,32 +57,59 @@ func traceRun(t *testing.T, tr *trace.Tracer) (EpochStats, float64) {
 // consumers the same duration, so the agreement should be essentially exact;
 // 5% covers only the float64 µs rounding in the span store.
 func TestTraceSpansMatchEpochStats(t *testing.T) {
-	tc := trace.New(0)
-	ep, _ := traceRun(t, tc)
+	for _, strat := range []Strategy{Skipper{C: 2, P: 15}, &AdaptiveSkipper{C: 2, P: 15}} {
+		t.Run(strat.Name(), func(t *testing.T) {
+			tc := trace.New(0)
+			ep, _ := traceRun(t, strat, tc)
 
-	within := func(name string, got, want float64) {
-		t.Helper()
-		if want == 0 {
-			t.Fatalf("%s: epoch stats recorded zero seconds, cannot compare", name)
-		}
-		if rel := math.Abs(got-want) / want; rel > 0.05 {
-			t.Errorf("%s spans sum to %.6fs, epoch stats say %.6fs (%.1f%% apart)",
-				name, got, want, 100*rel)
-		}
-	}
-	within("forward", tc.SpanSeconds("forward"), ep.ForwardTime.Seconds())
-	within("recompute", tc.SpanSeconds("recompute"), ep.RecomputeTime.Seconds())
-	within("backward", tc.SpanSeconds("backward"), ep.BackwardTime.Seconds())
+			within := func(name string, got, want float64) {
+				t.Helper()
+				if want == 0 {
+					t.Fatalf("%s: epoch stats recorded zero seconds, cannot compare", name)
+				}
+				if rel := math.Abs(got-want) / want; rel > 0.05 {
+					t.Errorf("%s spans sum to %.6fs, epoch stats say %.6fs (%.1f%% apart)",
+						name, got, want, 100*rel)
+				}
+			}
+			within("forward", tc.SpanSeconds("forward"), ep.ForwardTime.Seconds())
+			within("recompute", tc.SpanSeconds("recompute"), ep.RecomputeTime.Seconds())
+			within("backward", tc.SpanSeconds("backward"), ep.BackwardTime.Seconds())
 
-	// The per-batch phases must be present too: every batch encodes input
-	// and steps the optimizer.
-	for _, name := range []string{"encode", "opt_step", "sam_select"} {
-		if tc.SpanSeconds(name) <= 0 {
-			t.Errorf("no %q spans recorded", name)
-		}
-	}
-	if tc.Dropped() != 0 {
-		t.Errorf("tracer dropped %d events with the default cap", tc.Dropped())
+			// The per-batch phases must be present too: every batch encodes
+			// input and steps the optimizer, every segment selects survivors.
+			for _, name := range []string{"encode", "opt_step", "sam_select"} {
+				if tc.SpanSeconds(name) <= 0 {
+					t.Errorf("no %q spans recorded", name)
+				}
+			}
+			var buf bytes.Buffer
+			if err := tc.WriteChromeTrace(&buf); err != nil {
+				t.Fatal(err)
+			}
+			var dump struct {
+				TraceEvents []struct {
+					Name string           `json:"name"`
+					Args map[string]int64 `json:"args"`
+				} `json:"traceEvents"`
+			}
+			if err := json.Unmarshal(buf.Bytes(), &dump); err != nil {
+				t.Fatal(err)
+			}
+			for _, ev := range dump.TraceEvents {
+				if ev.Name != "sam_select" {
+					continue
+				}
+				for _, key := range []string{"seg", "survivors"} {
+					if _, ok := ev.Args[key]; !ok {
+						t.Errorf("sam_select span lacks the %q attr: %+v", key, ev)
+					}
+				}
+			}
+			if tc.Dropped() != 0 {
+				t.Errorf("tracer dropped %d events with the default cap", tc.Dropped())
+			}
+		})
 	}
 }
 
@@ -87,8 +117,8 @@ func TestTraceSpansMatchEpochStats(t *testing.T) {
 // seeded run with and without a tracer produces identical losses, step
 // counts, and weights.
 func TestTracingDoesNotChangeResults(t *testing.T) {
-	plain, wPlain := traceRun(t, nil)
-	traced, wTraced := traceRun(t, trace.New(0))
+	plain, wPlain := traceRun(t, Skipper{C: 2, P: 15}, nil)
+	traced, wTraced := traceRun(t, Skipper{C: 2, P: 15}, trace.New(0))
 
 	plain.Duration, traced.Duration = 0, 0
 	plain.ForwardTime, traced.ForwardTime = 0, 0

@@ -189,8 +189,9 @@ func NewTrainer(net *layers.Network, data dataset.Source, strat Strategy, cfg Co
 	return tr, nil
 }
 
-// Close releases the trainer's persistent device memory. Safe to call more
-// than once.
+// Close releases the trainer's persistent device memory, and the strategy's
+// if it holds any (TBPTTLBP's auxiliary classifiers). Safe to call more than
+// once.
 func (tr *Trainer) Close() {
 	if tr.closed {
 		return
@@ -200,6 +201,9 @@ func (tr *Trainer) Close() {
 		b.Release()
 	}
 	tr.persistent = nil
+	if c, ok := tr.Strat.(interface{ Close() }); ok {
+		c.Close()
+	}
 }
 
 // tracer returns the runtime's span recorder; nil (tracing off) is valid and
@@ -227,14 +231,6 @@ func (tr *Trainer) phaseDone(dst *time.Duration, name string, start time.Time, a
 // strategies (plain BPTT) never call it — callers should treat the whole
 // batch as one segment (see SegmentCount). A nil fn clears the hook.
 func (tr *Trainer) SetSegmentHook(fn func(done, total int)) { tr.segmentHook = fn }
-
-// segmentFlushed fires the segment hook, if any, after segment `done` of
-// `total` finished its backward pass.
-func (tr *Trainer) segmentFlushed(done, total int) {
-	if tr.segmentHook != nil {
-		tr.segmentHook(done, total)
-	}
-}
 
 // Segmenter is implemented by strategies whose backward pass completes in a
 // fixed number of checkpoint segments with a deterministic flush order.
@@ -486,41 +482,41 @@ func (tr *Trainer) emitMetrics(ep EpochStats) error {
 // Evaluate runs a forward-only pass over the test split (capped at
 // maxBatches when > 0) and returns mean loss and accuracy.
 func (tr *Trainer) Evaluate(maxBatches int) (loss float64, acc float64, err error) {
-	idx := dataset.Indices(tr.Data, dataset.Test, tr.Cfg.Seed, 0, false)
-	batches := dataset.Batches(idx, tr.Cfg.Batch)
-	if maxBatches > 0 && len(batches) > maxBatches {
-		batches = batches[:maxBatches]
-	}
 	var lossSum float64
 	var correct, total int
-	for _, b := range batches {
-		input, labels := tr.Data.SpikeBatch(dataset.Test, b, tr.Cfg.T)
-		inBlock, aerr := tr.Dev.Alloc(mem.Input, tr.inputBytes(input, labels))
-		if aerr != nil {
-			return 0, 0, fmt.Errorf("core: charging eval input: %w", aerr)
-		}
-		logits, ferr := tr.forwardOnly(input)
-		if ferr != nil {
-			inBlock.Release()
-			return 0, 0, ferr
-		}
+	batches, err := tr.evalBatches(maxBatches, func(logits *tensor.Tensor, labels []int) {
 		l, c := tensor.CrossEntropy(logits, labels, nil)
 		lossSum += l
 		correct += c
 		total += len(labels)
-		inBlock.Release()
+	})
+	if err != nil || batches == 0 {
+		return 0, 0, err
 	}
-	if len(batches) == 0 {
-		return 0, 0, nil
-	}
-	return lossSum / float64(len(batches)), float64(correct) / float64(total), nil
+	return lossSum / float64(batches), float64(correct) / float64(total), nil
 }
 
 // EvaluateConfusion runs a forward-only pass over the test split (capped at
 // maxBatches when > 0) and returns the full confusion matrix.
 func (tr *Trainer) EvaluateConfusion(maxBatches int) (*stats.Confusion, error) {
-	classes := tr.Net.OutShape()[0]
-	conf := stats.NewConfusion(classes)
+	conf := stats.NewConfusion(tr.Net.OutShape()[0])
+	_, err := tr.evalBatches(maxBatches, func(logits *tensor.Tensor, labels []int) {
+		preds := tensor.Argmax(logits)
+		for i, y := range labels {
+			conf.Add(y, preds[i])
+		}
+	})
+	if err != nil {
+		return nil, err
+	}
+	return conf, nil
+}
+
+// evalBatches is the forward-only loop over the test split (capped at
+// maxBatches when > 0): each batch's input is charged to the device while
+// it runs, and its final-step logits and labels are handed to visit. It
+// returns the number of batches visited.
+func (tr *Trainer) evalBatches(maxBatches int, visit func(logits *tensor.Tensor, labels []int)) (int, error) {
 	idx := dataset.Indices(tr.Data, dataset.Test, tr.Cfg.Seed, 0, false)
 	batches := dataset.Batches(idx, tr.Cfg.Batch)
 	if maxBatches > 0 && len(batches) > maxBatches {
@@ -530,19 +526,16 @@ func (tr *Trainer) EvaluateConfusion(maxBatches int) (*stats.Confusion, error) {
 		input, labels := tr.Data.SpikeBatch(dataset.Test, b, tr.Cfg.T)
 		inBlock, err := tr.Dev.Alloc(mem.Input, tr.inputBytes(input, labels))
 		if err != nil {
-			return nil, fmt.Errorf("core: charging eval input: %w", err)
+			return 0, fmt.Errorf("core: charging eval input: %w", err)
 		}
 		logits, err := tr.forwardOnly(input)
 		inBlock.Release()
 		if err != nil {
-			return nil, err
+			return 0, err
 		}
-		preds := tensor.Argmax(logits)
-		for i, y := range labels {
-			conf.Add(y, preds[i])
-		}
+		visit(logits, labels)
 	}
-	return conf, nil
+	return len(batches), nil
 }
 
 // forwardOnly runs inference keeping only the rolling state (two records
@@ -574,14 +567,12 @@ func stateBytes(states []*layers.LayerState) int64 {
 	return n
 }
 
-// recordStore charges and tracks stored timestep records. Records stored
-// with putPacked hold bit-packed spike tensors and materialise lazily on
-// the first get.
+// recordStore charges and tracks stored timestep records. Records put
+// packed hold bit-packed spike tensors and materialise lazily on the first
+// get.
 type recordStore struct {
-	dev    *mem.Device
-	states map[int][]*layers.LayerState
-	packed map[int][]*packedState
-	blocks map[int]*mem.Block
+	dev     *mem.Device
+	records map[int]*record
 	// lazy keeps packed records' spike planes bit-packed on get: the
 	// materialised LayerStates carry OPacked instead of dense O, and the
 	// packed-aware layer kernels recompute/backprop straight from the bits
@@ -589,84 +580,62 @@ type recordStore struct {
 	lazy bool
 }
 
-func newRecordStore(dev *mem.Device) *recordStore {
-	return &recordStore{
-		dev:    dev,
-		states: map[int][]*layers.LayerState{},
-		packed: map[int][]*packedState{},
-		blocks: map[int]*mem.Block{},
-	}
+// record is one stored timestep: its device charge and its states, which a
+// record put packed only materialises from the packed copy when first read.
+type record struct {
+	block  *mem.Block
+	states []*layers.LayerState
+	packed []*packedState
 }
 
 // newRecordStore returns the trainer's record store, lazy when spike-pack
 // mode is on so checkpoint boundary records skip the unpack-to-dense round
 // trip.
 func (tr *Trainer) newRecordStore() *recordStore {
-	rs := newRecordStore(tr.Dev)
-	rs.lazy = tr.Cfg.SpikePack
-	return rs
+	return &recordStore{dev: tr.Dev, records: map[int]*record{}, lazy: tr.Cfg.SpikePack}
 }
 
-// put charges and retains the record for timestep t.
-func (rs *recordStore) put(t int, states []*layers.LayerState) error {
-	b, err := rs.dev.Alloc(mem.Activations, stateBytes(states))
-	if err != nil {
+// put charges and retains the record for timestep t — as given, or as a
+// spike-compressed copy when packed.
+func (rs *recordStore) put(t int, states []*layers.LayerState, packed bool) error {
+	r := &record{states: states}
+	bytes := stateBytes(states)
+	if packed {
+		r.states = nil
+		r.packed, bytes = packStates(states)
+	}
+	var err error
+	if r.block, err = rs.dev.Alloc(mem.Activations, bytes); err != nil {
 		return err
 	}
-	rs.states[t] = states
-	rs.blocks[t] = b
-	return nil
-}
-
-// putPacked charges and retains a spike-compressed copy of the record.
-func (rs *recordStore) putPacked(t int, states []*layers.LayerState) error {
-	ps, bytes := packStates(states)
-	b, err := rs.dev.Alloc(mem.Activations, bytes)
-	if err != nil {
-		return err
-	}
-	rs.packed[t] = ps
-	rs.blocks[t] = b
+	rs.records[t] = r
 	return nil
 }
 
 // get returns the record for timestep t (nil if absent), materialising a
 // packed record on first access.
 func (rs *recordStore) get(t int) []*layers.LayerState {
-	if st := rs.states[t]; st != nil {
-		return st
+	r := rs.records[t]
+	if r == nil {
+		return nil
 	}
-	if ps := rs.packed[t]; ps != nil {
-		var st []*layers.LayerState
-		if rs.lazy {
-			st = unpackStatesLazy(ps)
-		} else {
-			st = unpackStates(ps)
-		}
-		rs.states[t] = st
-		return st
+	if r.states == nil {
+		r.states = unpackStates(r.packed, rs.lazy)
 	}
-	return nil
-}
-
-// has reports whether timestep t is stored.
-func (rs *recordStore) has(t int) bool {
-	return rs.states[t] != nil || rs.packed[t] != nil
+	return r.states
 }
 
 // drop releases the record for timestep t.
 func (rs *recordStore) drop(t int) {
-	if b := rs.blocks[t]; b != nil {
-		b.Release()
+	if r := rs.records[t]; r != nil {
+		r.block.Release()
+		delete(rs.records, t)
 	}
-	delete(rs.blocks, t)
-	delete(rs.states, t)
-	delete(rs.packed, t)
 }
 
 // dropAll releases every stored record.
 func (rs *recordStore) dropAll() {
-	for t := range rs.blocks {
+	for t := range rs.records {
 		rs.drop(t)
 	}
 }

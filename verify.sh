@@ -1,7 +1,7 @@
 #!/bin/sh
 # verify.sh — the repo's full verification gate:
 #   build, vet, race-test the concurrency-sensitive subsystems, full test
-#   suite, the SIGKILL+resume, distributed-training, serving-fleet, and
+#   suite, the benchmark module's own tests, the SIGKILL+resume, distributed-training, serving-fleet, and
 #   streaming-session smoke tests, then the serving, kernel, trace-overhead,
 #   distributed, fleet-routing, spike-pack, and streaming benchmarks (write
 #   BENCH_serve.json, BENCH_kernels.json, BENCH_trace.json, BENCH_dist.json,
@@ -14,6 +14,10 @@ go build ./...
 go vet ./...
 go test -race ./internal/parallel/... ./internal/tensor/... ./internal/serve/... ./internal/runstate/... ./internal/faults/... ./internal/trace/... ./internal/dist/... ./internal/router/... ./internal/stream/...
 go test ./...
+
+# The benchmark is its own module, so the root `go test ./...` does not reach
+# it; its surface_test.go pins the names the benchmark links against.
+(cd benchmark && go vet ./... && go test ./...)
 
 sh ./scripts/kill_resume_smoke.sh
 
