@@ -72,10 +72,6 @@ func BenchmarkAblationSAMMetric(b *testing.B)      { runExperiment(b, "ablate-sa
 func BenchmarkAblationSkipPercentile(b *testing.B) { runExperiment(b, "ablate-p") }
 func BenchmarkAblationSurrogate(b *testing.B)      { runExperiment(b, "ablate-surrogate") }
 
-// Serving: loadgen against an in-process server, with and without early
-// exit (writes BENCH_serve.json).
-func BenchmarkServe(b *testing.B) { runExperiment(b, "bench_serve") }
-
 // --- Kernel and strategy micro-benchmarks ---
 
 func BenchmarkKernelConv2DForward(b *testing.B) {

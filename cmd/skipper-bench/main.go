@@ -1,9 +1,10 @@
-// Command skipper-bench regenerates the paper's tables and figures.
+// Command skipper-bench regenerates the paper's tables, figures and the
+// ablations (22 ids; -list prints them).
 //
 // Usage:
 //
 //	skipper-bench -list
-//	skipper-bench -exp fig7 [-scale tiny|small|full] [-seed N]
+//	skipper-bench -exp fig7 [-scale tiny|small|full] [-seed N] [-spike-pack]
 //	skipper-bench -exp all
 package main
 
@@ -20,14 +21,12 @@ import (
 
 func main() {
 	var (
-		exp     = flag.String("exp", "", "experiment id (see -list), or 'all'")
-		scale   = flag.String("scale", "small", "run scale: tiny | small | full")
-		seed    = flag.Uint64("seed", 1, "experiment seed")
-		threads = flag.Int("threads", 0, "compute-pool width for parallel-runtime experiments (0 = all cores)")
-		require = flag.Bool("require-speedup", false, "fail bench_kernels/bench_trace timing gates when not met (enforced only on ≥2 cores)")
-		pack    = flag.Bool("spike-pack", false, "run workload measurements with bit-packed spike compute (bit-identical results)")
-		list    = flag.Bool("list", false, "list available experiments")
-		debug   = flag.String("debug-addr", "", "serve net/http/pprof on this address while experiments run")
+		exp   = flag.String("exp", "", "experiment id (see -list), or 'all'")
+		scale = flag.String("scale", "small", "run scale: tiny | small | full")
+		seed  = flag.Uint64("seed", 1, "experiment seed")
+		pack  = flag.Bool("spike-pack", false, "run workload measurements with bit-packed spike compute (bit-identical results)")
+		list  = flag.Bool("list", false, "list available experiments")
+		debug = flag.String("debug-addr", "", "serve net/http/pprof on this address while experiments run")
 	)
 	flag.Parse()
 
@@ -38,7 +37,7 @@ func main() {
 	}
 
 	if *list || *exp == "" {
-		fmt.Println("Available experiments (paper table/figure ids):")
+		fmt.Println("Available experiments (paper table/figure ids and ablations):")
 		for _, id := range bench.IDs() {
 			e, _ := bench.Get(id)
 			fmt.Printf("  %-18s %s\n", id, e.Title)
@@ -54,7 +53,7 @@ func main() {
 	if err != nil {
 		cli.Fatal(err)
 	}
-	cfg := bench.RunConfig{Scale: sc, Seed: *seed, Threads: *threads, RequireSpeedup: *require, SpikePack: *pack}
+	cfg := bench.RunConfig{Scale: sc, Seed: *seed, SpikePack: *pack}
 
 	ids := []string{*exp}
 	if *exp == "all" {

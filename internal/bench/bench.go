@@ -64,13 +64,6 @@ func (s Scale) String() string {
 type RunConfig struct {
 	Scale Scale
 	Seed  uint64
-	// Threads is the compute-pool width for experiments that exercise the
-	// parallel runtime (0 = all cores).
-	Threads int
-	// RequireSpeedup makes bench_kernels fail when the multi-thread matmul
-	// is not faster than serial. It is only enforced on machines with at
-	// least two cores — on one core there is nothing to win.
-	RequireSpeedup bool
 	// SpikePack runs the workload measurements with bit-packed spike
 	// compute (core.Config.SpikePack). Results are bit-identical, so the
 	// figures' shapes must not move; only the clock may.

@@ -2,7 +2,6 @@ package bench
 
 import (
 	"bytes"
-	"path/filepath"
 	"strings"
 	"testing"
 
@@ -31,8 +30,6 @@ func TestRegistryComplete(t *testing.T) {
 		"table1", "fig8", "fig9", "fig10", "fig11", "fig12", "fig13",
 		"fig14", "fig15", "table2", "fig16",
 		"ablate-sam", "ablate-p", "ablate-surrogate", "ablate-placement", "ablate-compress",
-		"bench_serve", "bench_kernels", "bench_trace", "bench_dist", "bench_router",
-		"bench_spikepack", "bench_stream",
 	}
 	for _, id := range want {
 		if _, err := Get(id); err != nil {
@@ -107,14 +104,6 @@ func TestAllExperimentsRunAtTinyScale(t *testing.T) {
 	if testing.Short() {
 		t.Skip("tiny-scale experiment sweep skipped in -short mode")
 	}
-	// Keep the JSON artifacts out of the source tree.
-	benchServeOutput = filepath.Join(t.TempDir(), "BENCH_serve.json")
-	benchKernelsOutput = filepath.Join(t.TempDir(), "BENCH_kernels.json")
-	benchTraceOutput = filepath.Join(t.TempDir(), "BENCH_trace.json")
-	benchDistOutput = filepath.Join(t.TempDir(), "BENCH_dist.json")
-	benchRouterOutput = filepath.Join(t.TempDir(), "BENCH_router.json")
-	benchSpikePackOutput = filepath.Join(t.TempDir(), "BENCH_spikepack.json")
-	benchStreamOutput = filepath.Join(t.TempDir(), "BENCH_stream.json")
 	cfg := RunConfig{Scale: Tiny, Seed: 1}
 	for _, id := range IDs() {
 		id := id

@@ -140,8 +140,7 @@ func (dp *DataParallel) allReduceTime(paramBytes int64) time.Duration {
 
 // AllReduceModel predicts the ring all-reduce time for paramBytes of
 // gradients across r replicas at gbps GB/s of interconnect bandwidth
-// (0 = 50, NVLink-class) — the exchange-cost model bench_dist compares its
-// measured multi-process exchange against.
+// (0 = 50, NVLink-class).
 func AllReduceModel(paramBytes int64, r int, gbps float64) time.Duration {
 	if gbps == 0 {
 		gbps = 50

@@ -86,14 +86,6 @@ type GenReport struct {
 	MaxPauseMS float64 `json:"max_pause_ms"`
 }
 
-// SkippedFraction is the skipped share of acknowledged windows.
-func (r GenReport) SkippedFraction() float64 {
-	if r.WindowsOK == 0 {
-		return 0
-	}
-	return float64(r.WindowsSkipped) / float64(r.WindowsOK)
-}
-
 func (o GenOptions) withDefaults() GenOptions {
 	if o.Sessions <= 0 {
 		o.Sessions = 1

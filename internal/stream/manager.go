@@ -122,6 +122,17 @@ func (m *Manager) List() []string {
 	return ids
 }
 
+// live returns the live sessions, to be visited without holding m.mu.
+func (m *Manager) live() []*Session {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	all := make([]*Session, 0, len(m.sessions))
+	for _, s := range m.sessions {
+		all = append(all, s)
+	}
+	return all
+}
+
 func (m *Manager) event(name string, attrs ...trace.Attr) {
 	if m.cfg.Tracer != nil {
 		m.cfg.Tracer.Event(trace.TrackStream, name, attrs...)
@@ -377,14 +388,8 @@ func (m *Manager) SnapshotAll() int {
 	if m.cfg.Store == nil {
 		return 0
 	}
-	m.mu.Lock()
-	all := make([]*Session, 0, len(m.sessions))
-	for _, s := range m.sessions {
-		all = append(all, s)
-	}
-	m.mu.Unlock()
 	n := 0
-	for _, s := range all {
+	for _, s := range m.live() {
 		s.mu.Lock()
 		before := m.snapshots.Load()
 		m.snapshotLocked(s)
@@ -453,17 +458,10 @@ func (m *Manager) evictLoop() {
 
 func (m *Manager) evictIdle() {
 	now := m.cfg.Clock.Now()
-	m.mu.Lock()
-	var idle []*Session
-	for _, s := range m.sessions {
-		if now.Sub(s.lastActive) > m.cfg.TTL {
-			idle = append(idle, s)
-		}
-	}
-	m.mu.Unlock()
-	for _, s := range idle {
+	for _, s := range m.live() {
+		// lastActive is written under the session's own lock, so idleness
+		// is decided under it too.
 		s.mu.Lock()
-		// Re-check under the session lock: a window may have landed since.
 		if now.Sub(s.lastActive) > m.cfg.TTL && !s.sealed {
 			if m.cfg.Store != nil {
 				m.snapshotLocked(s)

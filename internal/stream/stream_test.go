@@ -392,6 +392,38 @@ func TestStreamTTLEvictionSnapshotsFirst(t *testing.T) {
 	}
 }
 
+// TestStreamEvictionTickRacesWindows lands windows on a session while the
+// eviction tick runs. The clock never advances, so nothing is idle; the
+// test's assertion is the race detector's: the tick must read a session's
+// activity stamp under that session's lock, not the registry's.
+func TestStreamEvictionTickRacesWindows(t *testing.T) {
+	cfg := testConfig(t)
+	cfg.Clock = &settableClock{t: time.Unix(1000, 0)}
+	m := newTestManager(t, cfg)
+	open(t, m, "s")
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				m.evictIdle()
+			}
+		}
+	}()
+	defer wg.Wait()
+	defer close(stop)
+	feed(t, m, "s", 0, 16)
+	if m.Count() != 1 || m.evicted.Load() != 0 {
+		t.Fatalf("active session evicted: count=%d evicted=%d", m.Count(), m.evicted.Load())
+	}
+}
+
 // TestStreamRequireResumeRefusesFresh: a client that has state to lose asks
 // for RequireResume; a replica with no record must error loudly instead of
 // silently handing back a fresh session.

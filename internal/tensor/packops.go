@@ -26,7 +26,7 @@ import (
 // Word-occupancy counters for the event-driven skip: how many packed words
 // the kernels inspected and how many they skipped as all-zero. They
 // accumulate process-wide (one atomic add per kernel lane, not per word)
-// and feed the words_skipped trace counter and the bench_spikepack report.
+// and feed the words_skipped trace counter.
 var packWordsScanned, packWordsSkipped atomic.Int64
 
 // PackedKernelStats returns the cumulative packed-kernel word-occupancy

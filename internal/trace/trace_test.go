@@ -43,6 +43,16 @@ func TestNilTracerZeroCost(t *testing.T) {
 	}
 }
 
+// BenchmarkNilTracerSpan reads the tracing-off floor: one Begin/End pair on
+// a nil tracer (go test -bench NilTracer ./internal/trace).
+func BenchmarkNilTracerSpan(b *testing.B) {
+	var tr *Tracer
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		tr.Begin(TrackTrain, "phase").End(Attr{Key: "n", Val: 1})
+	}
+}
+
 func TestSpanRecordingAndTotals(t *testing.T) {
 	tr := New(0)
 	for i := 0; i < 3; i++ {
