@@ -8,11 +8,12 @@
 // POST /v1/promote, POST /v1/rollback (control plane), /metrics, /healthz,
 // /readyz.
 //
-// Backends are listed as URL or URL=FLEETADDR pairs; with a fleet address the
-// router prefers the framed-TCP transport and falls back to HTTP:
+// Backends are listed as URL=FLEETADDR pairs: the replica's HTTP base (its
+// identity and control plane) and its skipper-serve -fleet-addr listener,
+// which carries every heartbeat and request over the framed-TCP transport:
 //
 //	skipper-router -addr :8000 \
-//	  -backends http://127.0.0.1:8081=127.0.0.1:9081,http://127.0.0.1:8082
+//	  -backends http://127.0.0.1:8081=127.0.0.1:9081,http://127.0.0.1:8082=127.0.0.1:9082
 //
 // Routers run replicated: give each one a -peer-addr (its peer-channel
 // listener, also its identity) and the others' peer addresses in -peers.
@@ -45,7 +46,7 @@ import (
 func main() {
 	var (
 		addr      = flag.String("addr", ":8000", "listen address")
-		backends  = flag.String("backends", "", "comma-separated replica list: URL or URL=FLEETADDR")
+		backends  = flag.String("backends", "", "comma-separated replica list: URL=FLEETADDR")
 		vnodes    = flag.Int("vnodes", 64, "virtual nodes per backend on the hash ring")
 		heartbeat = flag.Duration("heartbeat", 500*time.Millisecond, "health-probe interval")
 		deadAfter = flag.Int("dead-after", 3, "consecutive missed heartbeats before a backend leaves the ring")
@@ -150,10 +151,11 @@ func main() {
 	}
 }
 
-// parseBackends parses "URL[=FLEETADDR],..." into specs.
+// parseBackends parses "URL=FLEETADDR,..." into specs; router.New rejects one
+// with no fleet address.
 func parseBackends(s string) ([]router.BackendSpec, error) {
 	if strings.TrimSpace(s) == "" {
-		return nil, fmt.Errorf("-backends is required (URL or URL=FLEETADDR, comma-separated)")
+		return nil, fmt.Errorf("-backends is required (URL=FLEETADDR, comma-separated)")
 	}
 	var specs []router.BackendSpec
 	for _, part := range strings.Split(s, ",") {

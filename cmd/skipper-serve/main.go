@@ -50,7 +50,6 @@ func main() {
 		exitK     = flag.Int("exit-k", 0, "early-exit stability window (0 = default)")
 		exitM     = flag.Float64("exit-margin", 0, "early-exit relative-margin gate (0 = default, <0 disables)")
 		maxBatch  = flag.Int("max-batch", 8, "micro-batch size cap")
-		window    = flag.Duration("batch-window", 2*time.Millisecond, "batching coalesce window")
 		queue     = flag.Int("queue", 64, "pending-request queue depth (full = 429)")
 		workers   = flag.Int("workers", 2, "batch workers (each owns a network replica)")
 		threads   = flag.Int("threads", 0, "shared compute-pool width for kernels (0 = all cores)")
@@ -106,7 +105,6 @@ func main() {
 		ExitK:          *exitK,
 		ExitMargin:     *exitM,
 		MaxBatch:       *maxBatch,
-		BatchWindow:    *window,
 		QueueDepth:     *queue,
 		Workers:        *workers,
 		RequestTimeout: *timeout,

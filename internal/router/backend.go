@@ -37,21 +37,24 @@ func (s BackendState) String() string {
 	}
 }
 
-// BackendSpec names one replica: its HTTP base URL (control plane and data
-// fallback) and optionally its framed-transport address (preferred data
-// path).
+// BackendSpec names one replica: its HTTP base URL (identity and control
+// plane) and its framed-transport address (heartbeats and data path). Both
+// are required.
 type BackendSpec struct {
 	// URL is the replica's HTTP base, e.g. "http://127.0.0.1:8080".
 	URL string `json:"url"`
-	// FleetAddr is the replica's framed-TCP listener, e.g.
-	// "127.0.0.1:9090". Empty means HTTP only.
-	FleetAddr string `json:"fleet_addr,omitempty"`
+	// FleetAddr is the replica's framed-TCP listener (skipper-serve
+	// -fleet-addr), e.g. "127.0.0.1:9090".
+	FleetAddr string `json:"fleet_addr"`
 }
 
 func (s BackendSpec) validate() error {
 	u, err := url.Parse(s.URL)
 	if err != nil || u.Scheme == "" || u.Host == "" {
 		return fmt.Errorf("router: backend URL %q must be absolute (http://host:port)", s.URL)
+	}
+	if s.FleetAddr == "" {
+		return fmt.Errorf("router: backend %s has no fleet address (give it as URL=FLEETADDR, the replica's -fleet-addr)", s.URL)
 	}
 	return nil
 }
@@ -121,7 +124,7 @@ func (b *backend) capacityOrDefault() int64 {
 // BackendInfo is the /v1/fleet JSON view of one backend.
 type BackendInfo struct {
 	URL          string  `json:"url"`
-	FleetAddr    string  `json:"fleet_addr,omitempty"`
+	FleetAddr    string  `json:"fleet_addr"`
 	State        string  `json:"state"`
 	ModelVersion uint64  `json:"model_version"`
 	ModelPath    string  `json:"model_path,omitempty"`

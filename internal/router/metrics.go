@@ -21,7 +21,6 @@ type Metrics struct {
 
 	shed      map[string]int64 // by "class|reason"
 	failovers int64            // requests retried on another backend after a transport error
-	fallbacks int64            // framed exchanges that fell back to HTTP mid-request
 	remaps    int64            // ring membership changes (arcs vacated or restored)
 	deaths    int64            // backends declared dead by the heartbeat
 
@@ -80,12 +79,6 @@ func (m *Metrics) observeFailover() {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.failovers++
-}
-
-func (m *Metrics) observeFallback() {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.fallbacks++
 }
 
 func (m *Metrics) observeRemap() {
@@ -185,7 +178,7 @@ func (m *Metrics) Render(w io.Writer) {
 	}
 
 	renderHist(w, "skipper_router_request_latency_seconds", "End-to-end routed request latency.", m.latency)
-	renderHist(w, "skipper_router_backend_rtt_seconds", "Backend exchange round-trip (framed or HTTP).", m.rtt)
+	renderHist(w, "skipper_router_backend_rtt_seconds", "Backend exchange round-trip.", m.rtt)
 
 	fmt.Fprintln(w, "# HELP skipper_router_shed_total Requests shed by admission control, by class and reason.")
 	fmt.Fprintln(w, "# TYPE skipper_router_shed_total counter")
@@ -206,7 +199,6 @@ func (m *Metrics) Render(w io.Writer) {
 	}
 
 	counter(w, "skipper_router_failover_total", "Requests retried on a successor backend after a transport error.", m.failovers)
-	counter(w, "skipper_router_http_fallback_total", "Framed exchanges completed over the HTTP fallback.", m.fallbacks)
 	counter(w, "skipper_router_ring_remaps_total", "Hash-ring membership changes (arcs vacated or restored).", m.remaps)
 	counter(w, "skipper_router_backend_deaths_total", "Backends declared dead after missed heartbeats.", m.deaths)
 	counter(w, "skipper_router_peer_syncs_total", "Completed gossip round trips with peer routers.", m.peerSyncs)

@@ -76,14 +76,13 @@ func (rt *Router) migrateOne(src *backend, id string) bool {
 }
 
 // migrationTarget picks where a draining backend's session should move: the
-// first alive streaming-capable candidate on the session's ring walk that is
-// not the source.
+// first alive candidate on the session's ring walk that is not the source.
 func (rt *Router) migrationTarget(id string, src *backend) *backend {
 	for _, b := range rt.candidates(id) {
 		if b == nil || b == src {
 			continue
 		}
-		if b.State() == StateAlive && b.spec.FleetAddr != "" {
+		if b.State() == StateAlive {
 			return b
 		}
 	}
@@ -101,7 +100,7 @@ func (rt *Router) handleStreamPlace(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	for _, b := range rt.candidates(session) {
-		if b != nil && b.State() == StateAlive && b.spec.FleetAddr != "" {
+		if b != nil && b.State() == StateAlive {
 			writeJSON(w, http.StatusOK, stream.Placement{
 				Session:   session,
 				URL:       b.spec.URL,
@@ -110,5 +109,5 @@ func (rt *Router) handleStreamPlace(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	httpError(w, http.StatusServiceUnavailable, "no alive streaming backend")
+	httpError(w, http.StatusServiceUnavailable, "no alive backend")
 }

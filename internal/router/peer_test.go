@@ -2,12 +2,13 @@ package router
 
 import (
 	"fmt"
+	"io"
 	"net"
-	"net/http"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"skipper/internal/frame"
 	"skipper/internal/serve"
 )
 
@@ -61,7 +62,7 @@ func TestHeartbeatStaggerDecorrelates(t *testing.T) {
 	}
 	specs := make([]BackendSpec, len(replicas))
 	for i, f := range replicas {
-		specs[i] = BackendSpec{URL: f.url()}
+		specs[i] = f.spec()
 	}
 	const hb = 60 * time.Millisecond
 	rt, err := New(Config{Backends: specs, HeartbeatInterval: hb, DeadAfter: 3})
@@ -124,7 +125,7 @@ func TestFlapDampingBoundsChurn(t *testing.T) {
 	flapper := newFakeReplica(t, "/ckpt/b")
 	const hb = 10 * time.Millisecond
 	rt, err := New(Config{
-		Backends:          []BackendSpec{{URL: stable.url()}, {URL: flapper.url()}},
+		Backends:          []BackendSpec{stable.spec(), flapper.spec()},
 		HeartbeatInterval: hb,
 		DeadAfter:         1,
 		ReadmitBackoffMax: 400 * time.Millisecond,
@@ -276,7 +277,7 @@ func TestPeerSyncReplicatesState(t *testing.T) {
 	}
 	specs := make([]BackendSpec, len(replicas))
 	for i, f := range replicas {
-		specs[i] = BackendSpec{URL: f.url()}
+		specs[i] = f.spec()
 	}
 	lnA, lnB := peerListener(t), peerListener(t)
 	addrA, addrB := lnA.Addr().String(), lnB.Addr().String()
@@ -356,18 +357,36 @@ func TestPeerSyncReplicatesState(t *testing.T) {
 	}
 }
 
-// toggleRT is an http.RoundTripper that fails requests to one host on demand
-// — one router's flaky link to a healthy replica.
-type toggleRT struct {
-	host string
-	fail *atomic.Bool
-}
-
-func (rt toggleRT) RoundTrip(req *http.Request) (*http.Response, error) {
-	if rt.fail.Load() && req.URL.Host == rt.host {
-		return nil, fmt.Errorf("injected link failure to %s", rt.host)
-	}
-	return http.DefaultTransport.RoundTrip(req)
+// flakyLink relays fleet frames to target until cut is set, then hangs up on
+// every frame and new connection — one router's broken link to a healthy
+// replica. It returns the address to dial in the target's place.
+func flakyLink(t *testing.T, target string, cut *atomic.Bool) string {
+	ln := peerListener(t)
+	t.Cleanup(func() { ln.Close() })
+	go func() {
+		for {
+			down, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			go func() {
+				defer down.Close()
+				up, err := net.Dial("tcp", target)
+				if err != nil {
+					return
+				}
+				defer up.Close()
+				go io.Copy(down, up)
+				for {
+					typ, payload, err := frame.Read(down)
+					if err != nil || cut.Load() || frame.Write(up, typ, payload) != nil {
+						return
+					}
+				}
+			}()
+		}
+	}()
+	return ln.Addr().String()
 }
 
 // TestQuorumOutvotesSingleRouter pins the failure detector's core promise: a
@@ -376,8 +395,7 @@ func (rt toggleRT) RoundTrip(req *http.Request) (*http.Response, error) {
 func TestQuorumOutvotesSingleRouter(t *testing.T) {
 	x := newFakeReplica(t, "/ckpt/a")
 	y := newFakeReplica(t, "/ckpt/b")
-	specs := []BackendSpec{{URL: x.url()}, {URL: y.url()}}
-	xHost := x.srv.Listener.Addr().String()
+	specs := []BackendSpec{x.spec(), y.spec()}
 
 	lnA, lnB := peerListener(t), peerListener(t)
 	addrA, addrB := lnA.Addr().String(), lnB.Addr().String()
@@ -386,13 +404,12 @@ func TestQuorumOutvotesSingleRouter(t *testing.T) {
 	failX := &atomic.Bool{}
 	const hb = 20 * time.Millisecond
 	a, err := New(Config{
-		Backends:          specs,
+		Backends:          []BackendSpec{{URL: x.url(), FleetAddr: flakyLink(t, specs[0].FleetAddr, failX)}, specs[1]},
 		HeartbeatInterval: hb,
 		DeadAfter:         1,
 		SyncInterval:      10 * time.Millisecond,
 		PeerListener:      lnA,
 		Peers:             []string{addrB, phantom},
-		Client:            &http.Client{Transport: toggleRT{host: xHost, fail: failX}, Timeout: 2 * time.Second},
 	})
 	if err != nil {
 		t.Fatalf("New(a): %v", err)
@@ -430,7 +447,7 @@ func TestQuorumOutvotesSingleRouter(t *testing.T) {
 
 	// Now X really dies: B's vote joins A's, quorum is reached, and both
 	// routers converge on the death.
-	x.srv.Close()
+	x.kill()
 	waitFor(t, 3*time.Second, "quorum kills X on both routers", func() bool {
 		return !ringHas(a, x.url()) && !ringHas(b, x.url()) &&
 			a.backends[x.url()].State() == StateDead && b.backends[x.url()].State() == StateDead
@@ -453,7 +470,7 @@ func TestDrainAnnounceVacatesImmediately(t *testing.T) {
 	}
 	specs := make([]BackendSpec, len(replicas))
 	for i, f := range replicas {
-		specs[i] = BackendSpec{URL: f.url()}
+		specs[i] = f.spec()
 	}
 	lnA, lnB := peerListener(t), peerListener(t)
 	addrA, addrB := lnA.Addr().String(), lnB.Addr().String()

@@ -24,9 +24,9 @@ import (
 // Placement is a consistent hash of the session key over virtual nodes, so a
 // dead replica vacates only its own arcs: every other session keeps its replica,
 // which is what makes per-replica caches (and, later, stateful streaming
-// membrane carry-over) worth having. Health comes from a heartbeat loop —
-// FleetPing over the framed transport, /readyz over HTTP — and a replica that
-// misses DeadAfter beats in a row leaves the ring until it answers again.
+// membrane carry-over) worth having. Health comes from a heartbeat loop of
+// FleetPing probes over the framed transport, and a replica that misses
+// DeadAfter beats in a row leaves the ring until it answers again.
 type Router struct {
 	cfg       Config
 	transport *transport
@@ -55,12 +55,15 @@ type Config struct {
 	Backends []BackendSpec
 	// VNodes is the virtual-node count per backend (default 64).
 	VNodes int
-	// HeartbeatInterval is the health-probe period (default 500ms).
+	// HeartbeatInterval is the health-probe period and the deadline of one
+	// probe, so a replica that accepts connections but never answers is
+	// dead after DeadAfter intervals and never delays the other backends'
+	// probes by more than one (default 500ms).
 	HeartbeatInterval time.Duration
 	// DeadAfter is how many consecutive missed heartbeats kill a backend
 	// (default 3).
 	DeadAfter int
-	// RequestTimeout bounds one backend exchange (default 30s).
+	// RequestTimeout bounds one data-plane backend exchange (default 30s).
 	RequestTimeout time.Duration
 	// Classes is the admission configuration (default DefaultClasses).
 	Classes []ClassConfig
@@ -76,7 +79,7 @@ type Config struct {
 	// Tracer, when non-nil, records route / backend_rtt / failover spans on
 	// trace.TrackRouter.
 	Tracer *trace.Tracer
-	// Client overrides the HTTP client for the fallback/control plane.
+	// Client overrides the HTTP client for the control plane.
 	Client *http.Client
 
 	// ---- replicated router tier ----
@@ -296,7 +299,7 @@ func (rt *Router) heartbeatPass(now time.Time, all bool) {
 		go func(i int, b *backend) {
 			defer wg.Done()
 			start := time.Now()
-			st, err := rt.transport.ping(b)
+			st, err := rt.transport.ping(b, rt.cfg.HeartbeatInterval)
 			results[i] = probeResult{b: b, st: st, rtt: time.Since(start), err: err}
 		}(i, b)
 	}
@@ -425,8 +428,8 @@ func (rt *Router) killBackendLocked(b *backend, now time.Time) {
 }
 
 // setDrainingLocked moves a backend to the draining state, vacates its
-// arcs, and — on the transition, for fleet-capable backends — starts pulling
-// its streaming sessions to their ring successors. Callers hold rt.mu.
+// arcs, and — on the transition — starts pulling its streaming sessions to
+// their ring successors. Callers hold rt.mu.
 func (rt *Router) setDrainingLocked(b *backend) {
 	first := b.State() != StateDraining
 	if first {
@@ -438,7 +441,7 @@ func (rt *Router) setDrainingLocked(b *backend) {
 		rt.metrics.observeRemap()
 		rt.tracer.Event(trace.TrackRouter, "backend_draining")
 	}
-	if first && b.spec.FleetAddr != "" {
+	if first {
 		rt.wg.Add(1)
 		go rt.migrateSessions(b)
 	}
@@ -730,7 +733,7 @@ func (rt *Router) route(ctx context.Context, w http.ResponseWriter, req wireRequ
 		b.inflight.Add(1)
 		rttSpan := rt.tracer.Begin(trace.TrackRouter, "backend_rtt")
 		sendStart := time.Now()
-		resp, fellBack, err := rt.transport.infer(b, body)
+		resp, err := rt.transport.infer(b, body)
 		rtt := time.Since(sendStart)
 		rttSpan.End(trace.Attr{Key: "attempt", Val: int64(attempt)})
 		b.inflight.Add(-1)
@@ -738,9 +741,6 @@ func (rt *Router) route(ctx context.Context, w http.ResponseWriter, req wireRequ
 			lastErr = err
 			rt.noteTransportFailure(b)
 			continue
-		}
-		if fellBack {
-			rt.metrics.observeFallback()
 		}
 		rt.metrics.observeRTT(rtt.Seconds())
 		latencyMS := rtt.Seconds() * 1000

@@ -4,77 +4,51 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"net"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"skipper/internal/frame"
 	"skipper/internal/serve"
 )
 
 // fakeReplica is a controllable stand-in for one skipper-serve process: it
-// implements the slice of the HTTP surface the router touches (/readyz,
-// /v1/config, /v1/infer, /v1/reload) with injectable model paths, failure
-// modes, and latency. Fault-path tests kill it by closing the httptest
-// server — indistinguishable from a crashed process from the router's side.
+// implements the slice of the replica the router touches — the framed fleet
+// listener (FleetPing, FleetMux-wrapped FleetInfer) and POST /v1/reload — with
+// injectable model paths, failure modes and latency. Fault-path tests kill()
+// it, which is indistinguishable from a crashed process from the router's side.
 type fakeReplica struct {
-	srv *httptest.Server
+	srv *httptest.Server // control plane
+	ln  net.Listener     // framed fleet listener
 
 	mu        sync.Mutex
+	conns     []net.Conn // accepted fleet connections, closed by kill
+	killed    bool
 	modelPath string
 	version   uint64
-	// failOnPath makes /v1/infer return 500 while the replica serves this
+	// failOnPath makes infer answer 500 while the replica serves this
 	// checkpoint path — the "bad canary generation" injection.
 	failOnPath string
 	reloads    []string
-	// probeTimes records when each /readyz probe arrived (heartbeat
-	// scheduling tests).
+	// probeTimes records when each ping arrived (heartbeat scheduling tests).
 	probeTimes []time.Time
 
-	requests atomic.Int64
-	// down makes /readyz return 500 — a reachable process that is not
-	// healthy, the flapping-replica injection.
+	// down makes the replica hang up on a ping without answering — a
+	// reachable process that is not healthy, the flapping-replica injection.
 	down atomic.Bool
+	// inferTime is how long an infer takes, in nanoseconds (0: answer at once).
+	inferTime atomic.Int64
 }
 
 func newFakeReplica(t *testing.T, modelPath string) *fakeReplica {
 	t.Helper()
-	f := &fakeReplica{modelPath: modelPath, version: 1}
-	mux := http.NewServeMux()
-	mux.HandleFunc("/readyz", func(w http.ResponseWriter, r *http.Request) {
-		f.mu.Lock()
-		f.probeTimes = append(f.probeTimes, time.Now())
-		f.mu.Unlock()
-		if f.down.Load() {
-			w.WriteHeader(http.StatusInternalServerError)
-			return
-		}
-		w.WriteHeader(http.StatusOK)
-	})
-	mux.HandleFunc("/v1/config", func(w http.ResponseWriter, r *http.Request) {
-		f.mu.Lock()
-		defer f.mu.Unlock()
-		json.NewEncoder(w).Encode(map[string]any{
-			"max_batch": 8, "model_version": f.version, "model_path": f.modelPath,
-			"input_len": 4, "classes": 4, "t": 6,
-		})
-	})
-	mux.HandleFunc("/v1/infer", func(w http.ResponseWriter, r *http.Request) {
-		f.requests.Add(1)
-		f.mu.Lock()
-		bad := f.failOnPath != "" && f.modelPath == f.failOnPath
-		version := f.version
-		f.mu.Unlock()
-		if bad {
-			w.WriteHeader(http.StatusInternalServerError)
-			json.NewEncoder(w).Encode(map[string]string{"error": "injected failure"})
-			return
-		}
-		json.NewEncoder(w).Encode(serve.InferResponse{Pred: 1, ModelVersion: version, T: 6, StepsRun: 3, BatchSize: 1})
-	})
-	mux.HandleFunc("/v1/reload", func(w http.ResponseWriter, r *http.Request) {
+	f := &fakeReplica{modelPath: modelPath, version: 1, ln: peerListener(t)}
+	f.srv = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		var body struct {
 			Path string `json:"path"`
 		}
@@ -83,16 +57,84 @@ func newFakeReplica(t *testing.T, modelPath string) *fakeReplica {
 		f.modelPath = body.Path
 		f.version++
 		f.reloads = append(f.reloads, body.Path)
-		version := f.version
 		f.mu.Unlock()
-		json.NewEncoder(w).Encode(map[string]any{"version": version, "path": body.Path})
-	})
-	f.srv = httptest.NewServer(mux)
-	t.Cleanup(f.srv.Close)
+	}))
+	go func() {
+		for {
+			conn, err := f.ln.Accept()
+			if err != nil {
+				return
+			}
+			f.mu.Lock()
+			if f.killed { // accepted while kill ran
+				conn.Close()
+			} else {
+				f.conns = append(f.conns, conn)
+				go f.serveFleetConn(conn)
+			}
+			f.mu.Unlock()
+		}
+	}()
+	t.Cleanup(f.kill)
 	return f
 }
 
+// serveFleetConn answers one fleet connection's frames in arrival order.
+func (f *fakeReplica) serveFleetConn(conn net.Conn) {
+	defer conn.Close()
+	for {
+		typ, payload, err := frame.Read(conn)
+		if err != nil {
+			return
+		}
+		f.mu.Lock()
+		st := serve.FleetStatus{MaxBatch: 8, ModelVersion: f.version, ModelPath: f.modelPath}
+		bad := f.failOnPath != "" && f.modelPath == f.failOnPath
+		if typ == serve.FleetPing {
+			f.probeTimes = append(f.probeTimes, time.Now())
+		}
+		f.mu.Unlock()
+		switch {
+		case typ == serve.FleetPing && !f.down.Load():
+			pong, _ := json.Marshal(st)
+			err = frame.Write(conn, serve.FleetPong, pong)
+		case typ == serve.FleetMux:
+			time.Sleep(time.Duration(f.inferTime.Load()))
+			res := serve.FleetResponse{Code: http.StatusOK}
+			res.Body, _ = json.Marshal(serve.InferResponse{Pred: 1, ModelVersion: st.ModelVersion, T: 6, StepsRun: 3, BatchSize: 1})
+			if bad {
+				res = serve.FleetResponse{Code: http.StatusInternalServerError, Body: json.RawMessage(`{"error":"injected failure"}`)}
+			}
+			corr, _, _, _ := frame.DecodeCorr(payload)
+			buf, _ := json.Marshal(res)
+			err = frame.Write(conn, serve.FleetMux, frame.EncodeCorr(corr, serve.FleetResult, buf))
+		default: // a ping while down, or a frame the fake does not speak: hang up
+			return
+		}
+		if err != nil {
+			return
+		}
+	}
+}
+
+// kill closes the listeners and every open connection: kill -9, as far as the
+// router can tell.
+func (f *fakeReplica) kill() {
+	f.mu.Lock()
+	f.killed = true
+	for _, c := range f.conns {
+		c.Close()
+	}
+	f.mu.Unlock()
+	f.ln.Close()
+	f.srv.Close()
+}
+
 func (f *fakeReplica) url() string { return f.srv.URL }
+
+func (f *fakeReplica) spec() BackendSpec {
+	return BackendSpec{URL: f.srv.URL, FleetAddr: f.ln.Addr().String()}
+}
 
 func (f *fakeReplica) setFailOnPath(p string) {
 	f.mu.Lock()
@@ -178,7 +220,7 @@ func TestRouterKillReplicaMidSoak(t *testing.T) {
 	}
 	specs := make([]BackendSpec, len(replicas))
 	for i, f := range replicas {
-		specs[i] = BackendSpec{URL: f.url()}
+		specs[i] = f.spec()
 	}
 	const hb = 25 * time.Millisecond
 	rt, hs := newTestRouter(t, Config{
@@ -226,7 +268,7 @@ func TestRouterKillReplicaMidSoak(t *testing.T) {
 	}
 
 	time.Sleep(4 * hb)
-	victim.srv.Close() // kill -9, as far as the router can tell
+	victim.kill()
 
 	// The ring must drop the victim within the heartbeat window:
 	// DeadAfter·interval of missed beats plus one reconcile pass (transport
@@ -285,7 +327,7 @@ func TestRouterCanaryRollbackOnElevated5xx(t *testing.T) {
 	}
 	specs := make([]BackendSpec, len(replicas))
 	for i, f := range replicas {
-		specs[i] = BackendSpec{URL: f.url()}
+		specs[i] = f.spec()
 		f.setFailOnPath("/ckpt/bad") // serving the bad generation → 500s
 	}
 	const hb = 20 * time.Millisecond
@@ -354,7 +396,10 @@ func TestRouterCanaryPromote(t *testing.T) {
 	}
 	specs := make([]BackendSpec, len(replicas))
 	for i, f := range replicas {
-		specs[i] = BackendSpec{URL: f.url()}
+		specs[i] = f.spec()
+		// Long enough that the registry's p99 gate compares inference times,
+		// not the scheduler's jitter around an instant answer.
+		f.inferTime.Store(int64(5 * time.Millisecond))
 	}
 	const hb = 20 * time.Millisecond
 	rt, hs := newTestRouter(t, Config{
@@ -402,7 +447,7 @@ func TestRouterCanaryPromote(t *testing.T) {
 func TestRouterShedsByClass(t *testing.T) {
 	f := newFakeReplica(t, "/ckpt/base")
 	rt, hs := newTestRouter(t, Config{
-		Backends:          []BackendSpec{{URL: f.url()}},
+		Backends:          []BackendSpec{f.spec()},
 		HeartbeatInterval: 50 * time.Millisecond,
 		Classes: []ClassConfig{
 			{Name: "interactive", Tier: 0, BudgetMS: 250},
@@ -442,6 +487,43 @@ func TestRouterShedsByClass(t *testing.T) {
 	}
 }
 
+// TestHungReplicaLeavesRingWithinHeartbeats pins the probe deadline: a replica
+// that accepts TCP but never answers (SIGSTOP, a wedged process, a black-holed
+// host) costs each heartbeat pass one interval, not one RequestTimeout — it is
+// dead after DeadAfter intervals, New does not wait out the data-plane timeout
+// on it, and the healthy replica keeps being probed meanwhile.
+func TestHungReplicaLeavesRingWithinHeartbeats(t *testing.T) {
+	healthy := newFakeReplica(t, "/ckpt/a")
+	hung := peerListener(t) // never Accepts: the kernel completes the handshake and nothing reads
+	defer hung.Close()
+	hungID := "http://" + hung.Addr().String()
+	const hb, deadAfter = 20 * time.Millisecond, 2
+	start := time.Now()
+	rt, err := New(Config{
+		Backends:          []BackendSpec{healthy.spec(), {URL: hungID, FleetAddr: hung.Addr().String()}},
+		HeartbeatInterval: hb,
+		DeadAfter:         deadAfter,
+		RequestTimeout:    3 * time.Second,
+	})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	defer rt.Close()
+	if d := time.Since(start); d > 10*hb {
+		t.Fatalf("New blocked %v on the hung replica; its warm-up probe must give up after one %v interval", d, hb)
+	}
+	waitFor(t, 10*deadAfter*hb, "the hung replica to be declared dead", func() bool {
+		return rt.backends[hungID].State() == StateDead
+	})
+	if !ringHas(rt, healthy.url()) || ringHas(rt, hungID) {
+		t.Fatal("ring should hold exactly the healthy replica")
+	}
+	seen := len(healthy.probes())
+	waitFor(t, 20*hb, "three more probes of the healthy replica", func() bool {
+		return len(healthy.probes()) >= seen+3
+	})
+}
+
 func waitRingSize(t *testing.T, rt *Router, want int, timeout time.Duration) {
 	t.Helper()
 	deadline := time.Now().Add(timeout)
@@ -465,9 +547,12 @@ func waitRingSize(t *testing.T, rt *Router, want int, timeout time.Duration) {
 // seeding this was untestable.)
 func TestJitterSeedDeterministic(t *testing.T) {
 	f := newFakeReplica(t, "/ckpt/a")
+	if _, err := New(Config{Backends: []BackendSpec{{URL: f.url()}}}); err == nil || !strings.Contains(err.Error(), f.url()) {
+		t.Fatalf("New with a backend that has no FleetAddr: error %v, want one naming %s", err, f.url())
+	}
 	sequence := func(seed int64) []time.Duration {
 		rt, _ := newTestRouter(t, Config{
-			Backends:          []BackendSpec{{URL: f.url()}},
+			Backends:          []BackendSpec{f.spec()},
 			HeartbeatInterval: time.Hour, // keep the background loop quiet
 			HeartbeatJitter:   0.3,
 			JitterSeed:        seed,

@@ -8,7 +8,6 @@ import (
 	"net"
 	"net/http"
 	"skipper/internal/frame"
-	"strconv"
 	"sync"
 	"time"
 
@@ -16,16 +15,15 @@ import (
 )
 
 // transport moves requests and heartbeats between the router and its
-// backends. The preferred data path is the framed-TCP protocol serve.Fleet*
-// defines over dist's CRC envelope — persistent connections, no HTTP
-// parsing per request; when a backend has no fleet listener, or a framed
-// exchange fails mid-flight, the same request falls back to HTTP. Data-plane
+// backends over the framed-TCP protocol serve.Fleet* defines on dist's CRC
+// envelope — persistent connections, no HTTP parsing per request. Data-plane
 // exchanges (infer, stream migration) multiplex over one muxConn per backend
 // under FleetMux correlation envelopes; heartbeats keep a small pool of
-// one-at-a-time connections so a probe measures a clean round-trip.
+// one-at-a-time connections so a probe measures a clean round-trip. Only the
+// control plane (checkpoint reload, the /v1/config proxy) speaks HTTP.
 type transport struct {
-	client  *http.Client
-	timeout time.Duration // dial + per-exchange deadline
+	client  *http.Client  // control plane
+	timeout time.Duration // data-plane dial + per-exchange deadline
 
 	mu    sync.Mutex
 	pools map[string]*connPool // by fleet addr
@@ -62,7 +60,7 @@ func (tr *transport) pool(addr string) *connPool {
 	return p
 }
 
-func (p *connPool) get(timeout time.Duration) (net.Conn, error) {
+func (p *connPool) get(deadline time.Time) (net.Conn, error) {
 	p.mu.Lock()
 	if n := len(p.idle); n > 0 {
 		c := p.idle[n-1]
@@ -71,7 +69,7 @@ func (p *connPool) get(timeout time.Duration) (net.Conn, error) {
 		return c, nil
 	}
 	p.mu.Unlock()
-	return net.DialTimeout("tcp", p.addr, timeout)
+	return (&net.Dialer{Deadline: deadline}).Dial("tcp", p.addr)
 }
 
 func (p *connPool) put(c net.Conn) {
@@ -102,130 +100,54 @@ func (tr *transport) closeAll() {
 	}
 }
 
-// exchange runs one framed request/response round-trip on a pooled
-// connection. Any error closes the connection — the protocol has no
-// re-synchronization — and surfaces to the caller for fallback/failover.
-func (tr *transport) exchange(addr string, typ byte, payload []byte, wantTyp byte) ([]byte, error) {
-	p := tr.pool(addr)
-	conn, err := p.get(tr.timeout)
+// ping probes one backend: a FleetPing round-trip on a pooled connection,
+// dial included, inside timeout. The pong carries the drain flag, the queue
+// numbers and the model generation. Any error closes the connection — the
+// protocol has no re-synchronization — and counts as a missed heartbeat.
+func (tr *transport) ping(b *backend, timeout time.Duration) (serve.FleetStatus, error) {
+	var st serve.FleetStatus
+	p := tr.pool(b.spec.FleetAddr)
+	deadline := time.Now().Add(timeout)
+	conn, err := p.get(deadline)
 	if err != nil {
-		return nil, err
+		return st, err
 	}
-	conn.SetDeadline(time.Now().Add(tr.timeout))
-	if err := frame.Write(conn, typ, payload); err != nil {
+	conn.SetDeadline(deadline)
+	if err := frame.Write(conn, serve.FleetPing, nil); err != nil {
 		conn.Close()
-		return nil, err
+		return st, err
 	}
-	gotTyp, resp, err := frame.Read(conn)
+	typ, resp, err := frame.Read(conn)
 	if err != nil {
 		conn.Close()
-		return nil, err
+		return st, err
 	}
-	if gotTyp != wantTyp {
+	if typ != serve.FleetPong {
 		conn.Close()
-		return nil, fmt.Errorf("router: fleet frame type %d, want %d", gotTyp, wantTyp)
+		return st, fmt.Errorf("router: fleet frame type %d, want %d", typ, serve.FleetPong)
 	}
 	conn.SetDeadline(time.Time{})
 	p.put(conn)
-	return resp, nil
-}
-
-// ping probes one backend: framed when it has a fleet listener, HTTP
-// (/readyz + /v1/config) otherwise. The returned status carries the drain
-// flag and model generation either way.
-func (tr *transport) ping(b *backend) (serve.FleetStatus, error) {
-	if b.spec.FleetAddr != "" {
-		resp, err := tr.exchange(b.spec.FleetAddr, serve.FleetPing, nil, serve.FleetPong)
-		if err != nil {
-			return serve.FleetStatus{}, err
-		}
-		var st serve.FleetStatus
-		if err := json.Unmarshal(resp, &st); err != nil {
-			return serve.FleetStatus{}, fmt.Errorf("router: decoding pong: %w", err)
-		}
-		return st, nil
+	if err := json.Unmarshal(resp, &st); err != nil {
+		return st, fmt.Errorf("router: decoding pong: %w", err)
 	}
-	return tr.pingHTTP(b)
-}
-
-func (tr *transport) pingHTTP(b *backend) (serve.FleetStatus, error) {
-	var st serve.FleetStatus
-	resp, err := tr.client.Get(b.spec.URL + "/readyz")
-	if err != nil {
-		return st, err
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	st.Draining = resp.StatusCode == http.StatusServiceUnavailable
-	if !st.Draining && resp.StatusCode != http.StatusOK {
-		return st, fmt.Errorf("router: %s/readyz returned %d", b.spec.URL, resp.StatusCode)
-	}
-	cfgResp, err := tr.client.Get(b.spec.URL + "/v1/config")
-	if err != nil {
-		return st, err
-	}
-	defer cfgResp.Body.Close()
-	if cfgResp.StatusCode != http.StatusOK {
-		io.Copy(io.Discard, cfgResp.Body)
-		return st, fmt.Errorf("router: %s/v1/config returned %d", b.spec.URL, cfgResp.StatusCode)
-	}
-	var cfg struct {
-		MaxBatch     int    `json:"max_batch"`
-		ModelVersion uint64 `json:"model_version"`
-		ModelPath    string `json:"model_path"`
-	}
-	if err := json.NewDecoder(cfgResp.Body).Decode(&cfg); err != nil {
-		return st, err
-	}
-	st.ModelVersion = cfg.ModelVersion
-	st.MaxBatch = cfg.MaxBatch
-	st.ModelPath = cfg.ModelPath
 	return st, nil
 }
 
-// infer forwards one serialized request body to a backend, framed first,
-// HTTP on fallback. The bool reports whether the HTTP fallback was used
-// after a framed failure (the metrics count those).
-func (tr *transport) infer(b *backend, body []byte) (serve.FleetResponse, bool, error) {
-	if b.spec.FleetAddr != "" {
-		rtyp, resp, err := tr.mexchange(b.spec.FleetAddr, serve.FleetInfer, body)
-		if err == nil && rtyp != serve.FleetResult {
-			err = fmt.Errorf("router: fleet frame type %d, want %d", rtyp, serve.FleetResult)
-		}
-		if err == nil {
-			var out serve.FleetResponse
-			if jerr := json.Unmarshal(resp, &out); jerr != nil {
-				return serve.FleetResponse{}, false, fmt.Errorf("router: decoding fleet result: %w", jerr)
-			}
-			return out, false, nil
-		}
-		// Framed path failed; one HTTP attempt before declaring the
-		// backend unreachable.
-		out, herr := tr.inferHTTP(b, body)
-		if herr != nil {
-			return serve.FleetResponse{}, false, err // original framed error is the informative one
-		}
-		return out, true, nil
-	}
-	out, err := tr.inferHTTP(b, body)
-	return out, false, err
-}
-
-func (tr *transport) inferHTTP(b *backend, body []byte) (serve.FleetResponse, error) {
-	resp, err := tr.client.Post(b.spec.URL+"/v1/infer", "application/json", bytes.NewReader(body))
+// infer forwards one serialized request body to a backend over its
+// multiplexed fleet connection. An error means the backend is unreachable:
+// the caller marks it suspect and fails over to the ring successor.
+func (tr *transport) infer(b *backend, body []byte) (serve.FleetResponse, error) {
+	var out serve.FleetResponse
+	rtyp, resp, err := tr.mexchange(b.spec.FleetAddr, serve.FleetInfer, body)
 	if err != nil {
-		return serve.FleetResponse{}, err
+		return out, err
 	}
-	defer resp.Body.Close()
-	data, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return serve.FleetResponse{}, err
+	if rtyp != serve.FleetResult {
+		return out, fmt.Errorf("router: fleet frame type %d, want %d", rtyp, serve.FleetResult)
 	}
-	out := serve.FleetResponse{Code: resp.StatusCode, Body: data}
-	if ra := resp.Header.Get("Retry-After"); ra != "" {
-		if v, err := strconv.Atoi(ra); err == nil {
-			out.RetryAfter = v
-		}
+	if err := json.Unmarshal(resp, &out); err != nil {
+		return out, fmt.Errorf("router: decoding fleet result: %w", err)
 	}
 	return out, nil
 }

@@ -80,26 +80,15 @@ func (s *Server) runWorker(idx int, r *replica) {
 	}
 }
 
-// coalesce gathers more requests after the first until the batch is full,
-// the batching window elapses, or the server begins shutting down. The stop
-// case matters: without it a quiet worker sits out the full BatchWindow
-// before noticing Drain, stalling shutdown by up to the window (which can be
-// configured far larger than any drain budget). On stop the partial batch is
-// flushed to runBatch so the jobs already pulled off the queue get answered.
+// coalesce takes the first job plus whatever is already queued, up to
+// MaxBatch.
 func (s *Server) coalesce(first *job) []*job {
 	jobs := []*job{first}
-	if s.cfg.MaxBatch == 1 {
-		return jobs
-	}
-	timer := time.NewTimer(s.cfg.BatchWindow)
-	defer timer.Stop()
 	for len(jobs) < s.cfg.MaxBatch {
 		select {
 		case j := <-s.queue:
 			jobs = append(jobs, j)
-		case <-timer.C:
-			return jobs
-		case <-s.stop:
+		default:
 			return jobs
 		}
 	}

@@ -3,13 +3,12 @@
 // answers classification requests.
 //
 // Requests are coalesced by a dynamic micro-batching queue — a worker picks
-// up the first waiting request and gathers more until either MaxBatch is
-// reached or BatchWindow elapses — and executed with core.InferStream, the
-// inference-only forward path. With early exit enabled, the batch stops
-// stepping as soon as every sample's rate-based readout decision has been
-// stable for K timesteps: the serving-time counterpart of the paper's
-// spike-activity time-skipping, where activity statistics decide which
-// timesteps are worth computing.
+// up the first waiting request plus whatever else is already queued, up to
+// MaxBatch — and executed with core.InferStream, the inference-only forward
+// path. With early exit enabled, the batch stops stepping as soon as every
+// sample's rate-based readout decision has been stable for K timesteps: the
+// serving-time counterpart of the paper's spike-activity time-skipping, where
+// activity statistics decide which timesteps are worth computing.
 //
 // Robustness: the queue is bounded (full queue ⇒ 429), every request
 // carries a context deadline (server default, tightened per request by
@@ -56,9 +55,6 @@ type Config struct {
 
 	// MaxBatch caps a coalesced micro-batch. Zero means 8.
 	MaxBatch int
-	// BatchWindow is how long a worker waits to coalesce more requests
-	// after the first. Zero means 2ms.
-	BatchWindow time.Duration
 	// QueueDepth bounds the pending-request queue; a full queue answers
 	// 429. Zero means 64.
 	QueueDepth int
@@ -106,9 +102,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxBatch <= 0 {
 		c.MaxBatch = 8
-	}
-	if c.BatchWindow <= 0 {
-		c.BatchWindow = 2 * time.Millisecond
 	}
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 64

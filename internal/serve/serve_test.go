@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -80,14 +81,15 @@ func TestServeConcurrentWithReloadAndBackpressure(t *testing.T) {
 	var batched int64
 	var batchMu sync.Mutex
 	maxBatch := 0
-	_, hs := newTestServer(t, Config{
-		T:           6,
-		EarlyExit:   true,
-		MaxBatch:    8,
-		BatchWindow: 3 * time.Millisecond,
-		QueueDepth:  256,
-		Workers:     3,
+	backlog := make(chan struct{}) // closed once requests have queued behind the workers
+	s, hs := newTestServer(t, Config{
+		T:          6,
+		EarlyExit:  true,
+		MaxBatch:   8,
+		QueueDepth: 256,
+		Workers:    3,
 		OnBatch: func(size int) {
+			<-backlog
 			batchMu.Lock()
 			batched += int64(size)
 			if size > maxBatch {
@@ -136,6 +138,13 @@ func TestServeConcurrentWithReloadAndBackpressure(t *testing.T) {
 		// Hot reload mid-traffic, from a separate goroutine's perspective:
 		// the swap must not disturb in-flight batches.
 		if i == total/2 {
+			// The workers hold at most 3x8 of the requests so far and are
+			// parked in OnBatch, so the rest pile up: released, each worker's
+			// next batch is whatever queued meanwhile.
+			for len(s.queue) < 8 {
+				time.Sleep(time.Millisecond)
+			}
+			close(backlog)
 			// Let some requests finish on generation 1 first, so both
 			// generations see traffic regardless of goroutine scheduling.
 			for atomic.LoadInt64(&done) < 8 {
@@ -197,11 +206,10 @@ func TestServeConcurrentWithReloadAndBackpressure(t *testing.T) {
 	release := make(chan struct{})
 	entered := make(chan struct{}, 1)
 	s2, hs2 := newTestServer(t, Config{
-		T:           4,
-		MaxBatch:    1,
-		QueueDepth:  1,
-		Workers:     1,
-		BatchWindow: time.Millisecond,
+		T:          4,
+		MaxBatch:   1,
+		QueueDepth: 1,
+		Workers:    1,
 		OnBatch: func(int) {
 			entered <- struct{}{}
 			<-release
@@ -417,32 +425,66 @@ func TestDrainRefusesNewWork(t *testing.T) {
 	}
 }
 
+// behindParkedWorker runs inputs through a one-worker server so that batch
+// formation is decided, not timed: inputs[0] parks the worker inside OnBatch,
+// the rest are all queued behind it, then the worker is released. It returns
+// each input's response and the batch sizes in execution order.
+func behindParkedWorker(t *testing.T, maxBatch int, inputs [][]float32) ([]InferResponse, []int) {
+	t.Helper()
+	release := make(chan struct{})
+	entered := make(chan struct{}, 1)
+	var mu sync.Mutex
+	var sizes []int
+	s, hs := newTestServer(t, Config{MaxBatch: maxBatch, Workers: 1, OnBatch: func(size int) {
+		mu.Lock()
+		sizes = append(sizes, size)
+		first := len(sizes) == 1
+		mu.Unlock()
+		if first {
+			entered <- struct{}{}
+			<-release
+		}
+	}})
+	out := make([]InferResponse, len(inputs))
+	var wg sync.WaitGroup
+	for i, input := range inputs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			_, out[i] = mustOK(t, hs, input)
+		}()
+		if i == 0 {
+			<-entered // the only worker is parked inside its batch of one
+		}
+	}
+	deadline := time.Now().Add(2 * time.Second)
+	for len(s.queue) < len(inputs)-1 {
+		if time.Now().After(deadline) {
+			t.Fatalf("only %d of %d requests queued", len(s.queue), len(inputs)-1)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	close(release)
+	wg.Wait()
+	mu.Lock()
+	defer mu.Unlock()
+	return out, sizes
+}
+
 // TestDeterministicAcrossBatchComposition checks the content-hash sample id:
 // the same input must produce the same prediction and logits whether it
 // rides alone or inside a coalesced batch.
 func TestDeterministicAcrossBatchComposition(t *testing.T) {
-	_, hsSolo := newTestServer(t, Config{MaxBatch: 1, Workers: 1})
-	_, hsBatch := newTestServer(t, Config{MaxBatch: 8, Workers: 1, BatchWindow: 5 * time.Millisecond})
-
 	input := syntheticInput(42, 7, 2*8*8)
-	_, solo := mustOK(t, hsSolo, input)
-
-	// Fire the probe input alongside seven others so it coalesces.
-	var wg sync.WaitGroup
-	var probe InferResponse
-	for i := 0; i < 8; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			if i == 0 {
-				_, probe = mustOK(t, hsBatch, input)
-			} else {
-				mustOK(t, hsBatch, syntheticInput(42, uint64(100+i), 2*8*8))
-			}
-		}(i)
+	inputs := [][]float32{input, input} // alone in the parking batch, then queued with seven others
+	for i := 0; i < 7; i++ {
+		inputs = append(inputs, syntheticInput(42, uint64(100+i), 2*8*8))
 	}
-	wg.Wait()
-
+	out, _ := behindParkedWorker(t, 8, inputs)
+	solo, probe := out[0], out[1]
+	if solo.BatchSize != 1 || probe.BatchSize <= 1 {
+		t.Fatalf("batch sizes solo %d, batched %d: want 1 and > 1", solo.BatchSize, probe.BatchSize)
+	}
 	if solo.Pred != probe.Pred {
 		t.Fatalf("prediction depends on batch composition: solo %d vs batched %d", solo.Pred, probe.Pred)
 	}
@@ -450,6 +492,28 @@ func TestDeterministicAcrossBatchComposition(t *testing.T) {
 		if solo.Logits[c] != probe.Logits[c] {
 			t.Fatalf("logit %d differs: solo %v vs batched %v", c, solo.Logits[c], probe.Logits[c])
 		}
+	}
+}
+
+// TestBatchTakesWhatIsQueued pins the batching rule: an idle worker runs a
+// lone request as a batch of one at once, and a worker that finds k requests
+// queued takes min(k, MaxBatch) of them as its next batch and leaves the rest
+// to the one after.
+func TestBatchTakesWhatIsQueued(t *testing.T) {
+	inputs := make([][]float32, 1+11)
+	for i := range inputs {
+		inputs[i] = syntheticInput(43, uint64(i), 2*8*8)
+	}
+	out, sizes := behindParkedWorker(t, 8, inputs)
+	if !slices.Equal(sizes, []int{1, 8, 3}) {
+		t.Fatalf("batch sizes %v, want [1 8 3]", sizes)
+	}
+	members := map[int]int{}
+	for _, r := range out {
+		members[r.BatchSize]++
+	}
+	if members[1] != 1 || members[8] != 8 || members[3] != 3 {
+		t.Fatalf("responses by batch size %v, want map[1:1 3:3 8:8]", members)
 	}
 }
 
@@ -585,68 +649,6 @@ func TestDrainDropsResidualQueue(t *testing.T) {
 	assertMetric(t, m, "skipper_serve_drain_dropped_total", queued)
 }
 
-// TestCoalesceStopsOnShutdown is the regression test for the shutdown stall:
-// a worker waiting out a long BatchWindow in coalesce used to ignore Drain
-// entirely, holding its partial batch (and the worker goroutine) hostage for
-// the full window. Post-fix, coalesce returns on the stop signal, the partial
-// batch is flushed and answered, and the workers exit promptly.
-func TestCoalesceStopsOnShutdown(t *testing.T) {
-	const window = 30 * time.Second
-	s, hs := newTestServer(t, Config{
-		T:              4,
-		MaxBatch:       8,
-		QueueDepth:     8,
-		Workers:        1,
-		BatchWindow:    window,
-		RequestTimeout: window,
-	})
-	client := hs.Client()
-
-	got := make(chan int, 1)
-	go func() {
-		body, _ := json.Marshal(InferRequest{Input: syntheticInput(21, 9, 2*8*8)})
-		resp, err := client.Post(hs.URL+"/v1/infer", "application/json", bytes.NewReader(body))
-		if err != nil {
-			got <- -1
-			return
-		}
-		resp.Body.Close()
-		got <- resp.StatusCode
-	}()
-	// Give the worker time to pull the job into coalesce. The request cannot
-	// complete on its own — an 8-wide batch with one job waits out the full
-	// 30s window — so an unanswered request here means the worker is parked
-	// exactly where the pre-fix bug lived.
-	time.Sleep(200 * time.Millisecond)
-	select {
-	case code := <-got:
-		t.Fatalf("request answered early with %d; worker never entered coalesce", code)
-	default:
-	}
-
-	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
-	defer cancel()
-	s.Drain(ctx) // expires: the job is parked in coalesce, not yet answered
-
-	// Post-fix the flushed partial batch answers the request far sooner than
-	// the 30s window.
-	select {
-	case code := <-got:
-		if code != http.StatusOK {
-			t.Fatalf("flushed request answered %d, want 200", code)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("request still unanswered: coalesce ignored shutdown")
-	}
-	exited := make(chan struct{})
-	go func() { s.workerWG.Wait(); close(exited) }()
-	select {
-	case <-exited:
-	case <-time.After(5 * time.Second):
-		t.Fatal("worker still inside coalesce after Drain")
-	}
-}
-
 // TestDrainUnderLoad races Drain against a burst of concurrent requests:
 // every request must receive a definitive answer, and the job wait group must
 // reach zero no matter where shutdown slices the stream. Run under -race this
@@ -657,7 +659,6 @@ func TestDrainUnderLoad(t *testing.T) {
 		MaxBatch:       4,
 		QueueDepth:     16,
 		Workers:        2,
-		BatchWindow:    time.Millisecond,
 		RequestTimeout: 10 * time.Second,
 	})
 	client := hs.Client()

@@ -234,11 +234,11 @@ func (s *Server) Drain(ctx context.Context) error {
 	}
 	close(s.stop)
 	if err != nil {
-		// Workers are exiting (runWorker and coalesce both watch s.stop), so
-		// nothing else is guaranteed to empty the queue. The draining flag
-		// stops new enqueues, and workers only remove, so once the queue reads
-		// empty here it stays empty. A worker racing us for a job is fine:
-		// whoever receives it answers it, exactly once.
+		// Workers are exiting (runWorker watches s.stop), so nothing else is
+		// guaranteed to empty the queue. The draining flag stops new
+		// enqueues, and workers only remove, so once the queue reads empty
+		// here it stays empty. A worker racing us for a job is fine: whoever
+		// receives it answers it, exactly once.
 		dropped := 0
 		for {
 			select {

@@ -1,6 +1,6 @@
 #!/bin/sh
 # verify.sh — the repo's full verification gate:
-#   build, vet, race-test the concurrency-sensitive subsystems, full test
+#   build, vet, gofmt, race-test the concurrency-sensitive subsystems, full test
 #   suite, the benchmark module's own tests, the SIGKILL+resume,
 #   distributed-training, serving-fleet, and streaming-session smoke tests,
 #   and a final check that none of it wrote into the work tree.
@@ -13,6 +13,7 @@ tree_before=$(tree_state)
 
 go build ./...
 go vet ./...
+test -z "$(gofmt -l .)"
 go test -race ./internal/parallel/... ./internal/tensor/... ./internal/serve/... ./internal/runstate/... ./internal/faults/... ./internal/trace/... ./internal/dist/... ./internal/router/... ./internal/stream/...
 go test ./...
 
