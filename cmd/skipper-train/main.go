@@ -93,8 +93,6 @@ func main() {
 		distJoin       = flag.String("dist-join", "", "run as distributed worker: join the coordinator at this address")
 		distWorkers    = flag.Int("dist-workers", 1, "coordinator: number of worker ranks to wait for (world = workers + 1)")
 		distTopology   = flag.String("dist-topology", dist.TopologyStar, "gradient exchange topology: star (workers upload to rank 0) or ring (ranks forward chunks to their successor; bit-identical result)")
-		distCompress   = flag.String("dist-compress", dist.CompressNone, "gradient wire encoding: none or delta (bitmap+values frames for near-zero tensors; exact round-trip)")
-		distOverlap    = flag.Bool("dist-overlap", false, "stream per-segment gradient buckets into the exchange during backward (deterministic, but regroups the float summation — not bitwise vs serial)")
 		distRingListen = flag.String("dist-ring-listen", "", "ring topology: bind the rank's ring-data listener here (default 127.0.0.1:0)")
 	)
 	flag.Parse()
@@ -111,10 +109,7 @@ func main() {
 	if distMode && *guardN != 0 {
 		cli.Fatal(fmt.Errorf("the divergence guard's rollback is per-process and would desynchronize ranks; use -guard-retries 0 in distributed mode"))
 	}
-	distOpts := dist.Options{
-		Topology: *distTopology, Compress: *distCompress,
-		Overlap: *distOverlap, RingListen: *distRingListen,
-	}
+	distOpts := dist.Options{Topology: *distTopology, RingListen: *distRingListen}
 	if err := distOpts.Validate(); err != nil {
 		cli.Fatal(err)
 	}

@@ -41,10 +41,6 @@ func (a *AdaptiveSkipper) Name() string {
 	return fmt.Sprintf("adaskipper(C=%d,p=%.0f)", a.C, a.P)
 }
 
-// Segments implements Segmenter: the backward pass flushes once per placed
-// checkpoint segment (placements always pads to exactly C bounds).
-func (a *AdaptiveSkipper) Segments() int { return a.C }
-
 // Validate implements Strategy.
 func (a *AdaptiveSkipper) Validate(cfg Config, net *layers.Network) error {
 	if err := ValidateCheckpoints(cfg.T, a.C, net.StatefulCount()); err != nil {

@@ -25,10 +25,6 @@ type Checkpoint struct {
 // Name implements Strategy.
 func (c Checkpoint) Name() string { return fmt.Sprintf("ckpt(C=%d)", c.C) }
 
-// Segments implements Segmenter: the backward pass flushes once per
-// checkpoint segment.
-func (c Checkpoint) Segments() int { return c.C }
-
 // Validate implements Strategy.
 func (c Checkpoint) Validate(cfg Config, net *layers.Network) error {
 	return ValidateCheckpoints(cfg.T, c.C, net.StatefulCount())

@@ -63,13 +63,6 @@ type DPStepStats struct {
 	AllReduce time.Duration
 	// Wall is SlowestReplica + AllReduce — the simulated step latency.
 	Wall time.Duration
-	// ExchangeBusy is the total time the gradient exchange was doing work
-	// (real transports fill this; the in-process model leaves it 0).
-	ExchangeBusy time.Duration
-	// OverlapFrac is the fraction of ExchangeBusy hidden under backward
-	// recomputation: 1 − visible/busy, clamped to [0,1]. 0 when the
-	// exchange runs strictly after compute (no overlap).
-	OverlapFrac float64
 }
 
 // TrainBatchIndices runs one synchronous data-parallel step over the given

@@ -22,8 +22,8 @@ type segmentPlan struct {
 	// [bounds[i], bounds[i+1]) and the last one runs to T.
 	bounds []int
 	// keepAll also keeps every step between the bounds (BPTT): nothing is
-	// left to replay, the records stay unpacked (each is read exactly once),
-	// and the batch is unsegmented to callers — the segment hook is silent.
+	// left to replay, and the records stay unpacked (each is read exactly
+	// once).
 	keepAll bool
 	// sam, when non-nil, receives the activity score s_t (Eq. 4) of every
 	// first-pass timestep.
@@ -73,8 +73,8 @@ func (tr *Trainer) trainSegments(input []*tensor.Tensor, labels []int, plan segm
 	}
 
 	// Steps 2..5: per segment, last to first — select, replay, backprop.
-	n, end := len(plan.bounds), T
-	for seg := n - 1; seg >= 0; seg-- {
+	end := T
+	for seg := len(plan.bounds) - 1; seg >= 0; seg-- {
 		start := plan.bounds[seg]
 		segAttr := trace.Attr{Key: "seg", Val: int64(seg)}
 
@@ -106,9 +106,6 @@ func (tr *Trainer) trainSegments(input []*tensor.Tensor, labels []int, plan segm
 		bwd := time.Now()
 		p.backward(walk, -1, inject)
 		tr.phaseDone(&st.BackwardTime, "backward", bwd, segAttr)
-		if tr.segmentHook != nil && !plan.keepAll {
-			tr.segmentHook(n-seg, n)
-		}
 		end = start
 	}
 	if !lossInjected {

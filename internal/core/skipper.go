@@ -33,10 +33,6 @@ type Skipper struct {
 // Name implements Strategy.
 func (s Skipper) Name() string { return fmt.Sprintf("skipper(C=%d,p=%.0f)", s.C, s.P) }
 
-// Segments implements Segmenter: the backward pass flushes once per
-// checkpoint segment.
-func (s Skipper) Segments() int { return s.C }
-
 // Validate implements Strategy.
 func (s Skipper) Validate(cfg Config, net *layers.Network) error {
 	if err := ValidateCheckpoints(cfg.T, s.C, net.StatefulCount()); err != nil {

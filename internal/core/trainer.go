@@ -116,10 +116,6 @@ type Trainer struct {
 	// serial full-batch mean (see ShardGrads). 0 outside shard computation.
 	lossDenom int
 
-	// segmentHook, when set, is called by segmented strategies after each
-	// checkpoint segment's backward pass completes (see SetSegmentHook).
-	segmentHook func(done, total int)
-
 	// packScanned/packSkipped are the last-seen packed-kernel word counters
 	// (process-global), used to emit per-batch deltas into the trace.
 	packScanned, packSkipped int64
@@ -218,35 +214,6 @@ func (tr *Trainer) phaseDone(dst *time.Duration, name string, start time.Time, a
 	d := time.Since(start)
 	*dst += d
 	tr.tracer().SpanAt(trace.TrackTrain, name, start, d, attrs...)
-}
-
-// SetSegmentHook registers fn to be invoked by segmented strategies
-// (Checkpoint, Skipper, AdaptiveSkipper) after each segment's backward pass
-// finishes, with done the number of segments completed so far (1-based) and
-// total the batch's segment count. Segments complete in the deterministic
-// backward order (last segment first) on every run, which is what lets a
-// distributed caller flush per-segment gradient buckets into an in-flight
-// exchange reproducibly. The hook runs on the training goroutine; parameter
-// gradients accumulated so far may be read but not mutated. Unsegmented
-// strategies (plain BPTT) never call it — callers should treat the whole
-// batch as one segment (see SegmentCount). A nil fn clears the hook.
-func (tr *Trainer) SetSegmentHook(fn func(done, total int)) { tr.segmentHook = fn }
-
-// Segmenter is implemented by strategies whose backward pass completes in a
-// fixed number of checkpoint segments with a deterministic flush order.
-type Segmenter interface {
-	// Segments returns the per-batch backward segment count.
-	Segments() int
-}
-
-// SegmentCount returns how many times the segment hook fires per batch for
-// the strategy: its segment count when it is a Segmenter, else 1 (the whole
-// batch is one flush at the end).
-func SegmentCount(s Strategy) int {
-	if sg, ok := s.(Segmenter); ok && sg.Segments() > 0 {
-		return sg.Segments()
-	}
-	return 1
 }
 
 // rngFor derives the deterministic stream for a purpose and the current

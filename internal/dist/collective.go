@@ -44,140 +44,20 @@ type round struct {
 	indices []int
 	shards  [][]int
 	iter    int
-	nb      int // exchange bucket count
 
 	out       core.DPStepStats
 	wireBytes int64
 
-	// Overlap accounting: firstEvent is the earliest exchange activity
-	// (first byte batch arriving or first own bucket flushed), computeDone
-	// is when rank 0's local backward finished, exchangeEnd is when the
-	// commit completed. The exchange work hidden under local compute is
-	// busy − visible.
-	firstEvent  time.Time
+	// computeDone is when rank 0's local backward finished; a rank whose
+	// contribution lands much later than that is a straggler.
 	computeDone time.Time
-	exchangeEnd time.Time
 }
-
-// note records an exchange event time for overlap accounting.
-func (r *round) note(t time.Time) {
-	if r.firstEvent.IsZero() || t.Before(r.firstEvent) {
-		r.firstEvent = t
-	}
-}
-
-// finishOverlapStats derives ExchangeBusy and OverlapFrac once the round's
-// timeline is complete: busy is the exchange's active window, visible is
-// the part sticking out past rank 0's compute, and the overlap fraction is
-// the hidden share 1 − visible/busy.
-func (r *round) finishOverlapStats() {
-	if r.firstEvent.IsZero() || !r.exchangeEnd.After(r.firstEvent) {
-		return
-	}
-	busy := r.exchangeEnd.Sub(r.firstEvent)
-	visible := r.exchangeEnd.Sub(r.computeDone)
-	if visible < 0 {
-		visible = 0
-	}
-	frac := 1 - float64(visible)/float64(busy)
-	if frac < 0 {
-		frac = 0
-	}
-	if frac > 1 {
-		frac = 1
-	}
-	r.out.ExchangeBusy = busy
-	r.out.OverlapFrac = frac
-}
-
-// ownBucket is one flushed bucket of the rank's own gradient contribution.
-type ownBucket struct {
-	b    int
-	vals []float32 // full flat length; the collective slices its ranges
-}
-
-// bucketFeed snapshots the rank's own gradient buckets during local
-// compute. Without overlap there is a single bucket, flushed after the
-// backward completes. With overlap, the trainer's segment hook flushes the
-// delta since the previous flush as each checkpoint segment's backward
-// finishes — the bucket is ready while later segments still recompute.
-// finish flushes whatever remains (the held final bucket, plus padding
-// buckets when the strategy fired fewer hooks than dictated) and closes the
-// channel.
-type bucketFeed struct {
-	flat   *flatGrads
-	nb     int
-	shadow []float32 // previous snapshot; delta source for overlap buckets
-	next   int
-	ch     chan ownBucket
-	mu     sync.Mutex
-	first  time.Time // when the first bucket was flushed
-}
-
-func newBucketFeed(flat *flatGrads, nb int) *bucketFeed {
-	return &bucketFeed{flat: flat, nb: nb, ch: make(chan ownBucket, nb)}
-}
-
-// hook adapts the feed to core.Trainer.SetSegmentHook. The final bucket is
-// held for finish (its frame carries the round stats, which only exist once
-// the full batch returns).
-func (f *bucketFeed) hook(done, total int) {
-	if f.next < f.nb-1 {
-		f.flush()
-	}
-}
-
-// flush emits the next bucket: the raw gradients for a single-bucket feed,
-// the delta since the previous flush otherwise.
-func (f *bucketFeed) flush() {
-	n := f.flat.size()
-	cur := make([]float32, n)
-	f.flat.copyOut(0, n, cur)
-	if f.nb > 1 {
-		if f.shadow == nil {
-			f.shadow = make([]float32, n)
-		}
-		for i, v := range cur {
-			cur[i] = v - f.shadow[i]
-			f.shadow[i] = v
-		}
-	}
-	f.mu.Lock()
-	if f.first.IsZero() {
-		f.first = time.Now()
-	}
-	f.mu.Unlock()
-	f.ch <- ownBucket{b: f.next, vals: cur}
-	f.next++
-}
-
-// firstFlush reports when the first bucket was emitted (zero if none).
-func (f *bucketFeed) firstFlush() time.Time {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.first
-}
-
-// finish flushes all remaining buckets (none at all if the rank sat the
-// round out) and closes the feed.
-func (f *bucketFeed) finish(contrib bool) {
-	if contrib {
-		for f.next < f.nb {
-			f.flush()
-		}
-	}
-	close(f.ch)
-}
-
-// close abandons the feed without flushing (local compute failed).
-func (f *bucketFeed) close() { close(f.ch) }
 
 // starCollective combines gradients through the coordinator: every worker
-// uploads its (bucketed) contribution, rank 0 folds them in ascending rank
-// order, and Commit broadcasts the reduced flat gradient. Uploads are read
-// by per-rank goroutines concurrently with rank 0's own compute, so wire
-// time hides under compute even in the default single-bucket mode — only
-// the fold (cheap) waits for everything.
+// uploads its contribution, rank 0 folds them in ascending rank order, and
+// Commit broadcasts the reduced flat gradient. Uploads are read by per-rank
+// goroutines concurrently with rank 0's own compute, so wire time hides
+// under compute — only the fold (cheap) waits for everything.
 type starCollective struct {
 	c *Coordinator
 }
@@ -193,12 +73,10 @@ func (s *starCollective) Close() {}
 
 // starUpload is one rank's collected round contribution.
 type starUpload struct {
-	buckets [][]float32
-	meta    gradsMeta // final frame's meta; carries the stats
-	bytes   int64
-	firstAt time.Time
-	lastAt  time.Time
-	err     error
+	vals      []float32 // nil when the rank sat the round out
+	meta      gradsMeta
+	arrivedAt time.Time
+	err       error
 }
 
 func (s *starCollective) Exchange(r *round) error {
@@ -212,58 +90,36 @@ func (s *starCollective) Exchange(r *round) error {
 		wg.Add(1)
 		go func(rank int) {
 			defer wg.Done()
-			s.readUploads(r, rank, ups[rank])
+			s.readUpload(r, rank, ups[rank])
 		}(rank)
 	}
 
-	// Rank 0's own compute. With overlap the segment hook streams delta
-	// buckets into the feed; the single-bucket path snapshots once at the
-	// end (bit-identical to folding the live tensors).
-	feed := newBucketFeed(c.flat, r.nb)
-	if r.nb > 1 {
-		c.tr.SetSegmentHook(feed.hook)
-	}
 	st0, elapsed0, err := c.tr.ShardGrads(r.split, r.shards[0], r.iter, len(r.indices))
-	if r.nb > 1 {
-		c.tr.SetSegmentHook(nil)
-	}
 	r.computeDone = time.Now()
+	wg.Wait()
 	if err != nil {
-		feed.close()
-		wg.Wait()
 		return err
 	}
 	r.out.StepStats.Add(st0)
 	r.out.SlowestReplica = elapsed0
-	feed.finish(len(r.shards[0]) > 0)
-	own := make([][]float32, 0, r.nb)
-	for ob := range feed.ch {
-		own = append(own, ob.vals)
-	}
-	if t := feed.firstFlush(); !t.IsZero() {
-		r.note(t)
-	}
-	wg.Wait()
 
 	for rank := 1; rank < W; rank++ {
 		if ups[rank].err != nil {
 			return ups[rank].err
 		}
 	}
-	s.fold(r, own, ups)
+	s.fold(r, ups)
 	return nil
 }
 
-// readUploads collects rank's full round contribution: one meta-only frame
-// if its shard is empty, r.nb bucket frames otherwise. Stale frames from an
-// aborted prior attempt of the same round are drained — the worker computed
-// bit-identical gradients for them, but the bookkeeping must not conflate
-// attempts.
-func (s *starCollective) readUploads(r *round, rank int, up *starUpload) {
+// readUpload collects rank's round contribution: one frame, meta-only if
+// its shard is empty. Stale frames from an aborted prior attempt of the same
+// round are drained — the worker computed bit-identical gradients for them,
+// but the bookkeeping must not conflate attempts.
+func (s *starCollective) readUpload(r *round, rank int, up *starUpload) {
 	c := s.c
 	conn := c.conns[rank]
 	want := len(r.shards[rank])
-	n := c.flat.size()
 	fault := func(err error) {
 		up.err = &rankFaultError{rank: rank, phase: "gather", err: err}
 	}
@@ -302,115 +158,44 @@ func (s *starCollective) readUploads(r *round, rank int, up *starUpload) {
 			fault(fmt.Errorf("upload covers %d samples, want %d", meta.Count, want))
 			return
 		}
-		if up.firstAt.IsZero() {
-			up.firstAt = now
+		if want > 0 {
+			vals := make([]float32, c.flat.size())
+			if err := decodeFloats(fb, vals); err != nil {
+				fault(err)
+				return
+			}
+			up.vals = vals
 		}
-		up.lastAt = now
-		up.bytes += int64(len(payload))
-		if want == 0 {
-			up.meta = meta // sat out: single meta-only frame, no buckets
-			return
-		}
-		if meta.NBucket != r.nb || meta.Bucket != len(up.buckets) {
-			fault(fmt.Errorf("bucket %d/%d out of sequence (have %d, want %d buckets)",
-				meta.Bucket, meta.NBucket, len(up.buckets), r.nb))
-			return
-		}
-		vals := make([]float32, n)
-		if err := decodeFloats(fb, vals); err != nil {
-			fault(err)
-			return
-		}
-		up.buckets = append(up.buckets, vals)
-		if meta.Bucket == r.nb-1 {
-			up.meta = meta
-			return
-		}
+		up.meta = meta
+		up.arrivedAt = now
+		return
 	}
 }
 
-// fold combines all contributions into the coordinator's gradient tensors.
-// Within each bucket, ranks accumulate in ascending order with empty shards
-// skipped entirely — exactly core.ReduceGrads' walk, so the single-bucket
-// path is bit-identical to the in-process reduction. Buckets then sum in
-// flush order. It also folds the stats and straggler accounting.
-func (s *starCollective) fold(r *round, own [][]float32, ups []*starUpload) {
+// fold combines all contributions into the coordinator's gradient tensors,
+// in place: rank 0's gradients are already the running sum, and the other
+// ranks accumulate in ascending order with empty shards skipped entirely —
+// exactly core.ReduceGrads' walk, so the result is bit-identical to the
+// in-process reduction. It also folds the stats and straggler accounting.
+func (s *starCollective) fold(r *round, ups []*starUpload) {
 	c := s.c
-	n := c.flat.size()
-	W := c.cfg.World
-
-	bucket := func(rank, b int) []float32 {
-		if rank == 0 {
-			if len(r.shards[0]) == 0 {
-				return nil
-			}
-			return own[b]
-		}
-		if len(r.shards[rank]) == 0 {
-			return nil
-		}
-		return ups[rank].buckets[b]
-	}
-
-	if r.nb == 1 {
-		// In place: rank 0's gradients are already the running sum.
-		have := len(r.shards[0]) > 0
-		for rank := 1; rank < W; rank++ {
-			vals := bucket(rank, 0)
-			if vals == nil {
-				continue
-			}
-			if !have {
-				c.flat.copyIn(0, n, vals)
-				have = true
-				continue
-			}
-			c.flat.addIn(0, n, vals)
-		}
-	} else {
-		total := make([]float32, n)
-		totalHave := false
-		for b := 0; b < r.nb; b++ {
-			var acc []float32
-			for rank := 0; rank < W; rank++ {
-				vals := bucket(rank, b)
-				if vals == nil {
-					continue
-				}
-				if acc == nil {
-					acc = vals // first contributor seeds the bucket (slice is ours)
-					continue
-				}
-				for i, v := range vals {
-					acc[i] += v
-				}
-			}
-			if acc == nil {
-				continue
-			}
-			if !totalHave {
-				copy(total, acc)
-				totalHave = true
-				continue
-			}
-			for i, v := range acc {
-				total[i] += v
-			}
-		}
-		c.flat.copyIn(0, n, total)
-	}
-
-	for rank := 1; rank < W; rank++ {
+	have := len(r.shards[0]) > 0
+	for rank := 1; rank < c.cfg.World; rank++ {
 		up := ups[rank]
-		r.wireBytes += up.bytes
+		if up.vals != nil {
+			if have {
+				c.flat.addIn(up.vals)
+			} else {
+				c.flat.copyIn(up.vals)
+				have = true
+			}
+			r.wireBytes += int64(floatsWireLen(len(up.vals)))
+		}
 		r.out.StepStats.Add(core.StepStats{Loss: up.meta.Loss, Correct: up.meta.Correct, N: up.meta.N})
 		if d := time.Duration(up.meta.ComputeSeconds * float64(time.Second)); d > r.out.SlowestReplica {
 			r.out.SlowestReplica = d
 		}
-		if !up.firstAt.IsZero() {
-			r.note(up.firstAt)
-		}
-		if c.cfg.Straggler > 0 && up.lastAt.After(r.computeDone.Add(c.cfg.Straggler)) {
+		if c.cfg.Straggler > 0 && up.arrivedAt.After(r.computeDone.Add(c.cfg.Straggler)) {
 			c.cfg.Metrics.observeStraggler()
 			c.cfg.Tracer.Event(trace.TrackDist, "straggler",
 				trace.Attr{Key: "rank", Val: int64(rank)},
@@ -424,10 +209,7 @@ func (s *starCollective) fold(r *round, own [][]float32, ups []*starUpload) {
 // the coordinator step regardless — the round is already decided.
 func (s *starCollective) Commit(r *round) error {
 	c := s.c
-	n := c.flat.size()
-	vals := make([]float32, n)
-	c.flat.copyOut(0, n, vals)
-	pb, err := encodeFlat(reducedMeta{Round: r.num}, vals, c.cfg.Options.sparseWire())
+	pb, err := encodeFlat(reducedMeta{Round: r.num}, c.flat.snapshot())
 	if err != nil {
 		return err
 	}
@@ -441,7 +223,7 @@ func (s *starCollective) Commit(r *round) error {
 			c.vacate(rank, "broadcast")
 			continue
 		}
-		r.wireBytes += int64(len(pb))
+		r.wireBytes += int64(floatsWireLen(c.flat.size()))
 	}
 	return nil
 }

@@ -18,8 +18,8 @@ type Config struct {
 	// World is the total rank count including the coordinator (rank 0), so
 	// World-1 workers must join. Must be at least 2.
 	World int
-	// Options selects the exchange topology, wire compression, and overlap
-	// mode; every worker must present identical options at handshake.
+	// Options selects the exchange topology; every worker must present the
+	// same one at handshake.
 	Options Options
 	// RoundTimeout bounds each per-connection I/O phase inside a round
 	// (dispatch write, gather read, broadcast write). Default 30s.
@@ -65,9 +65,10 @@ type Coordinator struct {
 	joinCh chan net.Conn
 	conns  []net.Conn // index = rank; [0] stays nil (the coordinator itself)
 
-	flat *flatGrads
-	sig  string
-	coll Collective
+	flat      *flatGrads
+	sig       string
+	neuronSig string
+	coll      Collective
 
 	// Ring membership (TopologyRing): ringAddrs[r] is rank r's ring-data
 	// listener, ringVersion names the membership epoch, and ringDirty
@@ -106,6 +107,7 @@ func NewCoordinator(tr *core.Trainer, cfg Config) (*Coordinator, error) {
 		conns:     make([]net.Conn, cfg.World),
 		flat:      newFlatGrads(grads),
 		sig:       paramSig(grads),
+		neuronSig: neuronSig(tr.Net),
 		ringAddrs: make([]string, cfg.World),
 		lastIter:  tr.Iteration0(),
 	}
@@ -170,15 +172,6 @@ func (c *Coordinator) vacate(r int, why string) {
 	c.cfg.Metrics.setConnected(c.connected())
 	c.cfg.Tracer.Event(trace.TrackDist, "rank_vacated:"+why,
 		trace.Attr{Key: "rank", Val: int64(r)})
-}
-
-// nbuckets is the round's exchange bucket count: 1 (the whole gradient)
-// unless overlap streams one bucket per backward segment.
-func (c *Coordinator) nbuckets() int {
-	if !c.cfg.Options.Overlap {
-		return 1
-	}
-	return core.SegmentCount(c.tr.Strat)
 }
 
 // handshake validates a joining worker and seats it at the lowest vacant
@@ -258,8 +251,8 @@ func (c *Coordinator) handshake(conn net.Conn) error {
 
 // validateHello rejects any worker whose configuration would break the
 // lock-step invariant: same strategy, optimizer, seed, horizon, LR/clip,
-// parameter layout, and exchange options, or the ranks compute diverging
-// steps.
+// parameter layout, surrogate and neuron constants, and topology, or the
+// ranks compute diverging steps.
 func (c *Coordinator) validateHello(h helloMsg) error {
 	opts := c.cfg.Options
 	switch {
@@ -279,12 +272,10 @@ func (c *Coordinator) validateHello(h helloMsg) error {
 		return fmt.Errorf("dist: grad clip %g != %g", h.GradClip, c.tr.Cfg.GradClip)
 	case h.ParamSig != c.sig:
 		return fmt.Errorf("dist: parameter signature %s != %s", h.ParamSig, c.sig)
+	case h.NeuronSig != c.neuronSig:
+		return fmt.Errorf("dist: neuron signature %s != %s (a layer's surrogate, leak, threshold or reset mode differs)", h.NeuronSig, c.neuronSig)
 	case h.Topology != opts.Topology:
 		return fmt.Errorf("dist: topology %q != %q", h.Topology, opts.Topology)
-	case h.Compress != opts.Compress:
-		return fmt.Errorf("dist: compression %q != %q", h.Compress, opts.Compress)
-	case h.Overlap != opts.Overlap:
-		return fmt.Errorf("dist: overlap %v != %v", h.Overlap, opts.Overlap)
 	case opts.Topology == TopologyRing && h.RingAddr == "":
 		return fmt.Errorf("dist: ring topology needs a worker ring listener address")
 	}
@@ -419,7 +410,6 @@ func (c *Coordinator) tryRound(split dataset.Split, indices []int, attempt int) 
 		split:   split,
 		indices: indices,
 		iter:    c.lastIter + 1,
-		nb:      c.nbuckets(),
 	}
 	r.shards = c.coll.Shard(indices)
 	roundStart := time.Now()
@@ -436,7 +426,7 @@ func (c *Coordinator) tryRound(split dataset.Split, indices []int, attempt int) 
 		ab, err := encodeJSON(assignMsg{
 			Round: c.round, Attempt: attempt, Epoch: c.epoch, Iteration: r.iter,
 			GlobalN: len(indices), Split: int(split), Indices: r.shards[rank],
-			NBuckets: r.nb, RingVersion: c.ringVersion,
+			RingVersion: c.ringVersion,
 		})
 		if err != nil {
 			return r.out, err
@@ -455,8 +445,7 @@ func (c *Coordinator) tryRound(split dataset.Split, indices []int, attempt int) 
 		return r.out, err
 	}
 	c.cfg.Tracer.SpanAt(trace.TrackDist, "exchange", exchangeStart, time.Since(exchangeStart),
-		trace.Attr{Key: "round", Val: int64(c.round)},
-		trace.Attr{Key: "buckets", Val: int64(r.nb)})
+		trace.Attr{Key: "round", Val: int64(c.round)})
 
 	// Commit: the reduced gradient exists on rank 0 (star) or on every rank
 	// (ring), so a rank unreachable here is vacated (to resync via manifest
@@ -466,7 +455,6 @@ func (c *Coordinator) tryRound(split dataset.Split, indices []int, attempt int) 
 	if err := c.coll.Commit(r); err != nil {
 		return r.out, err
 	}
-	r.exchangeEnd = time.Now()
 	c.cfg.Tracer.SpanAt(trace.TrackDist, "commit", commitStart, time.Since(commitStart),
 		trace.Attr{Key: "round", Val: int64(c.round)})
 
@@ -481,9 +469,7 @@ func (c *Coordinator) tryRound(split dataset.Split, indices []int, attempt int) 
 	if r.out.AllReduce < 0 {
 		r.out.AllReduce = 0
 	}
-	r.finishOverlapStats()
 	c.cfg.Metrics.observeRound(r.out.Wall.Seconds(), r.wireBytes)
-	c.cfg.Metrics.setOverlap(r.out.OverlapFrac)
 	return r.out, nil
 }
 

@@ -16,6 +16,7 @@ import (
 	"skipper/internal/mem"
 	"skipper/internal/models"
 	"skipper/internal/runstate"
+	"skipper/internal/snn"
 )
 
 // buildTrainer constructs the shared test workload: every rank, replica, and
@@ -101,7 +102,9 @@ func TestDistBitIdenticalToDataParallelAndSerial(t *testing.T) {
 		}()
 	}
 
+	var moved []int64
 	for _, b := range batches {
+		before := metrics.ReduceBytes()
 		st, err := coord.TrainRound(dataset.Train, b)
 		if err != nil {
 			t.Fatal(err)
@@ -112,6 +115,7 @@ func TestDistBitIdenticalToDataParallelAndSerial(t *testing.T) {
 		if st.Loss <= 0 {
 			t.Fatalf("round reported loss %g", st.Loss)
 		}
+		moved = append(moved, metrics.ReduceBytes()-before)
 	}
 	coord.Finish("test done")
 	for i := 0; i < W-1; i++ {
@@ -119,9 +123,11 @@ func TestDistBitIdenticalToDataParallelAndSerial(t *testing.T) {
 			t.Fatalf("worker: %v", err)
 		}
 	}
-	if got := metrics.ReduceBytes(); got <= 0 {
-		t.Fatalf("reduce bytes %d after 3 rounds", got)
-	}
+	// Two full rounds and a ragged one (rank 2 sits it out) obey the byte
+	// law, and a second run of the same configuration moves the same bytes.
+	requireByteLaw(t, TopologyStar, W, ct, batches, moved)
+	_, _, again := runDist(t, W, T, Options{}, batches)
+	requireSameBytes(t, "star", moved, again)
 
 	// Every rank stepped identically.
 	for i, wtr := range workers {
@@ -276,10 +282,7 @@ func TestWorkerCoordinatorDiesMidBroadcast(t *testing.T) {
 		if _, _, err := frame.Read(cs); err != nil { // grads
 			return
 		}
-		sf := newFlatGrads(str.GradTensors())
-		vals := make([]float32, sf.size())
-		sf.copyOut(0, sf.size(), vals)
-		rb, err := encodeFlat(reducedMeta{Round: 0}, vals, false)
+		rb, err := encodeFlat(reducedMeta{Round: 0}, newFlatGrads(str.GradTensors()).snapshot())
 		if err != nil {
 			return
 		}
@@ -316,50 +319,94 @@ func snapshotWeights(tr *core.Trainer) [][]float32 {
 	return out
 }
 
-// TestWorkerHandshakeMismatchIsPermanent gives the worker a different seed;
-// the coordinator must reject it with a permanent error and the worker must
-// not burn its reconnect budget retrying a config that can never match.
+// TestWorkerHandshakeMismatchIsPermanent gives the worker a different seed,
+// then a different surrogate (same parameter layout, different gradient);
+// the coordinator must reject it with a permanent error naming the mismatch
+// and the worker must not burn its reconnect budget retrying a config that
+// can never match. A hello from an older protocol gets the same treatment.
 func TestWorkerHandshakeMismatchIsPermanent(t *testing.T) {
 	const T = 10
-	ct := newTrainer(t, T)
-	defer ct.Close()
-	coord, err := NewCoordinator(ct, Config{World: 2, RoundTimeout: 2 * time.Second, JoinTimeout: 500 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
+	// start runs a world-2 coordinator whose first round waits for a worker.
+	start := func(t *testing.T) (*Coordinator, chan error) {
+		ct := newTrainer(t, T)
+		t.Cleanup(func() { ct.Close() })
+		coord, err := NewCoordinator(ct, Config{World: 2, RoundTimeout: 2 * time.Second, JoinTimeout: 500 * time.Millisecond})
+		if err != nil {
+			t.Fatal(err)
+		}
+		roundErr := make(chan error, 1)
+		go func() {
+			_, err := coord.TrainRound(dataset.Train, []int{0, 1})
+			roundErr <- err
+		}()
+		return coord, roundErr
 	}
-	data, err := dataset.Open("cifar10", 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	net, err := models.Build("customnet", models.Options{Width: 0.5, InShape: []int{3, 16, 16}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	wtr, err := core.NewTrainer(net, data, core.Checkpoint{C: 2}, core.Config{
-		T: T, Batch: 3, Seed: 8, Device: mem.Unlimited(), // seed differs
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer wtr.Close()
+	for _, tc := range []struct {
+		name string
+		seed uint64
+		surr snn.Surrogate
+	}{
+		{"seed", 8, nil},
+		{"surrogate", 7, snn.ATan{}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			coord, roundErr := start(t)
+			data, err := dataset.Open("cifar10", 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			net, err := models.Build("customnet", models.Options{Width: 0.5, InShape: []int{3, 16, 16}, Surrogate: tc.surr})
+			if err != nil {
+				t.Fatal(err)
+			}
+			wtr, err := core.NewTrainer(net, data, core.Checkpoint{C: 2}, core.Config{
+				T: T, Batch: 3, Seed: tc.seed, Device: mem.Unlimited(),
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer wtr.Close()
 
-	roundErr := make(chan error, 1)
-	go func() {
-		_, err := coord.TrainRound(dataset.Train, []int{0, 1})
-		roundErr <- err
-	}()
-	werr := RunWorker(wtr, WorkerConfig{Dial: pipeDial(coord), ReconnectWait: 5 * time.Millisecond})
-	if werr == nil {
-		t.Fatal("mismatched worker joined")
+			workerErr := make(chan error, 1)
+			go func() {
+				workerErr <- RunWorker(wtr, WorkerConfig{Dial: pipeDial(coord), ReconnectWait: 5 * time.Millisecond})
+			}()
+			if err := <-roundErr; err == nil {
+				t.Fatal("coordinator trained a round with no valid worker")
+			}
+			werr := <-workerErr
+			if werr == nil {
+				t.Fatal("mismatched worker joined")
+			}
+			var lost *CoordinatorLostError
+			if errors.As(werr, &lost) {
+				t.Fatalf("mismatch burned the reconnect budget instead of failing fast: %v", werr)
+			}
+			if !strings.Contains(werr.Error(), tc.name) {
+				t.Fatalf("error does not name the mismatch: %v", werr)
+			}
+		})
 	}
-	var lost *CoordinatorLostError
-	if errors.As(werr, &lost) {
-		t.Fatalf("mismatch burned the reconnect budget instead of failing fast: %v", werr)
-	}
-	if !strings.Contains(werr.Error(), "seed") {
-		t.Fatalf("error does not name the mismatch: %v", werr)
-	}
-	if err := <-roundErr; err == nil {
-		t.Fatal("coordinator trained a round with no valid worker")
-	}
+	t.Run("proto2", func(t *testing.T) {
+		coord, roundErr := start(t)
+		conn, _ := pipeDial(coord)()
+		defer conn.Close()
+		if err := frame.Write(conn, msgHello, []byte(`{"proto":2,"overlap":true}`)); err != nil {
+			t.Fatal(err)
+		}
+		typ, payload, err := frame.Read(conn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var em errorMsg
+		if err := decodeJSON(payload, &em); err != nil {
+			t.Fatal(err)
+		}
+		if typ != msgError || !em.Permanent || !strings.Contains(em.Message, "protocol") {
+			t.Fatalf("v2 hello answered with type %d %+v, want a permanent protocol error", typ, em)
+		}
+		if err := <-roundErr; err == nil {
+			t.Fatal("coordinator trained a round with no valid worker")
+		}
+	})
 }

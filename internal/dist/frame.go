@@ -19,15 +19,8 @@
 // bitwise when every shard holds at most one sample and the serial run
 // accumulates per-sample (MicroBatch 1); see core.ShardGrads.
 //
-// With Overlap enabled the exchange is bucketed: as each checkpoint
-// segment's backward finishes, that segment's gradient delta is flushed into
-// the in-flight exchange while the next segment is still recomputing. Bucket
-// order is deterministic (backward segment order on every rank), so overlap
-// runs are reproducible, but the regrouped summation rounds differently
-// than the serial order — overlap is therefore off by default, keeping the
-// default mode bit-identical. Compress (delta wire mode) encodes near-zero
-// gradient payloads as bitmap+values frames with exact bit roundtrip, so it
-// never affects results, only bytes.
+// Every round moves one gradient frame per rank per direction (the ring
+// cuts it into chunks), and no configuration departs from that bit-identity.
 //
 // Failure semantics: gradient-phase faults (a worker dying mid-upload, a
 // ring link dropping, a dispatch failing) abort the round before anyone

@@ -21,8 +21,7 @@ type Metrics struct {
 	rounds       int64
 	aborts       int64
 	stragglers   int64
-	reduceBytes  int64            // gradient payload bytes moved (uploads + broadcasts)
-	overlapFrac  float64          // last committed round's exchange overlap fraction
+	reduceBytes  int64            // encoded gradient float sections moved, see ReduceBytes
 	roundLatency *stats.Histogram // committed-round wall seconds
 }
 
@@ -55,15 +54,6 @@ func (m *Metrics) observeRound(seconds float64, reduceBytes int64) {
 	m.roundLatency.Observe(seconds)
 }
 
-func (m *Metrics) setOverlap(frac float64) {
-	if m == nil {
-		return
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.overlapFrac = frac
-}
-
 func (m *Metrics) observeAbort() {
 	if m == nil {
 		return
@@ -82,7 +72,12 @@ func (m *Metrics) observeStraggler() {
 	m.stragglers++
 }
 
-// ReduceBytes reports the cumulative gradient payload bytes exchanged.
+// ReduceBytes reports the cumulative gradient payload bytes exchanged: the
+// encoded float section of every gradient frame sent on any link (star
+// uploads and broadcasts, ring chunks). Frame meta and control messages are
+// left out — some carry wall-clock readings whose printed length varies —
+// so the count is an exact function of the gradient length, the world size,
+// the topology and which shards were empty.
 func (m *Metrics) ReduceBytes() int64 {
 	if m == nil {
 		return 0
@@ -102,8 +97,7 @@ func (m *Metrics) Render(w io.Writer) {
 	distCounter(w, "skipper_dist_rounds_total", "Training rounds committed.", m.rounds)
 	distCounter(w, "skipper_dist_aborts_total", "Rounds aborted and replayed after a rank fault.", m.aborts)
 	distCounter(w, "skipper_dist_stragglers_total", "Gather reads that exceeded the straggler threshold.", m.stragglers)
-	distCounter(w, "skipper_dist_reduce_bytes_total", "Gradient payload bytes moved (worker uploads plus reduced broadcasts).", m.reduceBytes)
-	distGauge(w, "skipper_dist_overlap_frac", "Fraction of the last round's exchange hidden under backward compute.", m.overlapFrac)
+	distCounter(w, "skipper_dist_reduce_bytes_total", "Encoded gradient values moved on every link (star uploads and broadcasts, ring chunks).", m.reduceBytes)
 	distHist(w, "skipper_dist_round_latency_seconds", "Wall time per committed round.", m.roundLatency)
 }
 

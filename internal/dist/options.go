@@ -15,31 +15,13 @@ const (
 	TopologyRing = "ring"
 )
 
-// Compress selects the gradient wire encoding.
-const (
-	// CompressNone ships raw dense float payloads.
-	CompressNone = "none"
-	// CompressDelta encodes near-zero gradient payloads as bitmap+values
-	// frames with exact bit round-trip — it changes bytes, never results.
-	CompressDelta = "delta"
-)
-
 // Options are the exchange knobs shared by the coordinator and workers.
-// Every field is part of the lock-step contract and validated at handshake:
-// a worker whose options differ from the coordinator's is rejected as
+// Topology is part of the lock-step contract and validated at handshake: a
+// worker whose topology differs from the coordinator's is rejected as
 // permanently misconfigured.
 type Options struct {
 	// Topology is TopologyStar (default) or TopologyRing.
 	Topology string
-	// Compress is CompressNone (default) or CompressDelta.
-	Compress string
-	// Overlap streams per-segment gradient buckets into the exchange as
-	// each checkpoint segment's backward finishes, hiding wire time under
-	// the next segment's recompute. Bucket order is deterministic, so runs
-	// reproduce bit-for-bit against each other — but the regrouped float
-	// summation rounds differently than the serial order, so Overlap is
-	// off by default to keep the default mode bit-identical to serial.
-	Overlap bool
 	// RingListen is the address the rank's ring-data listener binds
 	// (TopologyRing only). Empty means 127.0.0.1:0.
 	RingListen string
@@ -49,29 +31,18 @@ func (o Options) withDefaults() Options {
 	if o.Topology == "" {
 		o.Topology = TopologyStar
 	}
-	if o.Compress == "" {
-		o.Compress = CompressNone
-	}
 	if o.RingListen == "" {
 		o.RingListen = "127.0.0.1:0"
 	}
 	return o
 }
 
-// Validate rejects unknown topology or compression names.
+// Validate rejects unknown topology names.
 func (o Options) Validate() error {
 	switch o.Topology {
 	case "", TopologyStar, TopologyRing:
+		return nil
 	default:
 		return fmt.Errorf("dist: unknown topology %q (want %s or %s)", o.Topology, TopologyStar, TopologyRing)
 	}
-	switch o.Compress {
-	case "", CompressNone, CompressDelta:
-	default:
-		return fmt.Errorf("dist: unknown compression %q (want %s or %s)", o.Compress, CompressNone, CompressDelta)
-	}
-	return nil
 }
-
-// sparseWire reports whether gradient payloads use the bitmap codec.
-func (o Options) sparseWire() bool { return o.Compress == CompressDelta }

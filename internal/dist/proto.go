@@ -9,15 +9,16 @@ import (
 )
 
 // protoVersion gates the handshake; bump on any wire-visible change.
-// v2: flat-float gradient payloads (paramSig replaces per-round name
-// tables), bucketed uploads, ring topology, stats/commit messages.
-const protoVersion = 2
+// v3: flat-float gradient payloads, one frame per rank per direction
+// (chunked on the ring); parameter and neuron signatures at the handshake
+// instead of per-round name tables; stats/commit messages for the ring.
+const protoVersion = 3
 
 // helloMsg opens a worker's session. Everything that must match for the
 // lock-step invariant to hold is validated here, before a rank is assigned:
 // a worker with a different seed, horizon, learning rate, clip threshold,
-// parameter layout, or exchange options would compute correct-looking but
-// diverging steps.
+// parameter layout, surrogate, neuron constants, or topology would compute
+// correct-looking but diverging steps.
 type helloMsg struct {
 	Proto     int     `json:"proto"`
 	Strategy  string  `json:"strategy"`
@@ -29,10 +30,11 @@ type helloMsg struct {
 	// ParamSig fingerprints the parameter names/shapes/order (see paramSig),
 	// replacing the per-round name tables v1 shipped with every upload.
 	ParamSig string `json:"param_sig"`
-	// Topology, Compress, and Overlap must match the coordinator's Options.
+	// NeuronSig fingerprints each stateful layer's surrogate and neuron
+	// constants, which ParamSig cannot see (see neuronSig).
+	NeuronSig string `json:"neuron_sig"`
+	// Topology must match the coordinator's Options.
 	Topology string `json:"topology"`
-	Compress string `json:"compress"`
-	Overlap  bool   `json:"overlap"`
 	// RingAddr is the worker's ring-data listener address (ring topology
 	// only; its successor's dial target).
 	RingAddr string `json:"ring_addr,omitempty"`
@@ -71,27 +73,21 @@ type assignMsg struct {
 	GlobalN   int   `json:"global_n"`
 	Split     int   `json:"split"`
 	Indices   []int `json:"indices"`
-	// NBuckets is the round's exchange bucket count (1 without overlap;
-	// the strategy's segment count with it), dictated by the coordinator so
-	// every rank flushes the identical bucket schedule.
-	NBuckets int `json:"n_buckets,omitempty"`
 	// RingVersion names the ring membership this round runs on (ring
 	// topology only); a worker rebuilds its ring connections when its
 	// current ones are older.
 	RingVersion int `json:"ring_version,omitempty"`
 }
 
-// gradsMeta heads one gradient-bucket upload (star topology). The payload
-// after the meta is the bucket's flat float range (see encodeFloats).
+// gradsMeta heads a rank's gradient upload (star topology). The payload
+// after the meta is the flat gradient (see encodeFloats), absent when the
+// rank sat the round out. The stats ride on the same frame, so a round needs
+// exactly one frame per rank.
 type gradsMeta struct {
-	Round   int `json:"round"`
-	Attempt int `json:"attempt"`
-	Rank    int `json:"rank"`
-	Count   int `json:"count"` // shard size; 0 = sat the round out
-	Bucket  int `json:"bucket"`
-	NBucket int `json:"n_buckets"`
-	// Stats ride on the final bucket (Bucket == NBucket-1) so the default
-	// single-bucket path needs exactly one frame per rank per round.
+	Round   int     `json:"round"`
+	Attempt int     `json:"attempt"`
+	Rank    int     `json:"rank"`
+	Count   int     `json:"count"` // shard size; 0 = sat the round out
 	Loss    float64 `json:"loss,omitempty"`
 	Correct int     `json:"correct,omitempty"`
 	N       int     `json:"n,omitempty"`
@@ -112,8 +108,8 @@ type statsMsg struct {
 	Correct        int     `json:"correct"`
 	N              int     `json:"n"`
 	ComputeSeconds float64 `json:"compute_seconds"`
-	// WireBytes is what the rank's ring sends moved this round, so the
-	// reduce-bytes metric stays exact under delta compression.
+	// WireBytes is what the rank's ring sends moved this round: only the
+	// rank itself sees its ring link, and the reduce-bytes metric sums them.
 	WireBytes int64 `json:"wire_bytes"`
 }
 
@@ -144,7 +140,6 @@ type ringChunkMeta struct {
 	Round   int  `json:"round"`
 	Attempt int  `json:"attempt"`
 	Version int  `json:"version"`
-	Bucket  int  `json:"bucket"`
 	Chunk   int  `json:"chunk"`
 	Final   bool `json:"final,omitempty"`
 	Have    bool `json:"have,omitempty"`
@@ -190,7 +185,7 @@ func decodeJSON(payload []byte, v any) error {
 //	meta len u32 | meta JSON | float section (see encodeFloats)
 //
 // vals may be nil for meta-only frames.
-func encodeFlat(meta any, vals []float32, sparse bool) ([]byte, error) {
+func encodeFlat(meta any, vals []float32) ([]byte, error) {
 	mb, err := json.Marshal(meta)
 	if err != nil {
 		return nil, fmt.Errorf("dist: encoding payload meta: %w", err)
@@ -199,7 +194,7 @@ func encodeFlat(meta any, vals []float32, sparse bool) ([]byte, error) {
 	binary.LittleEndian.PutUint32(buf, uint32(len(mb)))
 	buf = append(buf, mb...)
 	if vals != nil {
-		buf = append(buf, encodeFloats(vals, sparse)...)
+		buf = append(buf, encodeFloats(vals)...)
 	}
 	return buf, nil
 }

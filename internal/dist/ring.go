@@ -23,16 +23,14 @@ import (
 //	final trip    edges W−1→0, 0→1, …, W−3→W−2: the completed sum travels
 //	              once more around, each rank installing it as it forwards.
 //
-// Chunks pipeline: a bucket is cut into fixed deterministic chunks so a
-// rank forwards chunk k while chunk k+1 is still in flight behind it, and
-// with overlap each bucket enters the ring as soon as its segment's
-// backward finishes. Every rank's engine is a single sequential loop
-// (all reduce chunks, then all final chunks), which makes the per-edge
-// frame order deterministic and the ring deadlock-free: a rank's sends only
-// wait on its successor's reads, and the successor's engine always reads
-// the reduce trip before the final trip.
+// Chunks pipeline: the gradient is cut into fixed deterministic chunks so a
+// rank forwards chunk k while chunk k+1 is still in flight behind it. Every
+// rank's engine is a single sequential loop (all reduce chunks, then all
+// final chunks), which makes the per-edge frame order deterministic and the
+// ring deadlock-free: a rank's sends only wait on its successor's reads, and
+// the successor's engine always reads the reduce trip before the final trip.
 
-// ringChunks is the pipelining factor per bucket; tiny gradients stay whole.
+// ringChunks is the pipelining factor; tiny gradients stay whole.
 func ringChunks(n int) int {
 	if n >= 8192 {
 		return 4
@@ -177,41 +175,29 @@ func (e *ringEnd) close() {
 	})
 }
 
-// ringEngine runs one rank's two trips for one round attempt. It is fed the
-// rank's own buckets through a bucketFeed and leaves the reduced gradient
-// in staging; the caller installs it after local compute finishes (the
-// engine runs concurrently with compute, so it must not touch the live
-// gradient tensors).
+// ringEngine runs one rank's two trips for one round attempt, once the
+// rank's local compute has finished. Receives land in staging, never in the
+// live gradient tensors: the caller installs staging only after run returns
+// nil, so a ring fault mid-trip leaves nothing half-applied.
 type ringEngine struct {
 	rank, world             int
 	round, attempt, version int
-	nb, chunks, n           int
+	chunks, n               int
 	pred, succ              net.Conn
-	contrib                 bool
-	feed                    *bucketFeed
-	sparse                  bool
+	own                     []float32 // the rank's contribution; nil = empty shard
 	ioTimeout               time.Duration
 
-	staging     []float32
-	stagingHave bool
-	sent        int64
-	firstIO     time.Time
-}
-
-func (e *ringEngine) noteIO() {
-	if e.firstIO.IsZero() {
-		e.firstIO = time.Now()
-	}
+	staging []float32
+	sent    int64
 }
 
 // read receives the expected chunk frame from the predecessor.
-func (e *ringEngine) read(final bool, b, ci int) (ringChunkMeta, []byte, error) {
+func (e *ringEngine) read(final bool, ci int) (ringChunkMeta, []byte, error) {
 	e.pred.SetReadDeadline(time.Now().Add(e.ioTimeout))
 	typ, payload, err := frame.Read(e.pred)
 	if err != nil {
 		return ringChunkMeta{}, nil, fmt.Errorf("dist: ring read from rank %d: %w", (e.rank-1+e.world)%e.world, err)
 	}
-	e.noteIO()
 	if typ != msgRingData {
 		return ringChunkMeta{}, nil, fmt.Errorf("dist: ring expected chunk, got message type %d", typ)
 	}
@@ -220,7 +206,7 @@ func (e *ringEngine) read(final bool, b, ci int) (ringChunkMeta, []byte, error) 
 	if err != nil {
 		return ringChunkMeta{}, nil, err
 	}
-	want := ringChunkMeta{Round: e.round, Attempt: e.attempt, Version: e.version, Bucket: b, Chunk: ci, Final: final, Have: meta.Have}
+	want := ringChunkMeta{Round: e.round, Attempt: e.attempt, Version: e.version, Chunk: ci, Final: final, Have: meta.Have}
 	if meta != want {
 		return ringChunkMeta{}, nil, fmt.Errorf("dist: ring chunk %+v, want %+v", meta, want)
 	}
@@ -229,12 +215,12 @@ func (e *ringEngine) read(final bool, b, ci int) (ringChunkMeta, []byte, error) 
 
 // write sends one chunk frame to the successor; vals nil means a no-payload
 // frame (Have=false).
-func (e *ringEngine) write(final bool, b, ci int, vals []float32) error {
+func (e *ringEngine) write(final bool, ci int, vals []float32) error {
 	meta := ringChunkMeta{
 		Round: e.round, Attempt: e.attempt, Version: e.version,
-		Bucket: b, Chunk: ci, Final: final, Have: vals != nil,
+		Chunk: ci, Final: final, Have: vals != nil,
 	}
-	pb, err := encodeFlat(meta, vals, e.sparse)
+	pb, err := encodeFlat(meta, vals)
 	if err != nil {
 		return err
 	}
@@ -242,8 +228,9 @@ func (e *ringEngine) write(final bool, b, ci int, vals []float32) error {
 	if err := frame.Write(e.succ, msgRingData, pb); err != nil {
 		return fmt.Errorf("dist: ring write to rank %d: %w", (e.rank+1)%e.world, err)
 	}
-	e.noteIO()
-	e.sent += int64(len(pb))
+	if vals != nil {
+		e.sent += int64(floatsWireLen(len(vals)))
+	}
 	return nil
 }
 
@@ -251,117 +238,81 @@ func (e *ringEngine) run() error {
 	last := e.world - 1
 	e.staging = make([]float32, e.n)
 	recv := make([]float32, e.n)
-	var keep [][]float32 // rank W−1 retains reduced buckets for the final trip
-	var keepHave []bool
-	if e.rank == last {
-		keep = make([][]float32, e.nb)
-		keepHave = make([]bool, e.nb)
-	}
+	have := false // rank W−1: the reduce trip delivered a sum into staging
 
-	// Reduce trip. Rank 0 only sends, rank W−1 only receives; everyone else
-	// adds-and-forwards. The rank's own bucket arrives through the feed as
-	// its segment's backward finishes, so chunks enter the ring while later
-	// segments still recompute.
-	for b := 0; b < e.nb; b++ {
-		var own []float32
-		if e.contrib {
-			ob, ok := <-e.feed.ch
-			if !ok {
-				return fmt.Errorf("dist: gradient feed closed before bucket %d", b)
+	// Reduce trip. Rank 0 only sends, rank W−1 only receives (the completed
+	// sum lands in its staging); everyone else adds-and-forwards.
+	for ci := 0; ci < e.chunks; ci++ {
+		lo, hi := chunkRange(e.n, e.chunks, ci)
+		var vals []float32
+		if e.rank > 0 {
+			meta, fb, err := e.read(false, ci)
+			if err != nil {
+				return err
 			}
-			own = ob.vals
-		}
-		if e.rank == last {
-			keep[b] = make([]float32, e.n)
-		}
-		for ci := 0; ci < e.chunks; ci++ {
-			lo, hi := chunkRange(e.n, e.chunks, ci)
-			var vals []float32
-			if e.rank > 0 {
-				meta, fb, err := e.read(false, b, ci)
-				if err != nil {
+			if meta.Have {
+				vals = recv[:hi-lo]
+				if err := decodeFloats(fb, vals); err != nil {
 					return err
 				}
-				if meta.Have {
-					vals = recv[:hi-lo]
-					if err := decodeFloats(fb, vals); err != nil {
-						return err
-					}
-				}
 			}
-			if e.contrib {
-				if vals != nil {
-					// Incoming partial (ranks < r) + own contribution: the
-					// same fadd core.ReduceGrads performs, in the same
-					// ascending-rank association.
-					o := own[lo:hi]
-					for i := range vals {
-						vals[i] += o[i]
-					}
-				} else {
-					vals = own[lo:hi]
+		}
+		if e.own != nil {
+			if vals != nil {
+				// Incoming partial (ranks < r) + own contribution: the
+				// same fadd core.ReduceGrads performs, in the same
+				// ascending-rank association.
+				o := e.own[lo:hi]
+				for i := range vals {
+					vals[i] += o[i]
 				}
+			} else {
+				vals = e.own[lo:hi]
 			}
-			if e.rank < last {
-				if err := e.write(false, b, ci, vals); err != nil {
-					return err
-				}
-			} else if vals != nil {
-				copy(keep[b][lo:hi], vals)
-				keepHave[b] = true
+		}
+		if e.rank < last {
+			if err := e.write(false, ci, vals); err != nil {
+				return err
 			}
+		} else if vals != nil {
+			copy(e.staging[lo:hi], vals)
+			have = true
 		}
 	}
 
 	// Final trip: the completed sum starts at rank W−1 and travels the
 	// remaining edges; rank W−2 is the last stop and does not forward.
-	for b := 0; b < e.nb; b++ {
-		bucketHave := false
-		for ci := 0; ci < e.chunks; ci++ {
-			lo, hi := chunkRange(e.n, e.chunks, ci)
-			var vals []float32
-			if e.rank == last {
-				if keepHave[b] {
-					vals = keep[b][lo:hi]
-				}
-			} else {
-				meta, fb, err := e.read(true, b, ci)
-				if err != nil {
-					return err
-				}
-				if meta.Have {
-					vals = recv[:hi-lo]
-					if err := decodeFloats(fb, vals); err != nil {
-						return err
-					}
-				}
+	for ci := 0; ci < e.chunks; ci++ {
+		lo, hi := chunkRange(e.n, e.chunks, ci)
+		var vals []float32
+		if e.rank == last {
+			if have {
+				vals = e.staging[lo:hi]
 			}
-			if vals != nil {
-				bucketHave = true
-				if !e.stagingHave {
-					copy(e.staging[lo:hi], vals)
-				} else {
-					s := e.staging[lo:hi]
-					for i, v := range vals {
-						s[i] += v
-					}
-				}
+		} else {
+			meta, fb, err := e.read(true, ci)
+			if err != nil {
+				return err
 			}
-			if e.rank != last-1 {
-				if err := e.write(true, b, ci, vals); err != nil {
+			if meta.Have {
+				vals = e.staging[lo:hi]
+				if err := decodeFloats(fb, vals); err != nil {
 					return err
 				}
 			}
 		}
-		if bucketHave {
-			e.stagingHave = true
+		if e.rank != last-1 {
+			if err := e.write(true, ci, vals); err != nil {
+				return err
+			}
 		}
 	}
 	return nil
 }
 
-// chunkRange returns chunk i of k over [0, n): the same balanced contiguous
-// split as flatGrads.bucketRange, computed identically on every rank.
+// chunkRange returns chunk i of k over [0, n): a balanced contiguous split
+// with the first n%k chunks one element longer, computed identically on
+// every rank.
 func chunkRange(n, k, i int) (int, int) {
 	base, rem := n/k, n%k
 	lo := i*base + min(i, rem)
@@ -409,20 +360,6 @@ func (g *ringCollective) Exchange(r *round) error {
 		return &rankFaultError{rank: -1, phase: "ring build", err: err}
 	}
 
-	contrib := len(r.shards[0]) > 0
-	feed := newBucketFeed(c.flat, r.nb)
-	eng := &ringEngine{
-		rank: 0, world: W,
-		round: r.num, attempt: r.attempt, version: c.ringVersion,
-		nb: r.nb, chunks: ringChunks(n), n: n,
-		pred: g.end.pred, succ: g.end.succ,
-		contrib: contrib, feed: feed,
-		sparse:    c.cfg.Options.sparseWire(),
-		ioTimeout: c.cfg.RoundTimeout,
-	}
-	engCh := make(chan error, 1)
-	go func() { engCh <- eng.run() }()
-
 	stats := make([]statsMsg, W)
 	arrive := make([]time.Time, W)
 	errs := make([]error, W)
@@ -435,36 +372,30 @@ func (g *ringCollective) Exchange(r *round) error {
 		}(rank)
 	}
 
-	if r.nb > 1 {
-		c.tr.SetSegmentHook(feed.hook)
-	}
 	st0, elapsed0, err := c.tr.ShardGrads(r.split, r.shards[0], r.iter, len(r.indices))
-	if r.nb > 1 {
-		c.tr.SetSegmentHook(nil)
-	}
 	r.computeDone = time.Now()
 	if err != nil {
-		feed.close()
-		<-engCh
 		wg.Wait()
 		return err
 	}
 	r.out.StepStats.Add(st0)
 	r.out.SlowestReplica = elapsed0
-	feed.finish(contrib)
 
-	engErr := <-engCh
-	if !eng.firstIO.IsZero() {
-		r.note(eng.firstIO)
+	eng := &ringEngine{
+		rank: 0, world: W,
+		round: r.num, attempt: r.attempt, version: c.ringVersion,
+		chunks: ringChunks(n), n: n,
+		pred: g.end.pred, succ: g.end.succ,
+		ioTimeout: c.cfg.RoundTimeout,
 	}
-	if t := feed.firstFlush(); !t.IsZero() {
-		r.note(t)
+	if len(r.shards[0]) > 0 {
+		eng.own = c.flat.snapshot()
 	}
+	engErr := eng.run()
+	wg.Wait() // on a ring fault the readers drain or time out; the round is aborting anyway
 	if engErr != nil {
-		wg.Wait() // readers drain or time out; the round is aborting anyway
 		return &rankFaultError{rank: -1, phase: "ring exchange", err: engErr}
 	}
-	wg.Wait()
 	for rank := 1; rank < W; rank++ {
 		if errs[rank] != nil {
 			return errs[rank]
@@ -472,7 +403,7 @@ func (g *ringCollective) Exchange(r *round) error {
 	}
 
 	// Rank 0's distribution-trip result becomes the committed gradient.
-	c.flat.copyIn(0, n, eng.staging)
+	c.flat.copyIn(eng.staging)
 	r.wireBytes += eng.sent
 	for rank := 1; rank < W; rank++ {
 		s := stats[rank]
@@ -548,18 +479,16 @@ func (g *ringCollective) Commit(r *round) error {
 		conn.SetWriteDeadline(time.Now().Add(c.cfg.RoundTimeout))
 		if err := frame.Write(conn, msgCommit, cb); err != nil {
 			c.vacate(rank, "commit")
-			continue
 		}
-		r.wireBytes += int64(len(cb))
 	}
 	return nil
 }
 
 // workerRingRound runs one ring round on a worker: ensure the ring is built
-// for the announced membership version, run the engine concurrently with
-// the local shard compute, install the reduced gradient, and report stats
-// on the control connection. Ring I/O failures poison the connections, so
-// the worker reports the fault and restarts its session (resyncing from the
+// for the announced membership version, compute the local shard, run the
+// engine, install the reduced gradient, and report stats on the control
+// connection. Ring I/O failures poison the connections, so the worker
+// reports the fault and restarts its session (resyncing from the
 // coordinator's manifest on rejoin).
 func workerRingRound(tr *core.Trainer, conn net.Conn, a assignMsg, rank, world int, ws *workerState, cfg WorkerConfig) error {
 	reportErr := func(err error) {
@@ -578,46 +507,29 @@ func workerRingRound(tr *core.Trainer, conn net.Conn, a assignMsg, rank, world i
 		return err
 	}
 
-	n := ws.flat.size()
-	nb := a.NBuckets
-	if nb <= 0 {
-		nb = 1
-	}
-	contrib := len(a.Indices) > 0
-	feed := newBucketFeed(ws.flat, nb)
-	eng := &ringEngine{
-		rank: rank, world: world,
-		round: a.Round, attempt: a.Attempt, version: a.RingVersion,
-		nb: nb, chunks: ringChunks(n), n: n,
-		pred: ws.ring.pred, succ: ws.ring.succ,
-		contrib: contrib, feed: feed,
-		sparse:    cfg.Options.sparseWire(),
-		ioTimeout: cfg.IOTimeout,
-	}
-	engCh := make(chan error, 1)
-	go func() { engCh <- eng.run() }()
-
-	if contrib && nb > 1 {
-		tr.SetSegmentHook(feed.hook)
-	}
 	st, elapsed, err := tr.ShardGrads(dataset.Split(a.Split), a.Indices, a.Iteration, a.GlobalN)
-	if contrib && nb > 1 {
-		tr.SetSegmentHook(nil)
-	}
 	if err != nil {
-		feed.close()
-		<-engCh
 		ws.ring.reset()
 		reportErr(err)
 		return &permanentError{err}
 	}
-	feed.finish(contrib)
-	if engErr := <-engCh; engErr != nil {
+	n := ws.flat.size()
+	eng := &ringEngine{
+		rank: rank, world: world,
+		round: a.Round, attempt: a.Attempt, version: a.RingVersion,
+		chunks: ringChunks(n), n: n,
+		pred: ws.ring.pred, succ: ws.ring.succ,
+		ioTimeout: cfg.IOTimeout,
+	}
+	if len(a.Indices) > 0 {
+		eng.own = ws.flat.snapshot()
+	}
+	if engErr := eng.run(); engErr != nil {
 		ws.ring.reset()
 		reportErr(engErr)
 		return fmt.Errorf("dist: ring exchange: %w", engErr)
 	}
-	ws.flat.copyIn(0, n, eng.staging)
+	ws.flat.copyIn(eng.staging)
 
 	sb, err := encodeJSON(statsMsg{
 		Round: a.Round, Attempt: a.Attempt, Rank: rank, Count: len(a.Indices),

@@ -14,14 +14,15 @@ import (
 // runDist trains the given batches over a real coordinator/worker fleet with
 // the given exchange options (control plane over in-process pipes, ring data
 // plane over localhost TCP) and returns the coordinator's trainer plus the
-// per-round stats.
-func runDist(t *testing.T, W, T int, opts Options, batches [][]int) (*core.Trainer, []core.DPStepStats) {
+// per-round stats and the gradient bytes each round moved.
+func runDist(t *testing.T, W, T int, opts Options, batches [][]int) (*core.Trainer, []core.DPStepStats, []int64) {
 	t.Helper()
 	ct := newTrainer(t, T)
 	t.Cleanup(func() { ct.Close() })
+	metrics := NewMetrics(W)
 	coord, err := NewCoordinator(ct, Config{
 		World: W, Options: opts,
-		RoundTimeout: 10 * time.Second, JoinTimeout: 10 * time.Second,
+		RoundTimeout: 10 * time.Second, JoinTimeout: 10 * time.Second, Metrics: metrics,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -38,12 +39,15 @@ func runDist(t *testing.T, W, T int, opts Options, batches [][]int) (*core.Train
 		}()
 	}
 	var stats []core.DPStepStats
+	var moved []int64
 	for _, b := range batches {
+		before := metrics.ReduceBytes()
 		st, err := coord.TrainRound(dataset.Train, b)
 		if err != nil {
 			t.Fatal(err)
 		}
 		stats = append(stats, st)
+		moved = append(moved, metrics.ReduceBytes()-before)
 	}
 	coord.Finish("test done")
 	for i := 0; i < W-1; i++ {
@@ -51,7 +55,37 @@ func runDist(t *testing.T, W, T int, opts Options, batches [][]int) (*core.Train
 			t.Fatalf("worker: %v", err)
 		}
 	}
-	return ct, stats
+	return ct, stats, moved
+}
+
+// requireByteLaw pins what a round moves, batches[0] being a full round: at
+// world W a full round carries the flat gradient (n floats) over 2(W−1)
+// links, framing included. A star round skips the upload of every rank whose
+// shard is empty; a ring round does not shrink, because the empty shards sit
+// at the high ranks, which still forward the partial sum over every edge.
+func requireByteLaw(t *testing.T, topology string, W int, tr *core.Trainer, batches [][]int, moved []int64) {
+	t.Helper()
+	n := newFlatGrads(tr.GradTensors()).size()
+	lo, hi := int64(2*(W-1)*4*n), int64(2*(W-1)*(4*n+256))
+	for i, got := range moved {
+		switch {
+		case len(batches[i]) >= W || topology == TopologyRing:
+			if got < lo || got > hi || got != moved[0] {
+				t.Fatalf("%s world %d round %d moved %d bytes, want %d (a full round, within [%d, %d])", topology, W, i, got, moved[0], lo, hi)
+			}
+		case got <= 0 || got >= moved[0]:
+			t.Fatalf("%s world %d round %d has an empty shard and moved %d bytes, want fewer than a full round's %d", topology, W, i, got, moved[0])
+		}
+	}
+}
+
+// requireSameBytes fails unless two runs of one configuration moved the same
+// bytes in every round.
+func requireSameBytes(t *testing.T, label string, a, b []int64) {
+	t.Helper()
+	if fmt.Sprint(a) != fmt.Sprint(b) {
+		t.Fatalf("%s: two runs moved %v and %v bytes per round", label, a, b)
+	}
 }
 
 // dataParallelRef trains the same batches through the in-process
@@ -72,11 +106,11 @@ func dataParallelRef(t *testing.T, W, T int, batches [][]int) *core.Trainer {
 }
 
 // TestRingBitIdenticalToStarAndSerial is the ring topology's equivalence
-// gate: at world 2 and 4, ring (with and without delta compression) must
-// leave weights bit-identical to star and to the in-process DataParallel
-// reference (itself proven bit-identical to serial training). The final
-// ragged batch leaves high ranks with empty shards, exercising the ring's
-// contribution-skip (Have=false) path.
+// gate: at world 2 and 4, ring must leave weights bit-identical to star and
+// to the in-process DataParallel reference (itself proven bit-identical to
+// serial training), and run to run it must move the same bytes. The final
+// ragged batch leaves high ranks with empty shards at world 4, exercising
+// the ring's pass-through of a partial sum it adds nothing to.
 func TestRingBitIdenticalToStarAndSerial(t *testing.T) {
 	const T = 10
 	batches := [][]int{{0, 1, 2, 3}, {4, 5, 6, 7}, {8, 9}}
@@ -84,42 +118,21 @@ func TestRingBitIdenticalToStarAndSerial(t *testing.T) {
 		W := W
 		t.Run(fmt.Sprintf("world%d", W), func(t *testing.T) {
 			ref := dataParallelRef(t, W, T, batches)
-			star, _ := runDist(t, W, T, Options{Topology: TopologyStar}, batches)
+			star, _, starMoved := runDist(t, W, T, Options{Topology: TopologyStar}, batches)
 			requireSameWeights(t, "star vs DataParallel", star, ref)
-			ring, rs := runDist(t, W, T, Options{Topology: TopologyRing}, batches)
+			requireByteLaw(t, TopologyStar, W, star, batches, starMoved)
+			ring, rs, ringMoved := runDist(t, W, T, Options{Topology: TopologyRing}, batches)
 			requireSameWeights(t, "ring vs DataParallel", ring, ref)
-			delta, _ := runDist(t, W, T, Options{Topology: TopologyRing, Compress: CompressDelta}, batches)
-			requireSameWeights(t, "ring+delta vs DataParallel", delta, ref)
+			requireByteLaw(t, TopologyRing, W, ring, batches, ringMoved)
+			again, _, againMoved := runDist(t, W, T, Options{Topology: TopologyRing}, batches)
+			requireSameWeights(t, "ring run 2 vs DataParallel", again, ref)
+			requireSameBytes(t, "ring", ringMoved, againMoved)
 			for i, st := range rs {
 				if st.N != len(batches[i]) {
 					t.Fatalf("ring round %d consumed %d samples, batch had %d", i, st.N, len(batches[i]))
 				}
 			}
 		})
-	}
-}
-
-// TestOverlapDeterministicAcrossTopologies: overlap regroups the float
-// summation (per-segment deltas), so it is not bitwise vs serial — but it
-// must be deterministic run-to-run, and star and ring must agree bitwise
-// with each other (both fold buckets rank-ascending, buckets in flush
-// order). The exchange-busy/overlap-fraction stats must be recorded sane.
-func TestOverlapDeterministicAcrossTopologies(t *testing.T) {
-	const T, W = 10, 2
-	batches := [][]int{{0, 1, 2, 3}, {4, 5}}
-	opts := Options{Topology: TopologyStar, Overlap: true}
-	run1, st1 := runDist(t, W, T, opts, batches)
-	run2, _ := runDist(t, W, T, opts, batches)
-	requireSameWeights(t, "overlap star run1 vs run2", run1, run2)
-	ringRun, _ := runDist(t, W, T, Options{Topology: TopologyRing, Overlap: true}, batches)
-	requireSameWeights(t, "overlap ring vs star", ringRun, run1)
-	for i, st := range st1 {
-		if st.OverlapFrac < 0 || st.OverlapFrac > 1 {
-			t.Fatalf("round %d overlap fraction %g outside [0,1]", i, st.OverlapFrac)
-		}
-		if st.ExchangeBusy < 0 {
-			t.Fatalf("round %d negative exchange-busy %v", i, st.ExchangeBusy)
-		}
 	}
 }
 

@@ -18,8 +18,8 @@ type WorkerConfig struct {
 	// Dial opens a connection to the coordinator. Seam for tests (net.Pipe)
 	// and fault injection (faults.Conn); production passes net.Dial.
 	Dial func() (net.Conn, error)
-	// Options must match the coordinator's exchange options; the handshake
-	// rejects mismatches permanently.
+	// Options must name the coordinator's topology; the handshake rejects a
+	// mismatch permanently.
 	Options Options
 	// RingDial opens a ring-data connection to a successor's listener
 	// (TopologyRing only). Seam for fault injection; default is a plain
@@ -94,9 +94,10 @@ func (e *permanentError) Unwrap() error { return e.err }
 // the flat gradient view and, for ring topology, the ring-data endpoint and
 // the latest announced membership.
 type workerState struct {
-	flat *flatGrads
-	sig  string
-	ring *ringEnd
+	flat      *flatGrads
+	sig       string
+	neuronSig string
+	ring      *ringEnd
 	// Latest ring membership announcement.
 	ringAddrs   []string
 	ringVersion int
@@ -118,7 +119,7 @@ func RunWorker(tr *core.Trainer, cfg WorkerConfig) error {
 	}
 	cfg = cfg.withDefaults()
 	grads := tr.GradTensors()
-	ws := &workerState{flat: newFlatGrads(grads), sig: paramSig(grads)}
+	ws := &workerState{flat: newFlatGrads(grads), sig: paramSig(grads), neuronSig: neuronSig(tr.Net)}
 	if cfg.Options.Topology == TopologyRing {
 		end, err := newRingEnd(cfg.Options.RingListen, cfg.RingDial, cfg.IOTimeout)
 		if err != nil {
@@ -177,9 +178,8 @@ func workerSession(tr *core.Trainer, conn net.Conn, ws *workerState, cfg WorkerC
 		LR:        float64(tr.Cfg.LR),
 		GradClip:  float64(tr.Cfg.GradClip),
 		ParamSig:  ws.sig,
+		NeuronSig: ws.neuronSig,
 		Topology:  cfg.Options.Topology,
-		Compress:  cfg.Options.Compress,
-		Overlap:   cfg.Options.Overlap,
 	}
 	if ws.ring != nil {
 		hello.RingAddr = ws.ring.addr()
@@ -274,7 +274,7 @@ func workerSession(tr *core.Trainer, conn net.Conn, ws *workerState, cfg WorkerC
 			if err := decodeFloats(fb, vals); err != nil {
 				return round, true, err
 			}
-			ws.flat.copyIn(0, ws.flat.size(), vals)
+			ws.flat.copyIn(vals)
 			tr.ApplyReduced()
 			round = meta.Round + 1
 			cfg.Tracer.Event(trace.TrackDist, "round_committed", trace.Attr{Key: "round", Val: int64(meta.Round)})
@@ -308,54 +308,13 @@ func workerSession(tr *core.Trainer, conn net.Conn, ws *workerState, cfg WorkerC
 	}
 }
 
-// workerStarRound computes the assigned shard and uploads its gradient
-// buckets to the coordinator. Buckets stream from the segment hook while
-// later segments still recompute, so upload wire time hides under compute;
-// the final bucket (carrying the stats) flushes when the batch completes.
+// workerStarRound computes the assigned shard and uploads its gradient to
+// the coordinator in one frame, the round stats riding on its meta. A rank
+// that sat the round out sends the meta alone, so the coordinator's gather
+// still completes.
 func workerStarRound(tr *core.Trainer, conn net.Conn, a assignMsg, rank int, ws *workerState, cfg WorkerConfig) error {
-	nb := a.NBuckets
-	if nb <= 0 {
-		nb = 1
-	}
-	contrib := len(a.Indices) > 0
-	var stats gradsMeta // final-bucket stats; written before feed.finish
-
-	feed := newBucketFeed(ws.flat, nb)
-	upErr := make(chan error, 1)
-	go func() {
-		for ob := range feed.ch {
-			meta := gradsMeta{
-				Round: a.Round, Attempt: a.Attempt, Rank: rank, Count: len(a.Indices),
-				Bucket: ob.b, NBucket: nb,
-			}
-			if ob.b == nb-1 {
-				meta.Loss, meta.Correct, meta.N = stats.Loss, stats.Correct, stats.N
-				meta.ComputeSeconds = stats.ComputeSeconds
-			}
-			pb, err := encodeFlat(meta, ob.vals, cfg.Options.sparseWire())
-			if err != nil {
-				upErr <- err
-				return
-			}
-			conn.SetWriteDeadline(time.Now().Add(cfg.IOTimeout))
-			if err := frame.Write(conn, msgGrads, pb); err != nil {
-				upErr <- err
-				return
-			}
-		}
-		upErr <- nil
-	}()
-
-	if contrib && nb > 1 {
-		tr.SetSegmentHook(feed.hook)
-	}
 	st, elapsed, err := tr.ShardGrads(dataset.Split(a.Split), a.Indices, a.Iteration, a.GlobalN)
-	if contrib && nb > 1 {
-		tr.SetSegmentHook(nil)
-	}
 	if err != nil {
-		feed.close()
-		<-upErr
 		// Local compute failure: tell the coordinator (so the round aborts
 		// promptly instead of timing out) and stop.
 		if eb, encErr := encodeJSON(errorMsg{Message: err.Error()}); encErr == nil {
@@ -364,29 +323,20 @@ func workerStarRound(tr *core.Trainer, conn net.Conn, a assignMsg, rank int, ws 
 		}
 		return &permanentError{err}
 	}
-	stats = gradsMeta{Loss: st.Loss, Correct: st.Correct, N: st.N, ComputeSeconds: elapsed.Seconds()}
-	feed.finish(contrib)
-	if err := <-upErr; err != nil {
-		return err
+	meta := gradsMeta{
+		Round: a.Round, Attempt: a.Attempt, Rank: rank, Count: len(a.Indices),
+		Loss: st.Loss, Correct: st.Correct, N: st.N, ComputeSeconds: elapsed.Seconds(),
 	}
-	if !contrib {
-		// Sat the round out: a single meta-only frame reports the (empty)
-		// stats so the coordinator's gather completes.
-		meta := gradsMeta{
-			Round: a.Round, Attempt: a.Attempt, Rank: rank, Count: 0,
-			Bucket: 0, NBucket: nb,
-			ComputeSeconds: elapsed.Seconds(),
-		}
-		pb, err := encodeFlat(meta, nil, false)
-		if err != nil {
-			return &permanentError{err}
-		}
-		conn.SetWriteDeadline(time.Now().Add(cfg.IOTimeout))
-		if err := frame.Write(conn, msgGrads, pb); err != nil {
-			return err
-		}
+	var vals []float32
+	if len(a.Indices) > 0 {
+		vals = ws.flat.snapshot()
 	}
-	return nil
+	pb, err := encodeFlat(meta, vals)
+	if err != nil {
+		return &permanentError{err}
+	}
+	conn.SetWriteDeadline(time.Now().Add(cfg.IOTimeout))
+	return frame.Write(conn, msgGrads, pb)
 }
 
 // decodeWorkerError turns a coordinator errorMsg into a worker-side error,

@@ -1,16 +1,16 @@
 #!/bin/sh
 # dist_smoke.sh — end-to-end distributed-training check on the real binary:
 # run a coordinator plus two workers over localhost TCP (world 3) under each
-# exchange topology — star, and ring with delta-compressed gradient frames —
-# plus a serial reference with -micro-batch 1, then assert every rank's
-# final weights are byte-identical to the serial run's.
+# exchange topology, star and ring, plus a serial reference with
+# -micro-batch 1, then assert every rank's final weights are byte-identical
+# to the serial run's.
 #
 # World size equals the global batch (3), so every shard holds exactly one
 # sample — the regime where the distributed reduction's addition order
 # matches serial MicroBatch-1 accumulation bitwise (see internal/core
 # ShardGrads). Any divergence, even one bit, fails the gate. The ring pass
-# doubles as the wire-level gate for the directional ring all-reduce and the
-# sparse delta codec: both must round-trip gradients exactly.
+# doubles as the wire-level gate for the directional ring all-reduce, which
+# must carry gradients exactly.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -58,7 +58,7 @@ run_fleet() {
 }
 
 run_fleet star "$PORT"
-run_fleet ring $((PORT + 1)) -dist-topology ring -dist-compress delta
+run_fleet ring $((PORT + 1)) -dist-topology ring
 
 # Serial reference: same run, one process, micro-batch 1.
 "$WORK/skipper-train" $COMMON -micro-batch 1 -save "$WORK/serial.skpw" \
@@ -71,4 +71,4 @@ for tag in star ring; do
     done
 done
 
-echo "PASS: star and ring+delta runs (world 3) byte-identical to serial micro-batch-1 reference"
+echo "PASS: star and ring runs (world 3) byte-identical to serial micro-batch-1 reference"

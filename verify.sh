@@ -24,8 +24,8 @@ go test ./...
 sh ./scripts/kill_resume_smoke.sh
 
 # Distributed smoke: coordinator + 2 workers over localhost TCP, once per
-# exchange topology (star, and ring with delta-compressed frames) — every
-# rank must end with weights byte-identical to a serial micro-batch-1 run.
+# exchange topology (star, ring) — every rank must end with weights
+# byte-identical to a serial micro-batch-1 run.
 sh ./scripts/dist_smoke.sh
 
 # Serving-fleet smoke: 3 replicas behind skipper-router, open-loop soak,
