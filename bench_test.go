@@ -7,6 +7,7 @@ import (
 	"skipper/internal/bench"
 	"skipper/internal/core"
 	"skipper/internal/dataset"
+	"skipper/internal/mem"
 	"skipper/internal/models"
 	"skipper/internal/tensor"
 )
@@ -117,37 +118,72 @@ func BenchmarkKernelLIFStep(b *testing.B) {
 	}
 }
 
-// benchStrategyBatch times one full train batch under a strategy.
-func benchStrategyBatch(b *testing.B, strat core.Strategy) {
+// benchWorkloads are the benchmark's two training configurations
+// (benchmark/spec.go: train_dense and train_events), half-width models.
+var benchWorkloads = []struct {
+	name, model, data string
+	T, B, C           int
+	P                 float64
+}{
+	{"dense", "vgg5", "cifar10", 48, 8, 4, 42},
+	{"events", "lenet", "dvsgesture", 120, 4, 6, 59},
+}
+
+// benchStrategyBatch times one whole training step (encode, train batch,
+// optimizer step) under a strategy on each benchmark workload, on successive
+// batches from untrained weights, and reports the run's exact cost counters
+// beside the time, so `go test -bench Strategy -benchtime 10x -count 6` on
+// two trees is an in-process paired comparison.
+func benchStrategyBatch(b *testing.B, strat func(T, C int, P float64) core.Strategy) {
 	b.Helper()
-	const T = 18
-	net, err := models.Build("customnet", models.Options{Width: 0.5, InShape: []int{3, 16, 16}})
-	if err != nil {
-		b.Fatal(err)
-	}
-	data, err := dataset.Open("cifar10", 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	tr, err := core.NewTrainer(net, data, strat, core.Config{T: T, Batch: 4})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer tr.Close()
-	input, labels := data.SpikeBatch(dataset.Train, []int{0, 1, 2, 3}, T)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		net.ZeroGrads()
-		if _, err := strat.TrainBatch(tr, input, labels); err != nil {
-			b.Fatal(err)
-		}
+	for _, w := range benchWorkloads {
+		b.Run(w.name, func(b *testing.B) {
+			data, err := dataset.Open(w.data, 1)
+			if err != nil {
+				b.Fatal(err)
+			}
+			net, err := models.Build(w.model, models.Options{Width: 0.5, InShape: data.InShape(), Classes: data.Classes()})
+			if err != nil {
+				b.Fatal(err)
+			}
+			dev := mem.Unlimited()
+			tr, err := core.NewTrainer(net, data, strat(w.T, w.C, w.P), core.Config{T: w.T, Batch: w.B, Device: dev})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer tr.Close()
+			idx := make([]int, w.B)
+			var total core.StepStats
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for j := range idx {
+					idx[j] = (i*w.B + j) % data.Len(dataset.Train)
+				}
+				st, err := tr.TrainBatchIndices(dataset.Train, idx)
+				if err != nil {
+					b.Fatal(err)
+				}
+				total.Add(st)
+			}
+			b.ReportMetric(float64(total.SkippedSteps)/float64(b.N), "skipped-steps/op")
+			b.ReportMetric(float64(total.QuietSteps)/float64(b.N), "quiet-steps/op")
+			b.ReportMetric(float64(dev.PeakReserved()), "peak-reserved-B")
+		})
 	}
 }
 
-func BenchmarkStrategyBPTT(b *testing.B)       { benchStrategyBatch(b, core.BPTT{}) }
-func BenchmarkStrategyCheckpoint(b *testing.B) { benchStrategyBatch(b, core.Checkpoint{C: 3}) }
-func BenchmarkStrategySkipper(b *testing.B)    { benchStrategyBatch(b, core.Skipper{C: 3, P: 30}) }
-func BenchmarkStrategyTBPTT(b *testing.B)      { benchStrategyBatch(b, core.TBPTT{Window: 6}) }
+func BenchmarkStrategyBPTT(b *testing.B) {
+	benchStrategyBatch(b, func(int, int, float64) core.Strategy { return core.BPTT{} })
+}
+func BenchmarkStrategyCheckpoint(b *testing.B) {
+	benchStrategyBatch(b, func(_, C int, _ float64) core.Strategy { return core.Checkpoint{C: C} })
+}
+func BenchmarkStrategySkipper(b *testing.B) {
+	benchStrategyBatch(b, func(_, C int, P float64) core.Strategy { return core.Skipper{C: C, P: P} })
+}
+func BenchmarkStrategyTBPTT(b *testing.B) {
+	benchStrategyBatch(b, func(T, C int, _ float64) core.Strategy { return core.TBPTT{Window: T / C} })
+}
 
 func BenchmarkAblationPlacement(b *testing.B) { runExperiment(b, "ablate-placement") }
 

@@ -326,10 +326,11 @@ func main() {
 		if ep.Divergences > 0 {
 			guard = fmt.Sprintf("  divergences %d (lr ×%g)", ep.Divergences, tr.LRScale())
 		}
-		fmt.Printf("epoch %2d  loss %.4f  train-acc %5.2f%%  test-acc %5.2f%%  time %s  skipped %d/%d steps%s\n",
+		fmt.Printf("epoch %2d  loss %.4f  train-acc %5.2f%%  test-acc %5.2f%%  time %s  skipped %d/%d steps  quiet %d/%d%s\n",
 			e, ep.MeanLoss(), 100*ep.Accuracy(), 100*acc,
 			time.Since(start).Round(time.Millisecond),
-			ep.SkippedSteps, ep.SkippedSteps+ep.RecomputedSteps, guard)
+			ep.SkippedSteps, ep.SkippedSteps+ep.RecomputedSteps,
+			ep.QuietSteps, ep.ForwardSteps+ep.RecomputedSteps, guard)
 		if *savePath != "" && acc > bestAcc {
 			bestAcc = acc
 			if err := serialize.SaveFile(*savePath, net); err != nil {

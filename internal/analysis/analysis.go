@@ -63,26 +63,24 @@ func Run(net *layers.Network, input []*tensor.Tensor, metric core.SAMMetric) *Tr
 type SkipPreview struct {
 	C          int
 	P          float64
-	SST        []float64 // one threshold per segment
-	Skipped    []bool    // per timestep
+	Skipped    []bool // per timestep
 	SkipCount  int
 	TotalSteps int
 }
 
-// PreviewSkips applies the segment-wise SST rule to the trace.
+// PreviewSkips applies the engine's own selection (core.SkipSet per uniform
+// segment) to the trace, with the default loss window: only the final
+// timestep carries the loss and is exempt.
 func (tr *Trace) PreviewSkips(C int, p float64) SkipPreview {
 	T := len(tr.Scores)
 	pre := SkipPreview{C: C, P: p, Skipped: make([]bool, T), TotalSteps: T}
 	for s := 0; s < C; s++ {
 		start, end := core.SegmentBounds(T, C, s)
 		if end <= start+1 {
-			pre.SST = append(pre.SST, 0)
 			continue
 		}
-		sst := stats.Percentile(tr.Scores[start+1:end], p)
-		pre.SST = append(pre.SST, sst)
-		for t := start + 1; t < end; t++ {
-			if tr.Scores[t] < sst && t != T-1 {
+		for i, skip := range core.SkipSet(tr.Scores[start+1:end], p) {
+			if t := start + 1 + i; skip && t != T-1 {
 				pre.Skipped[t] = true
 				pre.SkipCount++
 			}

@@ -68,7 +68,7 @@ func (a *AdaptiveSkipper) placements(T int) []int {
 	return EqualActivityBounds(a.profile, a.C, a.ln)
 }
 
-// TrainBatch implements Strategy: Skipper's percentile filter over bounds
+// TrainBatch implements Strategy: Skipper's rank cut over bounds
 // placed from the activity profile, which this batch's SAM trace then
 // updates for the next batch.
 func (a *AdaptiveSkipper) TrainBatch(tr *Trainer, input []*tensor.Tensor, labels []int) (StepStats, error) {

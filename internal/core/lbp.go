@@ -130,7 +130,7 @@ func (lb *TBPTTLBP) TrainBatch(tr *Trainer, input []*tensor.Tensor, labels []int
 
 		// Forward through the window, then integrate the aux potentials over
 		// its stored spikes.
-		fwd := time.Now()
+		fwd, quiet := time.Now(), st.QuietSteps
 		states, err := p.forward(window, carry)
 		if err != nil {
 			return st, fmt.Errorf("core: tbptt-lbp forward %w", err)
@@ -150,7 +150,7 @@ func (lb *TBPTTLBP) TrainBatch(tr *Trainer, input []*tensor.Tensor, labels []int
 				tensor.AXPY(auxU[site], 1, tmp)
 			}
 		}
-		tr.phaseDone(&st.ForwardTime, "forward", fwd)
+		tr.phaseDone(&st.ForwardTime, "forward", fwd, p.quietSince(quiet))
 
 		// Window losses: the network loss at the top plus one local loss per
 		// classifier.

@@ -3,9 +3,9 @@ package core
 import (
 	"fmt"
 	"math"
+	"sort"
 
 	"skipper/internal/layers"
-	"skipper/internal/stats"
 )
 
 // SAMMetric scores a timestep's network activity for the Spike Activity
@@ -103,28 +103,60 @@ func SAMByName(name string) (SAMMetric, error) {
 	}
 }
 
-// SpikeSumThreshold computes SST_c = percentile({s_t}, p) over one
-// checkpoint segment's activity scores (paper Eq. 5).
-func SpikeSumThreshold(scores []float64, p float64) float64 {
-	return stats.Percentile(scores, p)
+// SkipSet applies the Spike-Sum-Threshold SST_c (paper Eq. 5) to one
+// segment's interior activity scores as a rank cut: it marks the
+// k = ⌈(n−1)·p/100⌉ lowest-scoring of the n steps, which is exactly what the
+// threshold percentile({s_t}, p) drops when all scores differ. A threshold
+// cannot split steps that tie at the cut — on event data most of a segment
+// ties at 0 and SST_c would keep all of it — so of the g steps tied there
+// the m still owed are taken evenly spread in time: member i goes iff
+// ⌊(i+1)·m/g⌋ > ⌊i·m/g⌋, which keeps the survivors at most ⌈g/(g−m)⌉ steps
+// apart. Same scores, same set.
+func SkipSet(scores []float64, p float64) []bool {
+	n := len(scores)
+	skip := make([]bool, n)
+	k := int(math.Ceil(float64(n-1) * math.Min(math.Max(p, 0), 100) / 100))
+	if k <= 0 {
+		return skip
+	}
+	sorted := append([]float64(nil), scores...)
+	sort.Float64s(sorted)
+	cut := sorted[k-1]
+	below, tied := 0, 0
+	for _, s := range scores {
+		if s < cut {
+			below++
+		} else if s == cut {
+			tied++
+		}
+	}
+	m, i := k-below, 0
+	for t, s := range scores {
+		if s < cut {
+			skip[t] = true
+		} else if s == cut {
+			skip[t] = (i+1)*m/tied > i*m/tied
+			i++
+		}
+	}
+	return skip
 }
 
 // selectSurvivors returns the recompute timesteps of segment [start, end):
-// interior steps whose SAM score clears SST_c, always including every
-// loss-carrying timestep. The checkpoint step `start` is excluded (it is
+// the interior steps SkipSet leaves, plus every loss-carrying timestep,
+// exempted after selection. The checkpoint step `start` is excluded (it is
 // stored, not recomputed).
 func (s Skipper) selectSurvivors(scores []float64, start, end int, la *lossAccumulator, st *StepStats) []int {
 	if end <= start+1 {
 		return nil
 	}
-	segScores := scores[start+1 : end]
-	sst := SpikeSumThreshold(segScores, s.P)
+	skip := SkipSet(scores[start+1:end], s.P)
 	var out []int
 	for t := start + 1; t < end; t++ {
-		if scores[t] >= sst || la.covers(t) {
-			out = append(out, t)
-		} else {
+		if skip[t-start-1] && !la.covers(t) {
 			st.SkippedSteps++
+		} else {
+			out = append(out, t)
 		}
 	}
 	return out

@@ -92,13 +92,13 @@ func (tr *Trainer) trainSegments(input []*tensor.Tensor, labels []int, plan segm
 		// Steps 3/4: shallow recompute over survivors only. State hops
 		// directly between surviving timesteps.
 		if !plan.keepAll {
-			replay, rec := walk[1:], time.Now()
+			replay, rec, quiet := walk[1:], time.Now(), st.QuietSteps
 			if _, err := p.forward(replay, p.rs.get(start)); err != nil {
 				return st, fmt.Errorf("core: %s recompute %w", plan.name, err)
 			}
 			st.RecomputedSteps += len(replay)
 			tr.phaseDone(&st.RecomputeTime, "recompute", rec, segAttr,
-				trace.Attr{Key: "survivors", Val: int64(len(replay))})
+				trace.Attr{Key: "survivors", Val: int64(len(replay))}, p.quietSince(quiet))
 		}
 
 		// Step 5: backward over the segment's records, consuming and
@@ -128,10 +128,47 @@ type pass struct {
 	// backStep is the per-timestep δ recursion; TBPTT-LBP substitutes its
 	// gradient-blocked variant.
 	backStep func(x *tensor.Tensor, states []*layers.LayerState, gradsAt map[int]*tensor.Tensor, deltas []*layers.Delta) []*layers.Delta
+	// quiet is the leak-only step for timesteps whose input is zero for the
+	// whole batch. Its cached zero-input currents depend on the biases, so
+	// it lives for this batch only and never sees an optimizer step. The
+	// cache is a broadcast of each layer's bias held in host scratch, like
+	// the per-lane im2col columns, and is not charged to the device.
+	quiet *layers.QuietState
 }
 
 func (tr *Trainer) newPass(input []*tensor.Tensor, st *StepStats) *pass {
-	return &pass{tr: tr, input: input, rs: tr.newRecordStore(), st: st, backStep: tr.Net.BackwardStep}
+	return &pass{tr: tr, input: input, rs: tr.newRecordStore(), st: st, backStep: tr.Net.BackwardStep,
+		quiet: layers.NewQuietState(tr.Net, st.N)}
+}
+
+// step advances the network one timestep from prev. Event data is mostly
+// timesteps in which no sample of the batch has an event, and such a step
+// needs no synaptic kernel: it goes through layers.QuietState, which is
+// bitwise identical to ForwardStep on the zero input (a stack it does not
+// model takes the full step, as a quiet streaming window does).
+func (p *pass) step(t int, prev []*layers.LayerState) []*layers.LayerState {
+	if allZero(p.input[t]) {
+		if states, ok := p.quiet.Step(prev); ok {
+			p.st.QuietSteps++
+			return states
+		}
+	}
+	return p.tr.Net.ForwardStep(p.input[t], prev)
+}
+
+func allZero(x *tensor.Tensor) bool {
+	for _, v := range x.Data {
+		if v != 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// quietSince is the span attr counting the leak-only steps taken since the
+// counter read `before`.
+func (p *pass) quietSince(before int) trace.Attr {
+	return trace.Attr{Key: "quiet", Val: int64(p.st.QuietSteps - before)}
 }
 
 // stepRange lists the timesteps [a, b).
@@ -155,11 +192,11 @@ func (p *pass) firstPass(plan segmentPlan, la *lossAccumulator) error {
 		isBound[t] = true
 	}
 	packed := tr.Cfg.CompressSpikes && !plan.keepAll
-	fwd := time.Now()
+	fwd, quiet := time.Now(), p.st.QuietSteps
 	var states []*layers.LayerState
 	var rolling *mem.Block
 	for t := 0; t < tr.Cfg.T; t++ {
-		states = tr.Net.ForwardStep(p.input[t], states)
+		states = p.step(t, states)
 		p.st.ForwardSteps++
 		if plan.sam != nil {
 			plan.sam.scores[t] = plan.sam.metric.Score(tr.Net, states)
@@ -181,7 +218,7 @@ func (p *pass) firstPass(plan segmentPlan, la *lossAccumulator) error {
 		}
 	}
 	rolling.Release()
-	tr.phaseDone(&p.st.ForwardTime, "forward", fwd)
+	tr.phaseDone(&p.st.ForwardTime, "forward", fwd, p.quietSince(quiet))
 	return nil
 }
 
@@ -190,7 +227,7 @@ func (p *pass) firstPass(plan segmentPlan, la *lossAccumulator) error {
 // returns the last step's state.
 func (p *pass) forward(steps []int, states []*layers.LayerState) ([]*layers.LayerState, error) {
 	for _, t := range steps {
-		states = p.tr.Net.ForwardStep(p.input[t], states)
+		states = p.step(t, states)
 		if err := p.rs.put(t, states, false); err != nil {
 			return nil, fmt.Errorf("t=%d: %w", t, err)
 		}

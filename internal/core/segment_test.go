@@ -1,7 +1,9 @@
 package core
 
 import (
+	"bytes"
 	"encoding/binary"
+	"encoding/json"
 	"fmt"
 	"hash/fnv"
 	"math"
@@ -11,6 +13,7 @@ import (
 	"skipper/internal/layers"
 	"skipper/internal/mem"
 	"skipper/internal/tensor"
+	"skipper/internal/trace"
 )
 
 // bitsHash is the FNV-64a of the tensors' float32 bit patterns, in order.
@@ -34,18 +37,40 @@ func weightHash(net *layers.Network) uint64 {
 	return bitsHash(ws)
 }
 
-// goldenRow is what two optimizer steps on tinySetup (T=18, B=2, seed
-// 0x5EED) did to the device accountant, the step counters and the weights.
+// goldenRow is what two optimizer steps at B=2 did to the device accountant,
+// the step counters and the weights: on tinySetup (T=18, seed 0x5EED) or on
+// eventSetup (T=120).
 type goldenRow struct {
 	peakAct, peakReserved                int64
 	forward, recomputed, skipped, backwd int
 	weights                              uint64
 }
 
-func goldenRun(t *testing.T, strat Strategy, compress bool) goldenRow {
+type goldenCase struct {
+	name     string
+	strat    func() Strategy
+	compress bool
+	want     goldenRow
+}
+
+// goldenFixture is the network, dataset and T a golden row runs on.
+type goldenFixture func(t *testing.T) (*layers.Network, dataset.Source, int)
+
+func tinyFixture(t *testing.T) (*layers.Network, dataset.Source, int) {
+	net, data, _, _ := tinySetup(t, 18)
+	return net, data, 18
+}
+
+func eventFixture(woken bool) goldenFixture {
+	return func(t *testing.T) (*layers.Network, dataset.Source, int) {
+		net, data := eventSetup(t, woken)
+		return net, data, 120
+	}
+}
+
+func goldenRun(t *testing.T, fix goldenFixture, strat Strategy, compress bool) goldenRow {
 	t.Helper()
-	const T = 18
-	net, data, _, _ := tinySetup(t, T)
+	net, data, T := fix(t)
 	dev := mem.Unlimited()
 	tr := newTestTrainer(t, net, data, strat, Config{T: T, Batch: 2, Device: dev, CompressSpikes: compress})
 	var st StepStats
@@ -70,12 +95,7 @@ func goldenRun(t *testing.T, strat Strategy, compress bool) goldenRow {
 // consumes them; the counters pin what was replayed and skipped; the weight
 // hash pins the gradient bits through two Adam steps.
 func TestSegmentEngineGoldenAccounting(t *testing.T) {
-	cases := []struct {
-		name     string
-		strat    func() Strategy
-		compress bool
-		want     goldenRow
-	}{
+	cases := []goldenCase{
 		{"bptt", func() Strategy { return BPTT{} }, false, goldenRow{576576, 764416, 36, 0, 0, 36, 0xf637b30bfdb9792}},
 		{"bptt/compress", func() Strategy { return BPTT{} }, true, goldenRow{576576, 764416, 36, 0, 0, 36, 0xf637b30bfdb9792}},
 		{"ckpt", func() Strategy { return Checkpoint{C: 3} }, false, goldenRow{256256, 441856, 36, 30, 0, 36, 0xf637b30bfdb9792}},
@@ -89,13 +109,129 @@ func TestSegmentEngineGoldenAccounting(t *testing.T) {
 		{"tbptt", func() Strategy { return TBPTT{Window: 7} }, false, goldenRow{256256, 441856, 36, 0, 0, 36, 0xf2ffea10ad0ed65a}},
 		{"tbptt-lbp", func() Strategy { return &TBPTTLBP{Window: 7, LocalAt: []int{1}} }, false, goldenRow{256256, 462336, 36, 0, 0, 36, 0x1b4e3250f135ca8a}},
 	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			got := goldenRun(t, tc.strat(), tc.compress)
-			if got != tc.want {
-				t.Errorf("got %+v\nwant %+v", got, tc.want)
+	check := func(fix goldenFixture, cases []goldenCase) {
+		for _, tc := range cases {
+			t.Run(tc.name, func(t *testing.T) {
+				got := goldenRun(t, fix, tc.strat(), tc.compress)
+				if got != tc.want {
+					t.Errorf("got %+v\nwant %+v", got, tc.want)
+				}
+			})
+		}
+	}
+	check(tinyFixture, cases)
+
+	// The same contract on event data (eventSetup, T=120, B=2, C=6, P=59),
+	// where about 74 of each batch's 120 timesteps have an all-zero input and go
+	// through the leak-only quiet step; the second optimizer step is there
+	// so that a quiet-step cache outliving the first would show in the
+	// weights. The first six rows run the woken network and were all
+	// captured at commit 0e0f6f0, before the quiet step, the zero-image skip
+	// in Conv2DGradWeight and the input layer's dropped ∂L/∂x existed: all
+	// three are exact, and with no tie at any segment's cut the rank cut
+	// keeps the percentile threshold's survivors to the step. The built rows
+	// run the network as the benchmark builds it, where most of a segment
+	// ties at score 0. They are this commit's. At 0e0f6f0 the threshold,
+	// being 0 there, kept every step of such a segment and read
+	// {1415600, 2018816, 240, 196, 32, 208, 0xf0b34b4c04bf0dd0} for skipper,
+	// Checkpoint's peak to the byte, and
+	// {2038464, 2643968, 240, 181, 47, 193, 0xdb465e90e450c473} for adaptive,
+	// above it; the rank cut takes 11 of every segment's 19 interior steps.
+	// (Only out.bias learns in the built network, and Adam's step does not
+	// see a gradient's scale, so with the same number of steps skipped in
+	// both batches its weights now equal BPTT's; the woken rows are the ones
+	// that pin gradient bits.)
+	check(eventFixture(true), []goldenCase{
+		{"events/bptt", func() Strategy { return BPTT{} }, false, goldenRow{6794880, 7417856, 240, 0, 0, 240, 0x4c1f4d98943e7aba}},
+		{"events/ckpt", func() Strategy { return Checkpoint{C: 6} }, false, goldenRow{1415600, 2018816, 240, 228, 0, 240, 0x4c1f4d98943e7aba}},
+		{"events/ckpt/compress", func() Strategy { return Checkpoint{C: 6} }, true, goldenRow{1257752, 1862144, 240, 228, 0, 240, 0x4c1f4d98943e7aba}},
+		{"events/tbptt", func() Strategy { return TBPTT{Window: 20} }, false, goldenRow{1189104, 1791488, 240, 0, 0, 240, 0xaa8058f8bfca99f0}},
+		{"events/skipper", func() Strategy { return Skipper{C: 6, P: 59} }, false, goldenRow{849360, 1450496, 240, 98, 130, 110, 0xbd3d2569482ddb9e}},
+		{"events/adaptive", func() Strategy { return &AdaptiveSkipper{C: 6, P: 59} }, false, goldenRow{849360, 1450496, 240, 97, 131, 109, 0x79f1cd763b2a62dd}},
+	})
+	check(eventFixture(false), []goldenCase{
+		{"events/built/skipper", func() Strategy { return Skipper{C: 6, P: 59} }, false, goldenRow{849360, 1450496, 240, 98, 130, 110, 0x29aa4f931e3e8b3b}},
+		{"events/built/adaptive", func() Strategy { return &AdaptiveSkipper{C: 6, P: 59} }, false, goldenRow{849360, 1450496, 240, 98, 130, 110, 0x29aa4f931e3e8b3b}},
+	})
+}
+
+// The benchmark's event configuration (train_events: lenet w0.5 on
+// dvsgesture, T=120, B=4, C=6, P=59) from untrained weights, where at most
+// steps more than P % of a segment ties at score 0. Skipper must still skip
+// its quota in every segment — a threshold at the tie kept all 19 interior
+// steps of such a segment, and one unskipped segment set the peak at
+// Checkpoint's, byte for byte — and the quiet-step counter must report the
+// share of the workload that has the property.
+func TestSkipperKeepsItsQuotaOnEvents(t *testing.T) {
+	const T, B, C, P, batches = 120, 4, 6, 59, 4
+	tc := trace.New(0)
+	rt := NewRuntime(WithTracer(tc))
+	t.Cleanup(rt.Close)
+	run := func(strat Strategy) (int64, StepStats) {
+		net, data := eventSetup(t, false)
+		dev := mem.Unlimited()
+		tr, err := rt.NewTrainer(net, data, strat, Config{T: T, Batch: B, Device: dev})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(tr.Close)
+		var st StepStats
+		for b := 0; b < batches; b++ {
+			s, err := tr.TrainBatchIndices(dataset.Train, []int{B * b, B*b + 1, B*b + 2, B*b + 3})
+			if err != nil {
+				t.Fatal(err)
 			}
-		})
+			st.Add(s)
+		}
+		return dev.PeakReserved(), st
+	}
+	ckptPeak, ckpt := run(Checkpoint{C: C})
+	skipPeak, skip := run(Skipper{C: C, P: P})
+
+	if float64(skipPeak) > 0.75*float64(ckptPeak) {
+		t.Errorf("skipper peak reserved %d, checkpoint %d: ratio %.2f, want <= 0.75", skipPeak, ckptPeak, float64(skipPeak)/float64(ckptPeak))
+	}
+	n := T/C - 1
+	k := int(math.Ceil(float64(n-1) * P / 100))
+	if lo, hi := batches*(C*k-1), batches*C*k; skip.SkippedSteps < lo || skip.SkippedSteps > hi {
+		t.Errorf("skipped %d steps over %d batches, want %d..%d", skip.SkippedSteps, batches, lo, hi)
+	}
+	// Checkpoint takes every timestep twice bar the C boundaries; about 0.61
+	// of them have no event in any of the B samples.
+	if share := float64(ckpt.QuietSteps) / float64(ckpt.ForwardSteps+ckpt.RecomputedSteps); share < 0.5 || share > 0.7 {
+		t.Errorf("quiet share %.3f of checkpoint's steps, want about 0.61", share)
+	}
+
+	var buf bytes.Buffer
+	if err := tc.WriteChromeTrace(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var dump struct {
+		TraceEvents []struct {
+			Name string           `json:"name"`
+			Args map[string]int64 `json:"args"`
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(buf.Bytes(), &dump); err != nil {
+		t.Fatal(err)
+	}
+	selects, quiet := 0, 0
+	for _, ev := range dump.TraceEvents {
+		switch ev.Name {
+		case "sam_select":
+			selects++
+			if got := int(ev.Args["survivors"]); got != n-k && got != n-k+1 {
+				t.Errorf("segment %d kept %d survivors, want %d or %d", ev.Args["seg"], got, n-k, n-k+1)
+			}
+		case "forward", "recompute":
+			quiet += int(ev.Args["quiet"])
+		}
+	}
+	if selects != batches*C {
+		t.Errorf("%d sam_select spans, want %d", selects, batches*C)
+	}
+	if quiet != ckpt.QuietSteps+skip.QuietSteps {
+		t.Errorf("forward and recompute spans carry %d quiet steps, StepStats %d", quiet, ckpt.QuietSteps+skip.QuietSteps)
 	}
 }
 

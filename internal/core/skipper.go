@@ -12,10 +12,11 @@ import (
 // The first forward pass stores only the C checkpoint records and, in
 // addition, the Spike Activity Monitor (SAM) records the per-timestep
 // activity score s_t (Eq. 4 for the default spike-sum metric). Before each
-// segment's recomputation, the Spike-Sum-Threshold SST_c is taken as the
-// p-th percentile of the segment's scores (Eq. 5); timesteps whose activity
-// falls below SST_c are skipped in both the second forward pass and the
-// backward pass — the recomputed graph is shallower, which simultaneously
+// segment's recomputation, the Spike-Sum-Threshold SST_c at the p-th
+// percentile of the segment's scores (Eq. 5) is applied as a rank cut
+// (SkipSet): the lowest-activity timesteps, p % of the segment, are skipped
+// in both the second forward pass and the backward pass, ties at the cut
+// included — the recomputed graph is shallower, which simultaneously
 // recovers the recomputation overhead and cuts the live activation memory
 // (Eq. 6). The functional outcome approximates BPTT; the admissible p is
 // bounded by Eq. 7 so that information still propagates through all L_n
@@ -42,7 +43,7 @@ func (s Skipper) Validate(cfg Config, net *layers.Network) error {
 }
 
 // TrainBatch implements Strategy: uniform bounds, and per segment the
-// SST_c percentile filter over the first pass's SAM scores.
+// SST_c rank cut over the first pass's SAM scores.
 func (s Skipper) TrainBatch(tr *Trainer, input []*tensor.Tensor, labels []int) (StepStats, error) {
 	return tr.trainSegments(input, labels, segmentPlan{
 		name:      "skipper",

@@ -58,13 +58,13 @@ func (tb TBPTT) TrainBatch(tr *Trainer, input []*tensor.Tensor, labels []int) (S
 		window := stepRange(w0, w1)
 
 		// Forward through the window, storing its records.
-		fwd := time.Now()
+		fwd, quiet := time.Now(), st.QuietSteps
 		states, err := p.forward(window, carry)
 		if err != nil {
 			return st, fmt.Errorf("core: tbptt forward %w", err)
 		}
 		st.ForwardSteps += len(window)
-		tr.phaseDone(&st.ForwardTime, "forward", fwd)
+		tr.phaseDone(&st.ForwardTime, "forward", fwd, p.quietSince(quiet))
 
 		// Loss at the window boundary; gradients summed over windows.
 		logits := tr.Net.Logits(states)

@@ -23,11 +23,15 @@ type StepStats struct {
 	// ForwardSteps counts first-pass timesteps, RecomputedSteps the
 	// second-pass (checkpoint replay) timesteps, SkippedSteps the timesteps
 	// Skipper dropped, and BackwardSteps the timesteps the δ recursion
-	// visited.
+	// visited. QuietSteps counts the first-pass and replay timesteps whose
+	// input was zero for the whole batch and that were therefore advanced
+	// leak-only (layers.QuietState): the share of the workload that has the
+	// property. A counter only; nothing reads it to decide anything.
 	ForwardSteps    int
 	RecomputedSteps int
 	SkippedSteps    int
 	BackwardSteps   int
+	QuietSteps      int
 
 	ForwardTime   time.Duration
 	RecomputeTime time.Duration
@@ -48,6 +52,7 @@ func (s *StepStats) Add(o StepStats) {
 	s.RecomputedSteps += o.RecomputedSteps
 	s.SkippedSteps += o.SkippedSteps
 	s.BackwardSteps += o.BackwardSteps
+	s.QuietSteps += o.QuietSteps
 	s.ForwardTime += o.ForwardTime
 	s.RecomputeTime += o.RecomputeTime
 	s.BackwardTime += o.BackwardTime

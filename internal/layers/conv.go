@@ -27,6 +27,9 @@ type SpikingConv2D struct {
 	scratch   *tensor.Scratch
 	colLen    int
 	spikePack bool
+	// inputLayer is set by Network.Build on Layers[0]: Backward then returns
+	// a nil input gradient instead of computing one nobody reads.
+	inputLayer bool
 }
 
 // NewSpikingConv2D returns an unbuilt spiking conv layer. kernel/stride/pad
@@ -76,6 +79,8 @@ func (l *SpikingConv2D) SetPool(p *parallel.Pool) { l.pool = p }
 
 // SetSpikePack implements SpikePackAware.
 func (l *SpikingConv2D) SetSpikePack(on bool) { l.spikePack = on }
+
+func (l *SpikingConv2D) markInputLayer() { l.inputLayer = true }
 
 // Params implements Layer.
 func (l *SpikingConv2D) Params() []Param {
@@ -132,10 +137,8 @@ func (l *SpikingConv2D) Backward(x *tensor.Tensor, st *LayerState, gradOut *tens
 		next = deltaIn.D
 	}
 	snn.SurrogateDelta(l.pool, delta, st.U, gradOut, next, l.Neuron.Threshold, l.Neuron.Leak, l.Surrogate)
-	gradIn := tensor.New(x.Shape()...)
-	tensor.Conv2DGradInput(l.pool, gradIn, delta, l.weight, l.Spec, l.scratch)
 	tensor.Conv2DGradWeight(l.pool, l.gradW, l.gradB, delta, x, l.Spec, l.scratch)
-	return gradIn, &Delta{D: delta}
+	return l.gradInput(x.Shape(), delta), &Delta{D: delta}
 }
 
 // BackwardPacked implements PackedBackward: the input spikes feed only the
@@ -148,10 +151,19 @@ func (l *SpikingConv2D) BackwardPacked(xp *tensor.PackedSpikes, st *LayerState, 
 		next = deltaIn.D
 	}
 	snn.SurrogateDelta(l.pool, delta, st.U, gradOut, next, l.Neuron.Threshold, l.Neuron.Leak, l.Surrogate)
-	gradIn := tensor.New(xp.Shape()...)
-	tensor.Conv2DGradInput(l.pool, gradIn, delta, l.weight, l.Spec, l.scratch)
 	tensor.Conv2DGradWeightPacked(l.pool, l.gradW, l.gradB, delta, xp, l.Spec, l.scratch)
-	return gradIn, &Delta{D: delta}
+	return l.gradInput(xp.Shape(), delta), &Delta{D: delta}
+}
+
+// gradInput is ∂L/∂x_t = convGradInput(δ_t, W), or nil on the network's
+// input layer.
+func (l *SpikingConv2D) gradInput(xShape []int, delta *tensor.Tensor) *tensor.Tensor {
+	if l.inputLayer {
+		return nil
+	}
+	gradIn := tensor.New(xShape...)
+	tensor.Conv2DGradInput(l.pool, gradIn, delta, l.weight, l.Spec, l.scratch)
+	return gradIn
 }
 
 // StateBytes implements Layer: U and O per stored timestep.

@@ -29,6 +29,8 @@ type SpikingLinear struct {
 	inFeatures   int
 	pool         *parallel.Pool
 	spikePack    bool
+	// inputLayer: see SpikingConv2D.
+	inputLayer bool
 }
 
 // SetPool implements PoolAware.
@@ -36,6 +38,8 @@ func (l *SpikingLinear) SetPool(p *parallel.Pool) { l.pool = p }
 
 // SetSpikePack implements SpikePackAware.
 func (l *SpikingLinear) SetSpikePack(on bool) { l.spikePack = on }
+
+func (l *SpikingLinear) markInputLayer() { l.inputLayer = true }
 
 // NewSpikingLinear returns an unbuilt spiking fully-connected layer.
 func NewSpikingLinear(label string, out int, neuron snn.Params, surr snn.Surrogate) *SpikingLinear {
@@ -143,12 +147,9 @@ func (l *SpikingLinear) Backward(x *tensor.Tensor, st *LayerState, gradOut *tens
 	} else {
 		snn.SurrogateDelta(l.pool, delta, st.U, gradOut, next, l.Neuron.Threshold, l.Neuron.Leak, l.Surrogate)
 	}
-	gradFlat := tensor.New(b, l.inFeatures)
-	tensor.MatMul(l.pool, gradFlat, delta, l.weight)   // ∂L/∂x = δ·W
 	tensor.MatMulTransAAcc(l.pool, l.gradW, delta, xf) // ∂W += δᵀ·x
 	tensor.SumPerColumn(l.gradB, delta)                // ∂b += Σ_batch δ
-	gradIn := gradFlat.Reshape(x.Shape()...)           // restore caller's view
-	return gradIn, &Delta{D: delta}
+	return l.gradInput(x.Shape(), delta), &Delta{D: delta}
 }
 
 // BackwardPacked implements PackedBackward: the input spikes enter the
@@ -169,11 +170,20 @@ func (l *SpikingLinear) BackwardPacked(xp *tensor.PackedSpikes, st *LayerState, 
 	} else {
 		snn.SurrogateDelta(l.pool, delta, st.U, gradOut, next, l.Neuron.Threshold, l.Neuron.Leak, l.Surrogate)
 	}
-	gradFlat := tensor.New(b, l.inFeatures)
-	tensor.MatMul(l.pool, gradFlat, delta, l.weight)         // ∂L/∂x = δ·W
 	tensor.MatMulTransAPackedAcc(l.pool, l.gradW, delta, xp) // ∂W += δᵀ·x over set bits
 	tensor.SumPerColumn(l.gradB, delta)                      // ∂b += Σ_batch δ
-	return gradFlat.Reshape(xp.Shape()...), &Delta{D: delta}
+	return l.gradInput(xp.Shape(), delta), &Delta{D: delta}
+}
+
+// gradInput is ∂L/∂x = δ·W in the caller's view of x, or nil on the
+// network's input layer.
+func (l *SpikingLinear) gradInput(xShape []int, delta *tensor.Tensor) *tensor.Tensor {
+	if l.inputLayer {
+		return nil
+	}
+	gradFlat := tensor.New(delta.Dim(0), l.inFeatures)
+	tensor.MatMul(l.pool, gradFlat, delta, l.weight)
+	return gradFlat.Reshape(xShape...)
 }
 
 // StateBytes implements Layer: U and O per stored timestep.

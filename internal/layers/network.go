@@ -79,6 +79,13 @@ func (n *Network) Build(rng *tensor.RNG) error {
 	}
 	n.outShape = shape
 	n.built = true
+	// Nothing reads ∂L/∂x of the network input, so the first layer need not
+	// compute it (conv1 is a third of vgg5's conv MACs).
+	if len(n.Layers) > 0 {
+		if il, ok := n.Layers[0].(interface{ markInputLayer() }); ok {
+			il.markInputLayer()
+		}
+	}
 	return nil
 }
 

@@ -42,6 +42,28 @@ func testTrainer(t *testing.T, strat core.Strategy, cfg core.Config) *core.Train
 	return tr
 }
 
+// eventTrainer is testTrainer on the benchmark's event configuration: lenet
+// at half width on dvsgesture, where most timesteps of a T=120 batch have an
+// all-zero input and train through the leak-only quiet step.
+func eventTrainer(t *testing.T, strat core.Strategy, cfg core.Config) *core.Trainer {
+	t.Helper()
+	data, err := dataset.Open("dvsgesture", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	net, err := models.Build("lenet", models.Options{Width: 0.5, InShape: data.InShape(), Classes: data.Classes()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.T = 120
+	tr, err := core.NewTrainer(net, data, strat, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(tr.Close)
+	return tr
+}
+
 func testCfg() core.Config {
 	return core.Config{T: 6, Batch: 2, MaxBatchesPerEpoch: 4, Seed: 11, SnapshotEvery: 2}
 }
@@ -394,11 +416,18 @@ func TestResumeMatchesUninterruptedAllStrategies(t *testing.T) {
 		"bptt":    func() core.Strategy { return core.BPTT{} },
 		"skipper": func() core.Strategy { return core.Skipper{C: 1, P: 20} },
 		"tbptt":   func() core.Strategy { return core.TBPTT{Window: 5} },
+		// On event data: the quiet-step count rides the manifest's partial
+		// aggregate, and the rank cut must pick the same survivors again.
+		"skipper/events": func() core.Strategy { return core.Skipper{C: 6, P: 59} },
 	}
 	for name, mk := range strategies {
 		t.Run(name, func(t *testing.T) {
 			cfg := testCfg()
 			cfg.SnapshotEvery = 1
+			testTrainer := testTrainer
+			if strings.HasSuffix(name, "/events") {
+				testTrainer = eventTrainer
+			}
 
 			ref := testTrainer(t, mk(), cfg)
 			var refStats []core.EpochStats
@@ -441,6 +470,9 @@ func TestResumeMatchesUninterruptedAllStrategies(t *testing.T) {
 				t.Fatalf("resumed epoch 2 differs:\n  resumed:  %+v\n  straight: %+v", normalize(ep2), normalize(refStats[1]))
 			}
 			requireSameWeights(t, ref, survivor, "end of resumed "+name+" run")
+			if strings.HasSuffix(name, "/events") && (ep2.QuietSteps == 0 || partial.QuietSteps == 0) {
+				t.Fatalf("no quiet steps counted (epoch %d, restored partial %d): the case would not exercise the quiet step", ep2.QuietSteps, partial.QuietSteps)
+			}
 		})
 	}
 }

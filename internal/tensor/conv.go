@@ -193,6 +193,13 @@ func Conv2DGradInput(p *parallel.Pool, dx, dout, weight *Tensor, s ConvSpec, sc 
 // private im2col column, so every dW element accumulates its per-image terms
 // in exactly the serial order — no cross-lane partial accumulators, no
 // reduction, bit-identical results for every pool size.
+//
+// An image whose input is all zero (a sample with no event this timestep)
+// is skipped: its column is zero, so for finite dout it would add ±0 to
+// every dW element, which changes none of them (dW accumulates up from +0
+// and is never −0) — the identity Conv2DGradInput's wv == 0 skip already
+// relies on. Its dout still enters dbias, so a non-finite dout still reaches
+// the divergence guard.
 func Conv2DGradWeight(p *parallel.Pool, dw, dbias, dout, x *Tensor, s ConvSpec, sc *Scratch) {
 	xs := x.Shape()
 	n, c, h, w := xs[0], xs[1], xs[2], xs[3]
@@ -207,7 +214,11 @@ func Conv2DGradWeight(p *parallel.Pool, dw, dbias, dout, x *Tensor, s ConvSpec, 
 	p.Run(s.OutChannels, func(lane, lo, hi int) {
 		col := sc.lane(lane, k*ohw)
 		for img := 0; img < n; img++ {
-			Im2Col(col, x.Data[img*c*h*w:(img+1)*c*h*w], c, h, w, s)
+			ximg := x.Data[img*c*h*w : (img+1)*c*h*w]
+			if allZero(ximg) {
+				continue
+			}
+			Im2Col(col, ximg, c, h, w, s)
 			dslice := dout.Data[img*s.OutChannels*ohw : (img+1)*s.OutChannels*ohw]
 			// dW[co,kk] += Σ_j dout[co,j] * col[kk,j]
 			for co := lo; co < hi; co++ {
@@ -227,6 +238,15 @@ func Conv2DGradWeight(p *parallel.Pool, dw, dbias, dout, x *Tensor, s ConvSpec, 
 	if dbias != nil {
 		SumPerChannel(dbias, dout)
 	}
+}
+
+func allZero(xs []float32) bool {
+	for _, v := range xs {
+		if v != 0 {
+			return false
+		}
+	}
+	return true
 }
 
 func checkConvShapes(op string, out, x, weight *Tensor, s ConvSpec, n, oh, ow int) {

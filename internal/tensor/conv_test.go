@@ -1,8 +1,11 @@
 package tensor
 
 import (
+	"fmt"
 	"math"
 	"testing"
+
+	"skipper/internal/parallel"
 )
 
 // convNaive is an independent direct-convolution reference.
@@ -192,6 +195,72 @@ func TestConv2DGradWeightAccumulates(t *testing.T) {
 	Conv2DGradWeight(nil, dw, nil, dout, x, s, nil)
 	if dw.Data[0] != 16 {
 		t.Fatalf("grad-weight should accumulate: got %v, want 16", dw.Data[0])
+	}
+}
+
+// An all-zero image is skipped by Conv2DGradWeight. On a batch [x0, 0, x2]
+// dW must carry exactly the bits of running [x0] then [x2] into the same
+// accumulator (the per-image terms land in the same order), and the bias
+// gradient must still include the zero image's dout, at every pool width.
+func TestConv2DGradWeightSkipsZeroImages(t *testing.T) {
+	s := ConvSpec{InChannels: 3, OutChannels: 4, KernelH: 3, KernelW: 3, Stride: 1, Pad: 1}
+	const h, w = 6, 5
+	oh, ow := s.OutSize(h, w)
+	x := New(3, 3, h, w)
+	dout := New(3, 4, oh, ow)
+	equivFill(x.Data, 7)
+	equivFill(dout.Data, 11)
+	chw, cohw := 3*h*w, 4*oh*ow
+	for i := chw; i < 2*chw; i++ {
+		x.Data[i] = 0
+	}
+	image := func(t *Tensor, per, img int) *Tensor {
+		return FromSlice(t.Data[img*per:(img+1)*per], append([]int{1}, t.Shape()[1:]...)...)
+	}
+
+	wantW, wantB := New(4, 3, 3, 3), New(4)
+	equivFill(wantW.Data, 13) // accumulate into a non-zero dW
+	start := wantW.Clone()
+	for _, img := range []int{0, 2} {
+		Conv2DGradWeight(nil, wantW, nil, image(dout, cohw, img), image(x, chw, img), s, nil)
+	}
+	SumPerChannel(wantB, dout)
+
+	for _, lanes := range []int{1, 2, 4} {
+		pool := parallel.NewPool(lanes)
+		dw, db := start.Clone(), New(4)
+		Conv2DGradWeight(pool, dw, db, dout, x, s, NewScratch())
+		pool.Close()
+		requireBitEqual(t, fmt.Sprintf("dW@%d lanes", lanes), wantW, dw)
+		requireBitEqual(t, fmt.Sprintf("dbias@%d lanes", lanes), wantB, db)
+	}
+	// The zero image's dout is in the bias gradient: without it the sums
+	// differ.
+	without := New(4)
+	for _, img := range []int{0, 2} {
+		SumPerChannel(without, image(dout, cohw, img))
+	}
+	same := true
+	for i := range without.Data {
+		same = same && without.Data[i] == wantB.Data[i]
+	}
+	if same {
+		t.Fatal("the zero image's dout is all zero: the bias check pins nothing")
+	}
+
+	// A non-finite dout on the skipped image no longer poisons dW (Inf·0),
+	// but still reaches the bias gradient, which is where the divergence
+	// guard's gradient norm sees it.
+	dout.Data[cohw] = float32(math.Inf(1))
+	dw, db := New(4, 3, 3, 3), New(4)
+	Conv2DGradWeight(nil, dw, db, dout, x, s, nil)
+	for i, v := range dw.Data {
+		if math.IsNaN(float64(v)) || math.IsInf(float64(v), 0) {
+			t.Fatalf("dW[%d] = %v: the zero image was not skipped", i, v)
+		}
+	}
+	if !math.IsInf(float64(db.Data[0]), 1) {
+		t.Fatalf("dbias[0] = %v, want +Inf from the skipped image's dout", db.Data[0])
 	}
 }
 

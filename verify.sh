@@ -14,7 +14,7 @@ tree_before=$(tree_state)
 go build ./...
 go vet ./...
 test -z "$(gofmt -l .)"
-go test -race ./internal/parallel/... ./internal/tensor/... ./internal/serve/... ./internal/runstate/... ./internal/faults/... ./internal/trace/... ./internal/dist/... ./internal/router/... ./internal/stream/...
+go test -race ./internal/parallel/... ./internal/tensor/... ./internal/layers/... ./internal/serve/... ./internal/runstate/... ./internal/faults/... ./internal/trace/... ./internal/dist/... ./internal/router/... ./internal/stream/...
 go test ./...
 
 # The benchmark is its own module, so the root `go test ./...` does not reach
