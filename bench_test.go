@@ -3,6 +3,7 @@ package skipper
 import (
 	"io"
 	"testing"
+	"time"
 
 	"skipper/internal/bench"
 	"skipper/internal/core"
@@ -132,8 +133,10 @@ var benchWorkloads = []struct {
 // benchStrategyBatch times one whole training step (encode, train batch,
 // optimizer step) under a strategy on each benchmark workload, on successive
 // batches from untrained weights, and reports the run's exact cost counters
-// beside the time, so `go test -bench Strategy -benchtime 10x -count 6` on
-// two trees is an in-process paired comparison.
+// and heap allocations beside the time and its split into the first pass,
+// the replay and the backward walk, so `go test -bench Strategy -benchtime
+// 10x -count 6` on two trees is an in-process paired comparison that shows
+// where a saving lands.
 func benchStrategyBatch(b *testing.B, strat func(T, C int, P float64) core.Strategy) {
 	b.Helper()
 	for _, w := range benchWorkloads {
@@ -154,6 +157,7 @@ func benchStrategyBatch(b *testing.B, strat func(T, C int, P float64) core.Strat
 			defer tr.Close()
 			idx := make([]int, w.B)
 			var total core.StepStats
+			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				for j := range idx {
@@ -165,6 +169,10 @@ func benchStrategyBatch(b *testing.B, strat func(T, C int, P float64) core.Strat
 				}
 				total.Add(st)
 			}
+			perOp := func(d time.Duration) float64 { return float64(d) / 1e6 / float64(b.N) }
+			b.ReportMetric(perOp(total.ForwardTime), "forward-ms/op")
+			b.ReportMetric(perOp(total.RecomputeTime), "recompute-ms/op")
+			b.ReportMetric(perOp(total.BackwardTime), "backward-ms/op")
 			b.ReportMetric(float64(total.SkippedSteps)/float64(b.N), "skipped-steps/op")
 			b.ReportMetric(float64(total.QuietSteps)/float64(b.N), "quiet-steps/op")
 			b.ReportMetric(float64(dev.PeakReserved()), "peak-reserved-B")

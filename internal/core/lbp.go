@@ -111,14 +111,12 @@ func (lb *TBPTTLBP) TrainBatch(tr *Trainer, input []*tensor.Tensor, labels []int
 
 	classes := tr.Net.OutShape()[0]
 	outIdx := len(tr.Net.Layers) - 1
-	boundary := map[int]bool{}
+	// Local supervision: the gradient from the block above is severed at each
+	// attachment boundary, so that layer — and everything below it — is
+	// driven purely by its block's own classifier injection.
+	p.cut = map[int]bool{}
 	for _, i := range lb.LocalAt {
-		boundary[i] = true
-	}
-	// Backward with gradient flow BLOCKED at block boundaries (local
-	// supervision).
-	p.backStep = func(x *tensor.Tensor, states []*layers.LayerState, gradsAt map[int]*tensor.Tensor, deltas []*layers.Delta) []*layers.Delta {
-		return lb.backwardStepBlocked(tr.Net, x, states, gradsAt, deltas, boundary)
+		p.cut[i] = true
 	}
 
 	numWindows := (T + lb.Window - 1) / lb.Window
@@ -202,44 +200,4 @@ func (lb *TBPTTLBP) TrainBatch(tr *Trainer, input []*tensor.Tensor, labels []int
 	_, correct := tensor.CrossEntropy(lastLogits, labels, nil)
 	st.Correct = correct
 	return st, nil
-}
-
-// backwardStepBlocked is Network.BackwardStep with gradient stops: after an
-// attachment-boundary layer consumes its gradient, the flow to the layer
-// below is severed, so each block learns only from its own local loss.
-func (lb *TBPTTLBP) backwardStepBlocked(net *layers.Network, x *tensor.Tensor, states []*layers.LayerState, gradsAt map[int]*tensor.Tensor, deltas []*layers.Delta, boundary map[int]bool) []*layers.Delta {
-	newDeltas := make([]*layers.Delta, len(net.Layers))
-	var gradFlow *tensor.Tensor
-	for i := len(net.Layers) - 1; i >= 0; i-- {
-		l := net.Layers[i]
-		if boundary[i] {
-			// Local supervision: the flow from the block above is severed at
-			// the attachment boundary, so this layer — and everything below
-			// it — is driven purely by its block's own classifier injection.
-			gradFlow = nil
-		}
-		gradOut := gradFlow
-		if inj := gradsAt[i]; inj != nil {
-			if gradOut == nil {
-				gradOut = inj.Clone()
-			} else {
-				tensor.AXPY(gradOut, 1, inj)
-			}
-		}
-		if gradOut == nil {
-			gradOut = tensor.New(states[i].O.Shape()...)
-		}
-		inputT := x
-		if i > 0 {
-			inputT = states[i-1].O
-		}
-		var din *layers.Delta
-		if deltas != nil {
-			din = deltas[i]
-		}
-		gradIn, dout := l.Backward(inputT, states[i], gradOut, din)
-		newDeltas[i] = dout
-		gradFlow = gradIn
-	}
-	return newDeltas
 }

@@ -89,8 +89,8 @@ func (tr *Trainer) trainSegments(input []*tensor.Tensor, labels []int, plan segm
 			walk = append(walk[:1], survivors...)
 		}
 
-		// Steps 3/4: shallow recompute over survivors only. State hops
-		// directly between surviving timesteps.
+		// Steps 3/4: shallow recompute over survivors only, layer by layer.
+		// State hops directly between surviving timesteps.
 		if !plan.keepAll {
 			replay, rec, quiet := walk[1:], time.Now(), st.QuietSteps
 			if _, err := p.forward(replay, p.rs.get(start)); err != nil {
@@ -101,8 +101,8 @@ func (tr *Trainer) trainSegments(input []*tensor.Tensor, labels []int, plan segm
 				trace.Attr{Key: "survivors", Val: int64(len(replay))}, p.quietSince(quiet))
 		}
 
-		// Step 5: backward over the segment's records, consuming and
-		// freeing them.
+		// Step 5: backward over the segment's records, layer by layer,
+		// consuming and freeing them.
 		bwd := time.Now()
 		p.backward(walk, -1, inject)
 		tr.phaseDone(&st.BackwardTime, "backward", bwd, segAttr)
@@ -122,23 +122,23 @@ type pass struct {
 	input []*tensor.Tensor
 	rs    *recordStore
 	st    *StepStats
-	// deltas is the δ recursion's carry between backward steps (and, for the
-	// two-pass strategies, between segments).
+	// deltas is the δ recursion's carry between backward walks (between
+	// segments, for the two-pass strategies).
 	deltas []*layers.Delta
-	// backStep is the per-timestep δ recursion; TBPTT-LBP substitutes its
-	// gradient-blocked variant.
-	backStep func(x *tensor.Tensor, states []*layers.LayerState, gradsAt map[int]*tensor.Tensor, deltas []*layers.Delta) []*layers.Delta
-	// quiet is the leak-only step for timesteps whose input is zero for the
-	// whole batch. Its cached zero-input currents depend on the biases, so
-	// it lives for this batch only and never sees an optimizer step. The
-	// cache is a broadcast of each layer's bias held in host scratch, like
-	// the per-lane im2col columns, and is not charged to the device.
+	// cut names the layers the backward walk gives no gradient from the
+	// layer above: TBPTT-LBP's local supervision.
+	cut map[int]bool
+	// quiet is the first pass's leak-only step for timesteps whose input is
+	// zero for the whole batch. Its cached zero-input currents depend on the
+	// biases, so it lives for this batch only and never sees an optimizer
+	// step. The cache is a broadcast of each layer's bias held in host
+	// scratch, like the per-lane im2col columns, and is not charged to the
+	// device.
 	quiet *layers.QuietState
 }
 
 func (tr *Trainer) newPass(input []*tensor.Tensor, st *StepStats) *pass {
-	return &pass{tr: tr, input: input, rs: tr.newRecordStore(), st: st, backStep: tr.Net.BackwardStep,
-		quiet: layers.NewQuietState(tr.Net, st.N)}
+	return &pass{tr: tr, input: input, rs: tr.newRecordStore(), st: st, quiet: layers.NewQuietState(tr.Net, st.N)}
 }
 
 // step advances the network one timestep from prev. Event data is mostly
@@ -147,13 +147,19 @@ func (tr *Trainer) newPass(input []*tensor.Tensor, st *StepStats) *pass {
 // bitwise identical to ForwardStep on the zero input (a stack it does not
 // model takes the full step, as a quiet streaming window does).
 func (p *pass) step(t int, prev []*layers.LayerState) []*layers.LayerState {
-	if allZero(p.input[t]) {
+	if p.isQuiet(t) {
 		if states, ok := p.quiet.Step(prev); ok {
 			p.st.QuietSteps++
 			return states
 		}
 	}
 	return p.tr.Net.ForwardStep(p.input[t], prev)
+}
+
+// isQuiet reports whether timestep t's input is zero for the whole batch and
+// the quiet step covers the network.
+func (p *pass) isQuiet(t int) bool {
+	return p.quiet.Supported() && allZero(p.input[t])
 }
 
 func allZero(x *tensor.Tensor) bool {
@@ -223,29 +229,55 @@ func (p *pass) firstPass(plan segmentPlan, la *lossAccumulator) error {
 }
 
 // forward advances the network from states over the given timesteps (hopping
-// directly from one listed step to the next), storing every record, and
-// returns the last step's state.
+// directly from one listed step to the next) in one layer-major walk, stores
+// every record, and returns the last step's state. The records are charged
+// in time order once the walk is done; nothing else is charged meanwhile, so
+// the device sees the same sequence of allocations as a step-at-a-time walk.
+// A quiet step is counted as in the first pass; the walk's kernels give its
+// all-zero images a bias add (tensor.Conv2D).
 func (p *pass) forward(steps []int, states []*layers.LayerState) ([]*layers.LayerState, error) {
-	for _, t := range steps {
-		states = p.step(t, states)
-		if err := p.rs.put(t, states, false); err != nil {
+	if len(steps) == 0 {
+		return states, nil
+	}
+	xs := make([]*tensor.Tensor, len(steps))
+	for i, t := range steps {
+		xs[i] = p.input[t]
+		if p.isQuiet(t) {
+			p.st.QuietSteps++
+		}
+	}
+	recs := p.tr.Net.Forward(xs, states)
+	for i, t := range steps {
+		if err := p.rs.put(t, recs[i], false); err != nil {
 			return nil, fmt.Errorf("t=%d: %w", t, err)
 		}
 	}
-	return states, nil
+	return recs[len(recs)-1], nil
 }
 
-// backward walks δ back over the stored records of the given timesteps,
-// last to first, dropping each as it is consumed — except keep's (-1: none),
-// which a windowed caller still needs as the next window's start state.
-// inject returns the loss gradients entering at timestep t, by layer index.
+// backward walks δ back over the stored records of the given timesteps in
+// one layer-major walk, then drops them — except keep's (-1: none), which a
+// windowed caller still needs as the next window's start state and the walk
+// leaves intact. inject returns the loss gradients entering at timestep t,
+// by layer index. Nothing is charged during the walk, so dropping the
+// records at its end leaves the device where dropping each as it was
+// consumed did.
 func (p *pass) backward(steps []int, keep int, inject func(t int) map[int]*tensor.Tensor) {
-	for i := len(steps) - 1; i >= 0; i-- {
-		t := steps[i]
-		p.deltas = p.backStep(p.input[t], p.rs.get(t), inject(t), p.deltas)
+	xs := make([]*tensor.Tensor, len(steps))
+	recs := make([][]*layers.LayerState, len(steps))
+	injs := make([]map[int]*tensor.Tensor, len(steps))
+	kept := -1
+	for i, t := range steps {
+		xs[i], recs[i], injs[i] = p.input[t], p.rs.get(t), inject(t)
+		if t == keep {
+			kept = i
+		}
+	}
+	p.deltas = p.tr.Net.Backward(xs, recs, injs, p.deltas, p.cut, kept)
+	for _, t := range steps {
 		if t != keep {
 			p.rs.drop(t)
 		}
-		p.st.BackwardSteps++
 	}
+	p.st.BackwardSteps += len(steps)
 }

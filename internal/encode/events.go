@@ -27,10 +27,7 @@ func BinEvents(events [][]Event, durations []int, h, w, T int) []*tensor.Tensor 
 	if len(durations) != b {
 		panic(fmt.Sprintf("encode: %d durations for %d samples", len(durations), b))
 	}
-	train := make([]*tensor.Tensor, T)
-	for t := range train {
-		train[t] = tensor.New(b, 2, h, w)
-	}
+	train := newTrain(T, []int{b, 2, h, w})
 	for i, evs := range events {
 		dur := durations[i]
 		if dur <= 0 {

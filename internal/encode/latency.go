@@ -28,10 +28,7 @@ func (l Latency) EncodeTrain(frames *tensor.Tensor, T int) []*tensor.Tensor {
 	if min == 0 {
 		min = 0.05
 	}
-	train := make([]*tensor.Tensor, T)
-	for t := range train {
-		train[t] = tensor.New(frames.Shape()...)
-	}
+	train := newTrain(T, frames.Shape())
 	for i, v := range frames.Data {
 		if v < min {
 			continue

@@ -62,11 +62,25 @@ func (p Poisson) EncodeStep(dst, frames *tensor.Tensor, sampleIDs []uint64, t in
 // materialises the whole input spike tensor on the device (the "input"
 // memory category of the paper's breakdown figures).
 func (p Poisson) EncodeTrain(frames *tensor.Tensor, sampleIDs []uint64, T int) []*tensor.Tensor {
-	train := make([]*tensor.Tensor, T)
-	for t := 0; t < T; t++ {
-		st := tensor.New(frames.Shape()...)
+	train := newTrain(T, frames.Shape())
+	for t, st := range train {
 		p.EncodeStep(st, frames, sampleIDs, t)
-		train[t] = st
+	}
+	return train
+}
+
+// newTrain allocates a T-step train of batches of the given shape as one
+// block, latest step first. A run of consecutive timesteps is then one
+// contiguous operand, which the training walk's kernels take in one call
+// (layers.Network.Forward); the bytes are those of T separate tensors.
+func newTrain(T int, shape []int) []*tensor.Tensor {
+	train := make([]*tensor.Tensor, T)
+	if T == 0 {
+		return train
+	}
+	slots := tensor.New(append([]int{T * shape[0]}, shape[1:]...)...).Slots(T)
+	for t := range train {
+		train[t] = slots[T-1-t]
 	}
 	return train
 }

@@ -93,77 +93,79 @@ func (l *SpikingConv2D) Params() []Param {
 // OutShape returns the built per-sample output shape.
 func (l *SpikingConv2D) OutShape() []int { return l.outShape }
 
-// Forward implements Layer.
+// Forward implements Layer: forwardSteps on one step.
 func (l *SpikingConv2D) Forward(x *tensor.Tensor, prev *LayerState) *LayerState {
-	b := x.Dim(0)
-	u := tensor.New(b, l.outShape[0], l.outShape[1], l.outShape[2])
-	// Compute the synaptic current directly into u, then fold in the
-	// leak/reset recurrence.
-	tensor.Conv2D(l.pool, u, x, l.weight, l.bias, l.Spec, l.scratch)
-	return l.fire(u, prev, b)
+	return forwardOne(l, x, prev)
+}
+
+// forwardSteps implements stepLayer: the synaptic current of every step is
+// computed directly into the records' U block by one convolution per run of
+// contiguous inputs, then the leak/reset recurrence is scanned in time order.
+func (l *SpikingConv2D) forwardSteps(xs []*tensor.Tensor, prev *LayerState, out []*LayerState) {
+	us := newSteps(len(xs), xs[0].Dim(0), l.outShape)
+	eachRun(xs, us, func(x, u *tensor.Tensor) {
+		tensor.Conv2D(l.pool, u, x, l.weight, l.bias, l.Spec, l.scratch)
+	})
+	scan(us, newSteps(len(xs), xs[0].Dim(0), l.outShape), prev, l.fire, out)
 }
 
 // ForwardPacked implements PackedForward: the convolution runs on a packed
 // im2col of the input spike bits (bit-identical to the dense Conv2D).
 func (l *SpikingConv2D) ForwardPacked(_ *tensor.Tensor, xp *tensor.PackedSpikes, prev *LayerState) *LayerState {
-	b := xp.Shape()[0]
-	u := tensor.New(b, l.outShape[0], l.outShape[1], l.outShape[2])
-	tensor.Conv2DPacked(l.pool, u, xp, l.weight, l.bias, l.Spec, l.scratch)
-	return l.fire(u, prev, b)
-}
-
-// fire folds in the leak/reset recurrence and packages the state record.
-func (l *SpikingConv2D) fire(u *tensor.Tensor, prev *LayerState, b int) *LayerState {
-	o := tensor.New(b, l.outShape[0], l.outShape[1], l.outShape[2])
-	stepLIFPrev(l.pool, u, o, prev, l.Neuron)
-	st := &LayerState{U: u, O: o}
-	if l.spikePack {
-		packOutput(st, o)
-	}
+	shape := append([]int{xp.Shape()[0]}, l.outShape...)
+	st := &LayerState{U: tensor.New(shape...), O: tensor.New(shape...)}
+	tensor.Conv2DPacked(l.pool, st.U, xp, l.weight, l.bias, l.Spec, l.scratch)
+	l.fire(st, prev)
 	return st
 }
 
-// Backward implements Layer. It computes
+// fire folds the leak/reset recurrence into st.U, which holds the step's
+// synaptic current, and fires st.O.
+func (l *SpikingConv2D) fire(st, prev *LayerState) {
+	stepLIFPrev(l.pool, st.U, st.O, prev, l.Neuron)
+	if l.spikePack {
+		packOutput(st, st.O)
+	}
+}
+
+// Backward implements Layer: backwardSteps on one step.
+func (l *SpikingConv2D) Backward(x *tensor.Tensor, st *LayerState, gradOut *tensor.Tensor, deltaIn *Delta) (*tensor.Tensor, *Delta) {
+	return backwardOne(l, x, st, gradOut, deltaIn, !l.inputLayer)
+}
+
+// backwardSteps implements stepLayer. It computes
 //
 //	δ_t = σ'(U_t) ⊙ ∂L/∂o_t + λ·δ_{t+1}
-//	∂L/∂x_t = convGradInput(δ_t, W)
 //	∂W     += convGradWeight(δ_t, x_t)
+//	∂L/∂x_t = convGradInput(δ_t, W)
 //
-// The reset-path gradient is ignored, as in the paper.
-func (l *SpikingConv2D) Backward(x *tensor.Tensor, st *LayerState, gradOut *tensor.Tensor, deltaIn *Delta) (*tensor.Tensor, *Delta) {
-	delta := tensor.New(st.U.Shape()...)
-	var next *tensor.Tensor
-	if deltaIn != nil {
-		next = deltaIn.D
+// the weight gradient over every step before any ∂L/∂x_t is written, since
+// the walk may write ∂L/∂x_t over x_t.
+func (l *SpikingConv2D) backwardSteps(g *stepGrads, deltaIn *Delta) *Delta {
+	last := g.scanDeltas(l.pool, deltaIn, l.Neuron, l.Surrogate)
+	eachRun(g.delta, g.x, func(d, x *tensor.Tensor) {
+		tensor.Conv2DGradWeight(l.pool, l.gradW, l.gradB, d, x, l.Spec, l.scratch)
+	})
+	if g.gradIn != nil {
+		eachRun(g.delta, g.gradIn, func(d, gi *tensor.Tensor) {
+			tensor.Conv2DGradInput(l.pool, gi, d, l.weight, l.Spec, l.scratch)
+		})
 	}
-	snn.SurrogateDelta(l.pool, delta, st.U, gradOut, next, l.Neuron.Threshold, l.Neuron.Leak, l.Surrogate)
-	tensor.Conv2DGradWeight(l.pool, l.gradW, l.gradB, delta, x, l.Spec, l.scratch)
-	return l.gradInput(x.Shape(), delta), &Delta{D: delta}
+	return &Delta{D: last}
 }
 
 // BackwardPacked implements PackedBackward: the input spikes feed only the
 // weight gradient, which the packed gather kernel accumulates bit-identically
 // without expanding a lazy checkpoint record.
 func (l *SpikingConv2D) BackwardPacked(xp *tensor.PackedSpikes, st *LayerState, gradOut *tensor.Tensor, deltaIn *Delta) (*tensor.Tensor, *Delta) {
-	delta := tensor.New(st.U.Shape()...)
-	var next *tensor.Tensor
-	if deltaIn != nil {
-		next = deltaIn.D
-	}
-	snn.SurrogateDelta(l.pool, delta, st.U, gradOut, next, l.Neuron.Threshold, l.Neuron.Leak, l.Surrogate)
+	delta := oneStep(nil, st, gradOut, false).scanDeltas(l.pool, deltaIn, l.Neuron, l.Surrogate)
 	tensor.Conv2DGradWeightPacked(l.pool, l.gradW, l.gradB, delta, xp, l.Spec, l.scratch)
-	return l.gradInput(xp.Shape(), delta), &Delta{D: delta}
-}
-
-// gradInput is ∂L/∂x_t = convGradInput(δ_t, W), or nil on the network's
-// input layer.
-func (l *SpikingConv2D) gradInput(xShape []int, delta *tensor.Tensor) *tensor.Tensor {
 	if l.inputLayer {
-		return nil
+		return nil, &Delta{D: delta}
 	}
-	gradIn := tensor.New(xShape...)
+	gradIn := tensor.New(xp.Shape()...)
 	tensor.Conv2DGradInput(l.pool, gradIn, delta, l.weight, l.Spec, l.scratch)
-	return gradIn
+	return gradIn, &Delta{D: delta}
 }
 
 // StateBytes implements Layer: U and O per stored timestep.

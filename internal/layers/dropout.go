@@ -76,26 +76,38 @@ func (l *Dropout) applyMask(dst, src *tensor.Tensor) {
 	}
 }
 
-// Forward implements Layer.
-func (l *Dropout) Forward(x *tensor.Tensor, _ *LayerState) *LayerState {
-	o := tensor.New(x.Shape()...)
+// apply writes src through the mask into dst (a copy without one).
+func (l *Dropout) apply(src, dst *tensor.Tensor) {
 	if l.mask == nil {
-		copy(o.Data, x.Data)
+		copy(dst.Data, src.Data)
 	} else {
-		l.applyMask(o, x)
+		l.applyMask(dst, src)
 	}
-	return &LayerState{O: o}
 }
 
-// Backward implements Layer.
+// Forward implements Layer: forwardSteps on one step.
+func (l *Dropout) Forward(x *tensor.Tensor, _ *LayerState) *LayerState {
+	return forwardOne(l, x, nil)
+}
+
+// forwardSteps implements stepLayer.
+func (l *Dropout) forwardSteps(xs []*tensor.Tensor, _ *LayerState, out []*LayerState) {
+	os := newSteps(len(xs), xs[0].Dim(0), xs[0].Shape()[1:])
+	eachRun(xs, os, l.apply)
+	outputs(os, out)
+}
+
+// Backward implements Layer: backwardSteps on one step.
 func (l *Dropout) Backward(x *tensor.Tensor, _ *LayerState, gradOut *tensor.Tensor, _ *Delta) (*tensor.Tensor, *Delta) {
-	gradIn := tensor.New(x.Shape()...)
-	if l.mask == nil {
-		copy(gradIn.Data, gradOut.Data)
-	} else {
-		l.applyMask(gradIn, gradOut)
+	return backwardOne(l, x, nil, gradOut, nil, true)
+}
+
+// backwardSteps implements stepLayer.
+func (l *Dropout) backwardSteps(g *stepGrads, _ *Delta) *Delta {
+	if g.gradIn != nil {
+		eachRun(g.gradOut, g.gradIn, l.apply)
 	}
-	return gradIn, nil
+	return nil
 }
 
 // StateBytes implements Layer.

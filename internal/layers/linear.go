@@ -91,99 +91,106 @@ func (l *SpikingLinear) flatten(x *tensor.Tensor) *tensor.Tensor {
 	return x.Reshape(b, l.inFeatures)
 }
 
-// Forward implements Layer.
+// Forward implements Layer: forwardSteps on one step.
 func (l *SpikingLinear) Forward(x *tensor.Tensor, prev *LayerState) *LayerState {
-	xf := l.flatten(x)
-	b := xf.Dim(0)
-	u := tensor.New(b, l.Out)
-	tensor.MatMulTransB(l.pool, u, xf, l.weight) // current = x·Wᵀ
-	tensor.AddRowBias(u, l.bias)
-	return l.fire(u, prev, b)
+	return forwardOne(l, x, prev)
+}
+
+// forwardSteps implements stepLayer: one matrix product per run of
+// contiguous inputs, then the recurrence scanned in time order.
+func (l *SpikingLinear) forwardSteps(xs []*tensor.Tensor, prev *LayerState, out []*LayerState) {
+	shape := []int{l.Out}
+	us := newSteps(len(xs), xs[0].Dim(0), shape)
+	eachRun(xs, us, func(x, u *tensor.Tensor) {
+		tensor.MatMulTransB(l.pool, u, l.flatten(x), l.weight) // current = x·Wᵀ
+		tensor.AddRowBias(u, l.bias)
+	})
+	scan(us, newSteps(len(xs), xs[0].Dim(0), shape), prev, l.fire, out)
 }
 
 // ForwardPacked implements PackedForward: the synaptic current is gathered
 // straight from the input spike bits (bit-identical to the dense matmul).
 func (l *SpikingLinear) ForwardPacked(_ *tensor.Tensor, xp *tensor.PackedSpikes, prev *LayerState) *LayerState {
 	b := xp.Shape()[0]
-	u := tensor.New(b, l.Out)
-	tensor.MatMulTransBPacked(l.pool, u, xp, l.weight) // current = x·Wᵀ over set bits
-	tensor.AddRowBias(u, l.bias)
-	return l.fire(u, prev, b)
-}
-
-// fire folds in the leak/reset recurrence and packages the state record.
-func (l *SpikingLinear) fire(u *tensor.Tensor, prev *LayerState, b int) *LayerState {
-	if l.Readout {
-		// Pure integrator: U_t = λ·U_{t−1} + I_t, no spike, no reset.
-		if prev != nil {
-			tensor.AXPY(u, l.Neuron.Leak, prev.U)
-		}
-		return &LayerState{U: u, O: u.Clone()}
-	}
-	o := tensor.New(b, l.Out)
-	stepLIFPrev(l.pool, u, o, prev, l.Neuron)
-	st := &LayerState{U: u, O: o}
-	if l.spikePack {
-		packOutput(st, o)
-	}
+	st := &LayerState{U: tensor.New(b, l.Out), O: tensor.New(b, l.Out)}
+	tensor.MatMulTransBPacked(l.pool, st.U, xp, l.weight) // current = x·Wᵀ over set bits
+	tensor.AddRowBias(st.U, l.bias)
+	l.fire(st, prev)
 	return st
 }
 
-// Backward implements Layer; see SpikingConv2D.Backward for the recursion.
-// For a readout layer σ' ≡ 1 (the output is the membrane itself).
-func (l *SpikingLinear) Backward(x *tensor.Tensor, st *LayerState, gradOut *tensor.Tensor, deltaIn *Delta) (*tensor.Tensor, *Delta) {
-	xf := l.flatten(x)
-	b := xf.Dim(0)
-	delta := tensor.New(b, l.Out)
-	var next *tensor.Tensor
-	if deltaIn != nil {
-		next = deltaIn.D
-	}
+// fire folds the leak/reset recurrence into st.U, which holds the step's
+// synaptic current, and fires st.O.
+func (l *SpikingLinear) fire(st, prev *LayerState) {
 	if l.Readout {
-		copy(delta.Data, gradOut.Data)
-		if next != nil {
-			tensor.AXPY(delta, l.Neuron.Leak, next)
+		// Pure integrator: U_t = λ·U_{t−1} + I_t, no spike, no reset.
+		if prev != nil {
+			tensor.AXPY(st.U, l.Neuron.Leak, prev.U)
 		}
-	} else {
-		snn.SurrogateDelta(l.pool, delta, st.U, gradOut, next, l.Neuron.Threshold, l.Neuron.Leak, l.Surrogate)
+		copy(st.O.Data, st.U.Data)
+		return
 	}
-	tensor.MatMulTransAAcc(l.pool, l.gradW, delta, xf) // ∂W += δᵀ·x
-	tensor.SumPerColumn(l.gradB, delta)                // ∂b += Σ_batch δ
-	return l.gradInput(x.Shape(), delta), &Delta{D: delta}
+	stepLIFPrev(l.pool, st.U, st.O, prev, l.Neuron)
+	if l.spikePack {
+		packOutput(st, st.O)
+	}
+}
+
+// Backward implements Layer: backwardSteps on one step.
+func (l *SpikingLinear) Backward(x *tensor.Tensor, st *LayerState, gradOut *tensor.Tensor, deltaIn *Delta) (*tensor.Tensor, *Delta) {
+	return backwardOne(l, x, st, gradOut, deltaIn, !l.inputLayer)
+}
+
+// backwardSteps implements stepLayer; see SpikingConv2D.backwardSteps for
+// the recursion. For a readout layer σ' ≡ 1 (the output is the membrane
+// itself).
+func (l *SpikingLinear) backwardSteps(g *stepGrads, deltaIn *Delta) *Delta {
+	last := l.scanDeltas(g, deltaIn)
+	eachRun(g.delta, g.x, func(d, x *tensor.Tensor) {
+		tensor.MatMulTransAAcc(l.pool, l.gradW, d, l.flatten(x)) // ∂W += δᵀ·x
+		tensor.SumPerColumn(l.gradB, d)                          // ∂b += Σ_batch δ
+	})
+	if g.gradIn != nil {
+		eachRun(g.delta, g.gradIn, func(d, gi *tensor.Tensor) {
+			tensor.MatMul(l.pool, gi.Reshape(d.Dim(0), l.inFeatures), d, l.weight) // ∂L/∂x = δ·W
+		})
+	}
+	return &Delta{D: last}
+}
+
+// scanDeltas is stepGrads.scanDeltas, or for a readout the integrator's
+// δ_t = ∂L/∂o_t + λ·δ_{t+1}.
+func (l *SpikingLinear) scanDeltas(g *stepGrads, deltaIn *Delta) *tensor.Tensor {
+	if !l.Readout {
+		return g.scanDeltas(l.pool, deltaIn, l.Neuron, l.Surrogate)
+	}
+	var last *tensor.Tensor
+	if deltaIn != nil {
+		last = deltaIn.D
+	}
+	for j, d := range g.delta {
+		copy(d.Data, g.gradOut[j].Data)
+		if last != nil {
+			tensor.AXPY(d, l.Neuron.Leak, last)
+		}
+		last = d
+	}
+	return last
 }
 
 // BackwardPacked implements PackedBackward: the input spikes enter the
 // weight gradient only, and the packed accumulate kernel is bit-identical to
 // the dense one, so a lazy checkpoint record never needs expanding here.
 func (l *SpikingLinear) BackwardPacked(xp *tensor.PackedSpikes, st *LayerState, gradOut *tensor.Tensor, deltaIn *Delta) (*tensor.Tensor, *Delta) {
-	b := xp.Shape()[0]
-	delta := tensor.New(b, l.Out)
-	var next *tensor.Tensor
-	if deltaIn != nil {
-		next = deltaIn.D
-	}
-	if l.Readout {
-		copy(delta.Data, gradOut.Data)
-		if next != nil {
-			tensor.AXPY(delta, l.Neuron.Leak, next)
-		}
-	} else {
-		snn.SurrogateDelta(l.pool, delta, st.U, gradOut, next, l.Neuron.Threshold, l.Neuron.Leak, l.Surrogate)
-	}
+	delta := l.scanDeltas(oneStep(nil, st, gradOut, false), deltaIn)
 	tensor.MatMulTransAPackedAcc(l.pool, l.gradW, delta, xp) // ∂W += δᵀ·x over set bits
 	tensor.SumPerColumn(l.gradB, delta)                      // ∂b += Σ_batch δ
-	return l.gradInput(xp.Shape(), delta), &Delta{D: delta}
-}
-
-// gradInput is ∂L/∂x = δ·W in the caller's view of x, or nil on the
-// network's input layer.
-func (l *SpikingLinear) gradInput(xShape []int, delta *tensor.Tensor) *tensor.Tensor {
 	if l.inputLayer {
-		return nil
+		return nil, &Delta{D: delta}
 	}
 	gradFlat := tensor.New(delta.Dim(0), l.inFeatures)
 	tensor.MatMul(l.pool, gradFlat, delta, l.weight)
-	return gradFlat.Reshape(xShape...)
+	return gradFlat.Reshape(xp.Shape()...), &Delta{D: delta}
 }
 
 // StateBytes implements Layer: U and O per stored timestep.

@@ -8,9 +8,10 @@ import (
 )
 
 // Network is a feed-forward stack of layers unrolled in time by the training
-// engine. It provides the single-timestep forward and backward primitives
-// that every training strategy (BPTT, checkpointing, Skipper, TBPTT,
-// TBPTT-LBP) composes.
+// engine. It provides the layer-major forward and backward walks over a run
+// of timesteps (walk.go), and their single-timestep case, that every
+// training strategy (BPTT, checkpointing, Skipper, TBPTT, TBPTT-LBP)
+// composes.
 type Network struct {
 	Name    string
 	InShape []int // per-sample input shape [C,H,W]
@@ -206,36 +207,11 @@ func (n *Network) setRecompute(on bool) {
 	}
 }
 
-// ForwardStep advances the whole stack one timestep. x is the input spikes
-// [B, InShape...]; prev is the per-layer state at t−1 (nil at t = 0).
-// The returned slice has one state per layer.
+// ForwardStep advances the whole stack one timestep: Forward on one step. x
+// is the input spikes [B, InShape...]; prev is the per-layer state at t−1
+// (nil at t = 0). The returned slice has one state per layer.
 func (n *Network) ForwardStep(x *tensor.Tensor, prev []*LayerState) []*LayerState {
-	n.mustBuilt()
-	states := make([]*LayerState, len(n.Layers))
-	cur := x
-	var curP *tensor.PackedSpikes
-	if n.spikePack {
-		// Pack the network input too when it is binary (rate/latency-coded
-		// spikes); a non-binary input simply leaves the first layer dense.
-		curP, _ = tensor.PackSpikes(x)
-	}
-	for i, l := range n.Layers {
-		var p *LayerState
-		if prev != nil {
-			p = prev[i]
-		}
-		var st *LayerState
-		if pf, ok := l.(PackedForward); ok && curP != nil {
-			st = pf.ForwardPacked(cur, curP, p)
-		} else {
-			st = l.Forward(cur, p)
-		}
-		states[i] = st
-		// The packed chain flows only through layers publishing packed
-		// outputs; anything else (pools, dropout, norm) drops back to dense.
-		cur, curP = st.O, st.OPacked
-	}
-	return states
+	return n.Forward([]*tensor.Tensor{x}, prev)[0]
 }
 
 // Logits returns the readout output of the final layer for a timestep's
@@ -259,56 +235,13 @@ func (n *Network) SpikeSum(states []*LayerState) float64 {
 }
 
 // BackwardStep runs one timestep of the δ recursion from the top of the
-// stack to the bottom. x and states are the input and records at time t.
-// gradsAt injects external ∂L/∂o_t gradients by layer index (the final
-// layer's entry is the loss gradient; TBPTT-LBP adds local-classifier
-// entries at interior layers). deltas carries δ_{t+1} per layer (nil at the
-// last computed timestep) and the replacement δ_t slice is returned.
+// stack to the bottom: Backward on one step, which leaves the caller's
+// records intact. x and states are the input and records at time t. gradsAt
+// injects external ∂L/∂o_t gradients by layer index (the final layer's entry
+// is the loss gradient). deltas carries δ_{t+1} per layer (nil at the last
+// computed timestep) and the replacement δ_t slice is returned.
 func (n *Network) BackwardStep(x *tensor.Tensor, states []*LayerState, gradsAt map[int]*tensor.Tensor, deltas []*Delta) []*Delta {
-	n.mustBuilt()
-	if len(states) != len(n.Layers) {
-		panic(fmt.Sprintf("layers: BackwardStep got %d states for %d layers", len(states), len(n.Layers)))
-	}
-	newDeltas := make([]*Delta, len(n.Layers))
-	var gradFlow *tensor.Tensor
-	for i := len(n.Layers) - 1; i >= 0; i-- {
-		l := n.Layers[i]
-		gradOut := gradFlow
-		if inj := gradsAt[i]; inj != nil {
-			if gradOut == nil {
-				gradOut = inj.Clone()
-			} else {
-				tensor.AXPY(gradOut, 1, inj)
-			}
-		}
-		if gradOut == nil {
-			gradOut = tensor.New(states[i].OutShape()...)
-		}
-		var din *Delta
-		if deltas != nil {
-			din = deltas[i]
-		}
-		var prevPacked *tensor.PackedSpikes
-		if i > 0 {
-			prevPacked = states[i-1].OPacked
-		}
-		var gradIn *tensor.Tensor
-		var dout *Delta
-		if pb, ok := l.(PackedBackward); ok && prevPacked != nil {
-			// The input spikes stay packed; a lazily materialised boundary
-			// record is consumed without ever expanding to dense.
-			gradIn, dout = pb.BackwardPacked(prevPacked, states[i], gradOut, din)
-		} else {
-			input := x
-			if i > 0 {
-				input = states[i-1].DenseO()
-			}
-			gradIn, dout = l.Backward(input, states[i], gradOut, din)
-		}
-		newDeltas[i] = dout
-		gradFlow = gradIn
-	}
-	return newDeltas
+	return n.Backward([]*tensor.Tensor{x}, [][]*LayerState{states}, []map[int]*tensor.Tensor{gradsAt}, deltas, nil, 0)
 }
 
 // RecordBytes returns the activation bytes of one stored timestep for a

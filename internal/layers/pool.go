@@ -44,19 +44,29 @@ func (l *AvgPool2D) Build(inShape []int, _ *tensor.RNG) ([]int, error) {
 // Params implements Layer.
 func (l *AvgPool2D) Params() []Param { return nil }
 
-// Forward implements Layer.
+// Forward implements Layer: forwardSteps on one step.
 func (l *AvgPool2D) Forward(x *tensor.Tensor, _ *LayerState) *LayerState {
-	b := x.Dim(0)
-	o := tensor.New(b, l.outShape[0], l.outShape[1], l.outShape[2])
-	tensor.AvgPool2D(o, x, l.K)
-	return &LayerState{O: o}
+	return forwardOne(l, x, nil)
 }
 
-// Backward implements Layer.
+// forwardSteps implements stepLayer.
+func (l *AvgPool2D) forwardSteps(xs []*tensor.Tensor, _ *LayerState, out []*LayerState) {
+	os := newSteps(len(xs), xs[0].Dim(0), l.outShape)
+	eachRun(xs, os, func(x, o *tensor.Tensor) { tensor.AvgPool2D(o, x, l.K) })
+	outputs(os, out)
+}
+
+// Backward implements Layer: backwardSteps on one step.
 func (l *AvgPool2D) Backward(x *tensor.Tensor, _ *LayerState, gradOut *tensor.Tensor, _ *Delta) (*tensor.Tensor, *Delta) {
-	gradIn := tensor.New(x.Shape()...)
-	tensor.AvgPool2DGrad(gradIn, gradOut, l.K)
-	return gradIn, nil
+	return backwardOne(l, x, nil, gradOut, nil, true)
+}
+
+// backwardSteps implements stepLayer.
+func (l *AvgPool2D) backwardSteps(g *stepGrads, _ *Delta) *Delta {
+	if g.gradIn != nil {
+		eachRun(g.gradOut, g.gradIn, func(d, gi *tensor.Tensor) { tensor.AvgPool2DGrad(gi, d, l.K) })
+	}
+	return nil
 }
 
 // StateBytes implements Layer: the pooled output per stored timestep.
@@ -94,19 +104,29 @@ func (l *GlobalAvgPool) Build(inShape []int, _ *tensor.RNG) ([]int, error) {
 // Params implements Layer.
 func (l *GlobalAvgPool) Params() []Param { return nil }
 
-// Forward implements Layer.
+// Forward implements Layer: forwardSteps on one step.
 func (l *GlobalAvgPool) Forward(x *tensor.Tensor, _ *LayerState) *LayerState {
-	b := x.Dim(0)
-	o := tensor.New(b, l.inShape[0])
-	tensor.GlobalAvgPool2D(o, x)
-	return &LayerState{O: o}
+	return forwardOne(l, x, nil)
 }
 
-// Backward implements Layer.
+// forwardSteps implements stepLayer.
+func (l *GlobalAvgPool) forwardSteps(xs []*tensor.Tensor, _ *LayerState, out []*LayerState) {
+	os := newSteps(len(xs), xs[0].Dim(0), l.inShape[:1])
+	eachRun(xs, os, func(x, o *tensor.Tensor) { tensor.GlobalAvgPool2D(o, x) })
+	outputs(os, out)
+}
+
+// Backward implements Layer: backwardSteps on one step.
 func (l *GlobalAvgPool) Backward(x *tensor.Tensor, _ *LayerState, gradOut *tensor.Tensor, _ *Delta) (*tensor.Tensor, *Delta) {
-	gradIn := tensor.New(x.Shape()...)
-	tensor.GlobalAvgPool2DGrad(gradIn, gradOut)
-	return gradIn, nil
+	return backwardOne(l, x, nil, gradOut, nil, true)
+}
+
+// backwardSteps implements stepLayer.
+func (l *GlobalAvgPool) backwardSteps(g *stepGrads, _ *Delta) *Delta {
+	if g.gradIn != nil {
+		eachRun(g.gradOut, g.gradIn, func(d, gi *tensor.Tensor) { tensor.GlobalAvgPool2DGrad(gi, d) })
+	}
+	return nil
 }
 
 // StateBytes implements Layer.

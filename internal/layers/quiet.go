@@ -119,7 +119,8 @@ func (q *QuietState) Step(prev []*LayerState) ([]*LayerState, bool) {
 					tensor.Conv2D(v.pool, u, zero, v.weight, v.bias, v.Spec, v.scratch)
 					return u
 				}).Clone()
-				st = v.fire(u, p, q.batch)
+				st = &LayerState{U: u, O: tensor.New(u.Shape()...)}
+				v.fire(st, p)
 			case *SpikingLinear:
 				u := q.current(i, func(zero *tensor.Tensor) *tensor.Tensor {
 					u := tensor.New(q.batch, v.Out)
@@ -127,7 +128,8 @@ func (q *QuietState) Step(prev []*LayerState) ([]*LayerState, bool) {
 					tensor.AddRowBias(u, v.bias)
 					return u
 				}).Clone()
-				st = v.fire(u, p, q.batch)
+				st = &LayerState{U: u, O: tensor.New(u.Shape()...)}
+				v.fire(st, p)
 			default:
 				// Stateless shape transforms (pools, dropout): zero in means
 				// zero out, but the record (max-pool argmax planes, shapes)

@@ -136,7 +136,7 @@ func (p *Pool) RunGrain(n, grain int, fn func(lane, lo, hi int)) {
 	if rem > 0 {
 		lane0hi++
 	}
-	var wg sync.WaitGroup
+	wg := waitGroups.Get().(*sync.WaitGroup)
 	lo := lane0hi
 	for lane := 1; lane < lanes; lane++ {
 		hi := lo + base
@@ -144,12 +144,17 @@ func (p *Pool) RunGrain(n, grain int, fn func(lane, lo, hi int)) {
 			hi++
 		}
 		wg.Add(1)
-		p.tasks <- task{fn: fn, lane: lane, lo: lo, hi: hi, wg: &wg}
+		p.tasks <- task{fn: fn, lane: lane, lo: lo, hi: hi, wg: wg}
 		lo = hi
 	}
 	fn(0, 0, lane0hi)
 	wg.Wait()
+	waitGroups.Put(wg)
 }
+
+// waitGroups recycles RunGrain's wait groups: kernels submit thousands of
+// runs per training step, and each would otherwise allocate one.
+var waitGroups = sync.Pool{New: func() any { return new(sync.WaitGroup) }}
 
 // observe folds one Run's lane occupancy into the utilization counters and,
 // when a tracer is attached, emits a sampled "pool_lanes" counter event

@@ -36,37 +36,41 @@ func (s ConvSpec) ColBufLen(h, w int) int {
 // [C*KH*KW, OH*OW] (row-major), honoring stride and padding. col must have
 // at least ColBufLen elements; contents are fully overwritten.
 func Im2Col(col []float32, x []float32, c, h, w int, s ConvSpec) {
+	im2colRows(col, x, h, w, s, 0, c*s.KernelH*s.KernelW)
+}
+
+// im2colRows writes rows [r0, r1) of x's im2col matrix — row (ch·KH+kh)·KW+kw
+// is input channel ch seen through kernel tap (kh, kw) — into col, which
+// starts at row r0.
+func im2colRows(col []float32, x []float32, h, w int, s ConvSpec, r0, r1 int) {
 	oh, ow := s.OutSize(h, w)
 	ohw := oh * ow
-	row := 0
-	for ch := 0; ch < c; ch++ {
+	taps := s.KernelH * s.KernelW
+	for row := r0; row < r1; row++ {
+		ch, tap := row/taps, row%taps
+		kh, kw := tap/s.KernelW, tap%s.KernelW
 		chBase := ch * h * w
-		for kh := 0; kh < s.KernelH; kh++ {
-			for kw := 0; kw < s.KernelW; kw++ {
-				dst := col[row*ohw : (row+1)*ohw]
-				row++
-				i := 0
-				for oy := 0; oy < oh; oy++ {
-					iy := oy*s.Stride + kh - s.Pad
-					if iy < 0 || iy >= h {
-						for ox := 0; ox < ow; ox++ {
-							dst[i] = 0
-							i++
-						}
-						continue
-					}
-					rowBase := chBase + iy*w
-					ix := kw - s.Pad
-					for ox := 0; ox < ow; ox++ {
-						if ix >= 0 && ix < w {
-							dst[i] = x[rowBase+ix]
-						} else {
-							dst[i] = 0
-						}
-						i++
-						ix += s.Stride
-					}
+		dst := col[(row-r0)*ohw : (row-r0+1)*ohw]
+		i := 0
+		for oy := 0; oy < oh; oy++ {
+			iy := oy*s.Stride + kh - s.Pad
+			if iy < 0 || iy >= h {
+				for ox := 0; ox < ow; ox++ {
+					dst[i] = 0
+					i++
 				}
+				continue
+			}
+			rowBase := chBase + iy*w
+			ix := kw - s.Pad
+			for ox := 0; ox < ow; ox++ {
+				if ix >= 0 && ix < w {
+					dst[i] = x[rowBase+ix]
+				} else {
+					dst[i] = 0
+				}
+				i++
+				ix += s.Stride
 			}
 		}
 	}
@@ -76,32 +80,35 @@ func Im2Col(col []float32, x []float32, c, h, w int, s ConvSpec) {
 // dx [C,H,W], accumulating overlapping contributions. dx is not zeroed;
 // callers zero it when starting a fresh accumulation.
 func Col2Im(dx []float32, col []float32, c, h, w int, s ConvSpec) {
+	col2imRows(dx, col, h, w, s, 0, c*s.KernelH*s.KernelW)
+}
+
+// col2imRows scatters rows [r0, r1) of an im2col matrix, held in col from
+// row r0, back into dx, row after row.
+func col2imRows(dx []float32, col []float32, h, w int, s ConvSpec, r0, r1 int) {
 	oh, ow := s.OutSize(h, w)
 	ohw := oh * ow
-	row := 0
-	for ch := 0; ch < c; ch++ {
+	taps := s.KernelH * s.KernelW
+	for row := r0; row < r1; row++ {
+		ch, tap := row/taps, row%taps
+		kh, kw := tap/s.KernelW, tap%s.KernelW
 		chBase := ch * h * w
-		for kh := 0; kh < s.KernelH; kh++ {
-			for kw := 0; kw < s.KernelW; kw++ {
-				src := col[row*ohw : (row+1)*ohw]
-				row++
-				i := 0
-				for oy := 0; oy < oh; oy++ {
-					iy := oy*s.Stride + kh - s.Pad
-					if iy < 0 || iy >= h {
-						i += ow
-						continue
-					}
-					rowBase := chBase + iy*w
-					ix := kw - s.Pad
-					for ox := 0; ox < ow; ox++ {
-						if ix >= 0 && ix < w {
-							dx[rowBase+ix] += src[i]
-						}
-						i++
-						ix += s.Stride
-					}
+		src := col[(row-r0)*ohw : (row-r0+1)*ohw]
+		i := 0
+		for oy := 0; oy < oh; oy++ {
+			iy := oy*s.Stride + kh - s.Pad
+			if iy < 0 || iy >= h {
+				i += ow
+				continue
+			}
+			rowBase := chBase + iy*w
+			ix := kw - s.Pad
+			for ox := 0; ox < ow; ox++ {
+				if ix >= 0 && ix < w {
+					dx[rowBase+ix] += src[i]
 				}
+				i++
+				ix += s.Stride
 			}
 		}
 	}
@@ -113,6 +120,12 @@ func Col2Im(dx []float32, col []float32, c, h, w int, s ConvSpec) {
 // a private im2col column from sc (nil sc allocates a throwaway workspace).
 // Every image is processed by exactly the serial per-image code, so the
 // output is bit-identical for every pool size.
+//
+// An image whose input is all zero (no spike this timestep) gets no im2col
+// and no product: its output is zero before the bias, which is what the
+// product gives for finite weights (each term is ±0 and the sum starts at
+// +0), the identity Conv2DGradWeight's zero-image skip relies on. A quiet
+// timestep in a batch of timesteps therefore costs a bias add.
 func Conv2D(p *parallel.Pool, out, x, weight, bias *Tensor, s ConvSpec, sc *Scratch) {
 	xs := x.Shape()
 	n, c, h, w := xs[0], xs[1], xs[2], xs[3]
@@ -128,11 +141,15 @@ func Conv2D(p *parallel.Pool, out, x, weight, bias *Tensor, s ConvSpec, sc *Scra
 	p.Run(n, func(lane, lo, hi int) {
 		col := sc.lane(lane, k*ohw)
 		for img := lo; img < hi; img++ {
-			Im2Col(col, x.Data[img*c*h*w:(img+1)*c*h*w], c, h, w, s)
 			dst := out.Data[img*s.OutChannels*ohw : (img+1)*s.OutChannels*ohw]
 			for i := range dst {
 				dst[i] = 0
 			}
+			ximg := x.Data[img*c*h*w : (img+1)*c*h*w]
+			if allZero(ximg) {
+				continue
+			}
+			Im2Col(col, ximg, c, h, w, s)
 			matmulAcc(dst, wMat, col, s.OutChannels, k, ohw)
 		}
 	})
@@ -143,8 +160,12 @@ func Conv2D(p *parallel.Pool, out, x, weight, bias *Tensor, s ConvSpec, sc *Scra
 
 // Conv2DGradInput computes dx = convBackwardInput(dout, weight) for
 // dout [N,Cout,OH,OW] and weight [Cout,Cin,KH,KW]. dx must have the input
-// shape [N,Cin,H,W] and is fully overwritten. Images partition across lanes
-// with per-lane columns, as in Conv2D.
+// shape [N,Cin,H,W] and is fully overwritten. Images partition across lanes.
+// Each row of the image's column gradient Wᵀ·dout (one input channel and
+// kernel tap) is summed over the output channels in ascending order into a
+// one-row buffer of the lane's column and scattered into dx at once, so
+// every dx element takes its taps in ascending row order, as a scatter of
+// the whole column would give them.
 func Conv2DGradInput(p *parallel.Pool, dx, dout, weight *Tensor, s ConvSpec, sc *Scratch) {
 	xs := dx.Shape()
 	n, c, h, w := xs[0], xs[1], xs[2], xs[3]
@@ -158,28 +179,29 @@ func Conv2DGradInput(p *parallel.Pool, dx, dout, weight *Tensor, s ConvSpec, sc 
 	sc.reserve(p.Lanes())
 	dx.Zero()
 	p.Run(n, func(lane, lo, hi int) {
-		col := sc.lane(lane, k*ohw)
+		row := sc.lane(lane, ohw)
 		for img := lo; img < hi; img++ {
-			// col = Wᵀ · dout[img]  with W [Cout,k], dout[img] [Cout,ohw].
-			for i := range col[:k*ohw] {
-				col[i] = 0
-			}
 			dslice := dout.Data[img*s.OutChannels*ohw : (img+1)*s.OutChannels*ohw]
-			for co := 0; co < s.OutChannels; co++ {
-				wrow := weight.Data[co*k : (co+1)*k]
-				drow := dslice[co*ohw : (co+1)*ohw]
-				for kk := 0; kk < k; kk++ {
-					wv := wrow[kk]
-					if wv == 0 {
+			for kk := 0; kk < k; kk++ {
+				// row = Σ_co W[co,kk]·dout[img,co], co ascending.
+				clear(row)
+				for co := 0; co < s.OutChannels; co++ {
+					w0 := weight.Data[co*k+kk]
+					if w0 == 0 {
 						continue
 					}
-					crow := col[kk*ohw : (kk+1)*ohw]
-					for j := range drow {
-						crow[j] += wv * drow[j]
+					d0 := dslice[co*ohw : (co+1)*ohw]
+					if co+1 < s.OutChannels {
+						if w1 := weight.Data[(co+1)*k+kk]; w1 != 0 {
+							axpy2(row, w0, d0, w1, dslice[(co+1)*ohw:(co+2)*ohw])
+							co++
+							continue
+						}
 					}
+					axpy(row, w0, d0)
 				}
+				col2imRows(dx.Data[img*c*h*w:(img+1)*c*h*w], row, h, w, s, kk, kk+1)
 			}
-			Col2Im(dx.Data[img*c*h*w:(img+1)*c*h*w], col, c, h, w, s)
 		}
 	})
 }
@@ -188,17 +210,19 @@ func Conv2DGradInput(p *parallel.Pool, dx, dout, weight *Tensor, s ConvSpec, sc 
 // dbias is non-nil, dbias += per-channel sums of dout. x is the forward input
 // [N,Cin,H,W]; dout [N,Cout,OH,OW]; dw [Cout,Cin,KH,KW].
 //
-// Parallelism is over OUTPUT channels, not images: each lane owns a disjoint
-// block of dW rows and walks the whole batch in ascending image order with a
-// private im2col column, so every dW element accumulates its per-image terms
-// in exactly the serial order — no cross-lane partial accumulators, no
-// reduction, bit-identical results for every pool size.
+// Parallelism is over the rows of the im2col matrix, which are dW's columns
+// (one per input channel and kernel tap): each lane unpacks only its rows of
+// every image into its own column buffer and owns the dW elements they feed.
+// So every image is unpacked once, with no workspace beyond one column per
+// lane, and every dW element accumulates its per-image terms in ascending
+// image order, exactly as the serial loop does — no cross-lane partial
+// accumulators, no reduction, bit-identical results for every pool size.
 //
 // An image whose input is all zero (a sample with no event this timestep)
 // is skipped: its column is zero, so for finite dout it would add ±0 to
 // every dW element, which changes none of them (dW accumulates up from +0
-// and is never −0) — the identity Conv2DGradInput's wv == 0 skip already
-// relies on. Its dout still enters dbias, so a non-finite dout still reaches
+// and is never −0) — the identity Conv2DGradInput's zero-weight skip
+// already relies on. Its dout still enters dbias, so a non-finite dout still reaches
 // the divergence guard.
 func Conv2DGradWeight(p *parallel.Pool, dw, dbias, dout, x *Tensor, s ConvSpec, sc *Scratch) {
 	xs := x.Shape()
@@ -211,32 +235,56 @@ func Conv2DGradWeight(p *parallel.Pool, dw, dbias, dout, x *Tensor, s ConvSpec, 
 		sc = NewScratch()
 	}
 	sc.reserve(p.Lanes())
-	p.Run(s.OutChannels, func(lane, lo, hi int) {
-		col := sc.lane(lane, k*ohw)
+	p.RunGrain(k, grainFor(n*s.OutChannels*ohw), func(lane, lo, hi int) {
+		col := sc.lane(lane, (hi-lo)*ohw)
 		for img := 0; img < n; img++ {
 			ximg := x.Data[img*c*h*w : (img+1)*c*h*w]
 			if allZero(ximg) {
 				continue
 			}
-			Im2Col(col, ximg, c, h, w, s)
+			im2colRows(col, ximg, h, w, s, lo, hi)
 			dslice := dout.Data[img*s.OutChannels*ohw : (img+1)*s.OutChannels*ohw]
-			// dW[co,kk] += Σ_j dout[co,j] * col[kk,j]
-			for co := lo; co < hi; co++ {
-				drow := dslice[co*ohw : (co+1)*ohw]
-				wrow := dw.Data[co*k : (co+1)*k]
-				for kk := 0; kk < k; kk++ {
-					crow := col[kk*ohw : (kk+1)*ohw]
-					var sum float32
-					for j := range drow {
-						sum += drow[j] * crow[j]
-					}
-					wrow[kk] += sum
-				}
+			for co := 0; co < s.OutChannels; co++ {
+				gradWeightRow(dw.Data[co*k+lo:co*k+hi], dslice[co*ohw:(co+1)*ohw], col)
 			}
 		}
 	})
 	if dbias != nil {
 		SumPerChannel(dbias, dout)
+	}
+}
+
+// gradWeightRow adds one image's terms to a run of dW elements:
+// wrow[r] += Σ_j drow[j]·col[r][j], each sum running over j in order from
+// zero. Four sums run side by side — independent chains the processor can
+// overlap — without changing any one's order.
+func gradWeightRow(wrow, drow, col []float32) {
+	ohw := len(drow)
+	r := 0
+	for ; r+4 <= len(wrow); r += 4 {
+		c0 := col[r*ohw : (r+1)*ohw]
+		c1 := col[(r+1)*ohw : (r+2)*ohw]
+		c2 := col[(r+2)*ohw : (r+3)*ohw]
+		c3 := col[(r+3)*ohw : (r+4)*ohw]
+		var s0, s1, s2, s3 float32
+		for j, d := range drow {
+			s0 += d * c0[j]
+			s1 += d * c1[j]
+			s2 += d * c2[j]
+			s3 += d * c3[j]
+		}
+		wrow[r] += s0
+		wrow[r+1] += s1
+		wrow[r+2] += s2
+		wrow[r+3] += s3
+	}
+	for ; r < len(wrow); r++ {
+		crow := col[r*ohw : (r+1)*ohw]
+		var sum float32
+		for j, d := range drow {
+			sum += d * crow[j]
+		}
+		wrow[r] += sum
 	}
 }
 

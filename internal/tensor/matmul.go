@@ -45,8 +45,11 @@ func MatMul(p *parallel.Pool, dst, a, b *Tensor) {
 // MatMulAcc computes dst += a × b without zeroing dst first.
 func MatMulAcc(p *parallel.Pool, dst, a, b *Tensor) {
 	as, bs, ds := a.Shape(), b.Shape(), dst.Shape()
+	if len(as) != 2 || len(bs) != 2 || len(ds) != 2 {
+		panic(fmt.Sprintf("tensor: MatMulAcc expects rank-2 operands, got %v x %v -> %v", as, bs, ds))
+	}
 	m, k, n := as[0], as[1], bs[1]
-	if len(as) != 2 || len(bs) != 2 || len(ds) != 2 || bs[0] != k || ds[0] != m || ds[1] != n {
+	if bs[0] != k || ds[0] != m || ds[1] != n {
 		panic(fmt.Sprintf("tensor: MatMulAcc shape mismatch %v x %v -> %v", as, bs, ds))
 	}
 	matmulAccPar(p, dst.Data, a.Data, b.Data, m, k, n)
@@ -62,8 +65,7 @@ func matmulAccPar(p *parallel.Pool, dst, a, b []float32, m, k, n int) {
 }
 
 // matmulAcc performs dst += a*b on flat row-major buffers with loop order
-// i-k-j, which streams b and dst rows sequentially and lets the compiler
-// vectorise the inner loop.
+// i-k-j, which streams b and dst rows sequentially.
 func matmulAcc(dst, a, b []float32, m, k, n int) {
 	for i := 0; i < m; i++ {
 		arow := a[i*k : (i+1)*k]
@@ -75,11 +77,55 @@ func matmulAcc(dst, a, b []float32, m, k, n int) {
 				// accumulation is a large win for SNN workloads.
 				continue
 			}
-			brow := b[kk*n : (kk+1)*n]
-			for j := range brow {
-				drow[j] += av * brow[j]
+			if kk+1 < k && arow[kk+1] != 0 {
+				axpy2(drow, av, b[kk*n:(kk+1)*n], arow[kk+1], b[(kk+1)*n:(kk+2)*n])
+				kk++
+				continue
 			}
+			axpy(drow, av, b[kk*n:(kk+1)*n])
 		}
+	}
+}
+
+// axpy performs y[j] += a·x[j] for every j < len(y), four elements per pass
+// (each element's one multiply and one add are unchanged). The wider body
+// keeps the loop from being bound by instruction fetch, whose cost for a
+// tight loop swings with where the linker happens to place it.
+func axpy(y []float32, a float32, x []float32) {
+	x = x[:len(y)]
+	j := 0
+	for ; j+4 <= len(y); j += 4 {
+		ys, xs := y[j:j+4:j+4], x[j:j+4:j+4]
+		ys[0] += a * xs[0]
+		ys[1] += a * xs[1]
+		ys[2] += a * xs[2]
+		ys[3] += a * xs[3]
+	}
+	for ; j < len(y); j++ {
+		y[j] += a * x[j]
+	}
+}
+
+// axpy2 is axpy(y, a0, x0) then axpy(y, a1, x1) in one pass: each element
+// takes the same two roundings in the same order, (y + a0·x0) + a1·x1, with
+// a third less memory traffic.
+func axpy2(y []float32, a0 float32, x0 []float32, a1 float32, x1 []float32) {
+	x0, x1 = x0[:len(y)], x1[:len(y)]
+	j := 0
+	for ; j+4 <= len(y); j += 4 {
+		ys, p, q := y[j:j+4:j+4], x0[j:j+4:j+4], x1[j:j+4:j+4]
+		v0 := ys[0] + a0*p[0]
+		v1 := ys[1] + a0*p[1]
+		v2 := ys[2] + a0*p[2]
+		v3 := ys[3] + a0*p[3]
+		ys[0] = v0 + a1*q[0]
+		ys[1] = v1 + a1*q[1]
+		ys[2] = v2 + a1*q[2]
+		ys[3] = v3 + a1*q[3]
+	}
+	for ; j < len(y); j++ {
+		v := y[j] + a0*x0[j]
+		y[j] = v + a1*x1[j]
 	}
 }
 
@@ -104,20 +150,21 @@ func MatMulTransA(p *parallel.Pool, dst, a, b *Tensor) {
 // sequence the kk-outer serial kernel produced, so sums are bit-identical
 // for every pool size.
 func MatMulTransAAcc(p *parallel.Pool, dst, a, b *Tensor) {
-	as, bs := a.Shape(), b.Shape()
+	as, bs, ds := a.Shape(), b.Shape(), dst.Shape()
+	if len(as) != 2 || len(bs) != 2 || len(ds) != 2 {
+		panic(fmt.Sprintf("tensor: MatMulTransAAcc expects rank-2 operands, got %v^T x %v -> %v", as, bs, ds))
+	}
 	k, m, n := as[0], as[1], bs[1]
+	if bs[0] != k || ds[0] != m || ds[1] != n {
+		panic(fmt.Sprintf("tensor: MatMulTransAAcc shape mismatch %v^T x %v -> %v", as, bs, ds))
+	}
 	ad, bd, dd := a.Data, b.Data, dst.Data
 	p.RunGrain(m, grainFor(k*n), func(_, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			drow := dd[i*n : (i+1)*n]
 			for kk := 0; kk < k; kk++ {
-				av := ad[kk*m+i]
-				if av == 0 {
-					continue
-				}
-				brow := bd[kk*n : (kk+1)*n]
-				for j := range brow {
-					drow[j] += av * brow[j]
+				if av := ad[kk*m+i]; av != 0 {
+					axpy(drow, av, bd[kk*n:(kk+1)*n])
 				}
 			}
 		}
@@ -125,7 +172,10 @@ func MatMulTransAAcc(p *parallel.Pool, dst, a, b *Tensor) {
 }
 
 // MatMulTransB computes dst = a × bᵀ for a [M,K], b [N,K] -> dst [M,N].
-// Used for input gradients: dX = delta · W with W stored [N,K].
+// It is the linear layers' synaptic current x·Wᵀ. An all-zero row of a (a
+// sample with no input spike this timestep) is written as zeros without a
+// product, which is what the product gives for finite b — the zero-image
+// skip of Conv2D.
 func MatMulTransB(p *parallel.Pool, dst, a, b *Tensor) {
 	as, bs, ds := a.Shape(), b.Shape(), dst.Shape()
 	if len(as) != 2 || len(bs) != 2 || len(ds) != 2 {
@@ -140,6 +190,12 @@ func MatMulTransB(p *parallel.Pool, dst, a, b *Tensor) {
 		for i := lo; i < hi; i++ {
 			arow := ad[i*k : (i+1)*k]
 			drow := dd[i*n : (i+1)*n]
+			if allZero(arow) {
+				for j := range drow {
+					drow[j] = 0
+				}
+				continue
+			}
 			for j := 0; j < n; j++ {
 				brow := bd[j*k : (j+1)*k]
 				var s float32

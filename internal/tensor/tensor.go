@@ -20,6 +20,16 @@ import (
 type Tensor struct {
 	shape []int
 	Data  []float32
+	// dims holds the shape of ranks up to 4 (every layer's), so a tensor
+	// header is one allocation.
+	dims [4]int
+}
+
+// header returns a tensor over data with a copy of shape.
+func header(shape []int, data []float32) *Tensor {
+	t := &Tensor{Data: data}
+	t.shape = append(t.dims[:0], shape...)
+	return t
 }
 
 // New returns a zero-filled tensor with the given shape. It panics on
@@ -28,11 +38,13 @@ func New(shape ...int) *Tensor {
 	n := 1
 	for _, d := range shape {
 		if d < 0 {
-			panic(fmt.Sprintf("tensor: negative dimension %d in shape %v", d, shape))
+			// A copy, so that shape itself does not escape and a caller's
+			// stack array can carry it.
+			panic(fmt.Sprintf("tensor: negative dimension %d in shape %v", d, append([]int(nil), shape...)))
 		}
 		n *= d
 	}
-	return &Tensor{shape: append([]int(nil), shape...), Data: make([]float32, n)}
+	return header(shape, make([]float32, n))
 }
 
 // FromSlice wraps data in a tensor of the given shape, without copying.
@@ -45,7 +57,7 @@ func FromSlice(data []float32, shape ...int) *Tensor {
 	if n != len(data) {
 		panic(fmt.Sprintf("tensor: data length %d does not match shape %v (volume %d)", len(data), shape, n))
 	}
-	return &Tensor{shape: append([]int(nil), shape...), Data: data}
+	return header(shape, data)
 }
 
 // Shape returns the tensor's shape. The returned slice must not be mutated.
@@ -80,7 +92,55 @@ func (t *Tensor) Reshape(shape ...int) *Tensor {
 	if n != len(t.Data) {
 		panic(fmt.Sprintf("tensor: cannot reshape volume %d to %v", len(t.Data), shape))
 	}
-	return &Tensor{shape: append([]int(nil), shape...), Data: t.Data}
+	return header(shape, t.Data)
+}
+
+// Slots splits t along its first dimension into k equal views that share its
+// data: slot i holds rows [i·r, (i+1)·r) with r = Dim(0)/k. Consecutive
+// slots are Adjacent, so Span joins any run of them back into one operand.
+func (t *Tensor) Slots(k int) []*Tensor {
+	if k < 1 || len(t.shape) == 0 || t.shape[0]%k != 0 {
+		panic(fmt.Sprintf("tensor: cannot split %v into %d slots", t.shape, k))
+	}
+	if k == 1 {
+		return []*Tensor{t}
+	}
+	shape := append([]int{t.shape[0] / k}, t.shape[1:]...)
+	n := len(t.Data) / k
+	views := make([]Tensor, k)
+	out := make([]*Tensor, k)
+	for i := range views {
+		views[i] = Tensor{shape: shape, Data: t.Data[i*n : (i+1)*n]}
+		out[i] = &views[i]
+	}
+	return out
+}
+
+// Adjacent reports whether b's data starts exactly where a's ends in one
+// backing array — as consecutive Slots of one tensor do.
+func Adjacent(a, b *Tensor) bool {
+	na := len(a.Data)
+	return na > 0 && len(b.Data) > 0 && cap(a.Data) > na && &a.Data[:na+1][na] == &b.Data[0]
+}
+
+// Span returns one tensor over ts, which must be pairwise Adjacent in order:
+// a view of their data shaped [Σ Dim(0), ts[0]'s other dims...]. A single
+// tensor spans itself.
+func Span(ts []*Tensor) *Tensor {
+	if len(ts) == 1 {
+		return ts[0]
+	}
+	rows, n := 0, 0
+	for i, t := range ts {
+		if i > 0 && !Adjacent(ts[i-1], t) {
+			panic("tensor: Span over tensors that do not lie end to end")
+		}
+		rows += t.shape[0]
+		n += len(t.Data)
+	}
+	s := header(ts[0].shape, ts[0].Data[:n])
+	s.shape[0] = rows
+	return s
 }
 
 // SameShape reports whether t and o have identical shapes.

@@ -11,6 +11,7 @@ WORK=$(mktemp -d)
 trap 'rm -rf "$WORK"' EXIT
 
 go build -o "$WORK/skipper-train" ./cmd/skipper-train
+go build -o "$WORK/skipper-inspect" ./cmd/skipper-inspect
 
 COMMON="-model vgg5 -strategy bptt -width 0.25 -T 8 -batch 2 -max-batches 8 \
         -pretrain=false -snapshot-every 2 -run-dir $WORK/state"
@@ -33,8 +34,17 @@ done
 kill -9 "$PID"
 wait "$PID" 2>/dev/null || true
 
-# Survivor: resume from the manifest and run to completion.
-"$WORK/skipper-train" $COMMON -epochs 3 -resume >"$WORK/resume.log" 2>&1 || {
+# Survivor: resume from the manifest and run to completion, one epoch past
+# the persisted cursor. An epoch of this configuration takes tens of
+# milliseconds, so the victim may be several epochs in before the kill
+# lands; a fixed target would leave the survivor nothing to do.
+NEXT=$("$WORK/skipper-inspect" -manifest "$WORK/state" | sed -n 's/^ *cursor: *epoch \([0-9]*\),.*/\1/p')
+if [ -z "$NEXT" ]; then
+    echo "FAIL: cannot read the manifest's cursor" >&2
+    "$WORK/skipper-inspect" -manifest "$WORK/state" >&2
+    exit 1
+fi
+"$WORK/skipper-train" $COMMON -epochs $((NEXT + 1)) -resume >"$WORK/resume.log" 2>&1 || {
     echo "FAIL: resumed run exited non-zero" >&2
     cat "$WORK/resume.log" >&2
     exit 1
