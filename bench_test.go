@@ -175,6 +175,7 @@ func benchStrategyBatch(b *testing.B, strat func(T, C int, P float64) core.Strat
 			b.ReportMetric(perOp(total.BackwardTime), "backward-ms/op")
 			b.ReportMetric(float64(total.SkippedSteps)/float64(b.N), "skipped-steps/op")
 			b.ReportMetric(float64(total.QuietSteps)/float64(b.N), "quiet-steps/op")
+			b.ReportMetric(float64(dev.PeakBy(mem.Activations)), "peak-act-B")
 			b.ReportMetric(float64(dev.PeakReserved()), "peak-reserved-B")
 		})
 	}
@@ -188,6 +189,9 @@ func BenchmarkStrategyCheckpoint(b *testing.B) {
 }
 func BenchmarkStrategySkipper(b *testing.B) {
 	benchStrategyBatch(b, func(_, C int, P float64) core.Strategy { return core.Skipper{C: C, P: P} })
+}
+func BenchmarkStrategyAdaptiveSkipper(b *testing.B) {
+	benchStrategyBatch(b, func(_, C int, P float64) core.Strategy { return &core.AdaptiveSkipper{C: C, P: P} })
 }
 func BenchmarkStrategyTBPTT(b *testing.B) {
 	benchStrategyBatch(b, func(T, C int, _ float64) core.Strategy { return core.TBPTT{Window: T / C} })

@@ -72,16 +72,20 @@ func (a *AdaptiveSkipper) placements(T int) []int {
 // placed from the activity profile, which this batch's SAM trace then
 // updates for the next batch.
 func (a *AdaptiveSkipper) TrainBatch(tr *Trainer, input []*tensor.Tensor, labels []int) (StepStats, error) {
-	T := tr.Cfg.T
-	sam := newSAMTrace(a.Metric, T)
-	st, err := tr.trainSegments(input, labels, segmentPlan{
-		name:      "adaptive skipper",
-		bounds:    a.placements(T),
-		sam:       sam,
-		survivors: Skipper{C: a.C, P: a.P}.selectSurvivors,
-	})
+	plan := a.plan(tr.Cfg.T)
+	st, err := tr.trainSegments(input, labels, plan)
 	if err == nil {
-		a.profile = sam.foldInto(a.profile, a.momentum())
+		a.profile = plan.sam.foldInto(a.profile, a.momentum())
 	}
 	return st, err
+}
+
+func (a *AdaptiveSkipper) plan(T int) segmentPlan {
+	return segmentPlan{
+		name:      "adaptive skipper",
+		bounds:    a.placements(T),
+		sam:       newSAMTrace(a.Metric, T),
+		survivors: Skipper{C: a.C, P: a.P}.selectSurvivors,
+		p:         a.P,
+	}
 }

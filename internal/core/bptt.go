@@ -26,6 +26,10 @@ func (BPTT) Validate(cfg Config, net *layers.Network) error {
 
 // TrainBatch implements Strategy: every step kept, one segment, nothing to
 // replay.
-func (BPTT) TrainBatch(tr *Trainer, input []*tensor.Tensor, labels []int) (StepStats, error) {
-	return tr.trainSegments(input, labels, segmentPlan{name: "bptt", bounds: []int{0}, keepAll: true})
+func (b BPTT) TrainBatch(tr *Trainer, input []*tensor.Tensor, labels []int) (StepStats, error) {
+	return tr.trainSegments(input, labels, b.plan(tr.Cfg.T))
+}
+
+func (BPTT) plan(int) segmentPlan {
+	return segmentPlan{name: "bptt", bounds: []int{0}, keepAll: true}
 }

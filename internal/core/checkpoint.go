@@ -33,5 +33,9 @@ func (c Checkpoint) Validate(cfg Config, net *layers.Network) error {
 // TrainBatch implements Strategy: uniform bounds, every interior step
 // replayed.
 func (c Checkpoint) TrainBatch(tr *Trainer, input []*tensor.Tensor, labels []int) (StepStats, error) {
-	return tr.trainSegments(input, labels, segmentPlan{name: "ckpt", bounds: CheckpointTimes(tr.Cfg.T, c.C)})
+	return tr.trainSegments(input, labels, c.plan(tr.Cfg.T))
+}
+
+func (c Checkpoint) plan(T int) segmentPlan {
+	return segmentPlan{name: "ckpt", bounds: CheckpointTimes(T, c.C)}
 }

@@ -56,7 +56,8 @@ func percentileSkips(scores []float64, p float64) []bool {
 // cut: exactly k = ⌈(n−1)P/100⌉ steps counting an exempt one that ranked
 // inside it, none of them scoring above a kept step, the percentile
 // reference's set when all scores differ, evenly spread when all scores tie,
-// and a function of its input alone.
+// and a function of its input alone. It never leaves fewer survivors than
+// minSurvivors, the first pass's run bound.
 func TestSelectSurvivorsProperty(t *testing.T) {
 	f := func(scoresRaw []uint16, pRaw uint8, splitRaw uint8, shape uint8) bool {
 		T := len(scoresRaw)
@@ -114,6 +115,11 @@ func TestSelectSurvivorsProperty(t *testing.T) {
 			exemptInSet = 1
 		}
 		if st.SkippedSteps+exemptInSet != k {
+			return false
+		}
+		// The replay stores at least the S steps the first pass's runs are
+		// bounded by (segmentPlan.runs).
+		if len(survivors) < minSurvivors(start, end, P) {
 			return false
 		}
 		// Rank: no skipped step outscores a kept one. The exempt step is kept

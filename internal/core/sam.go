@@ -113,10 +113,9 @@ func SAMByName(name string) (SAMMetric, error) {
 // ⌊(i+1)·m/g⌋ > ⌊i·m/g⌋, which keeps the survivors at most ⌈g/(g−m)⌉ steps
 // apart. Same scores, same set.
 func SkipSet(scores []float64, p float64) []bool {
-	n := len(scores)
-	skip := make([]bool, n)
-	k := int(math.Ceil(float64(n-1) * math.Min(math.Max(p, 0), 100) / 100))
-	if k <= 0 {
+	skip := make([]bool, len(scores))
+	k := skipQuota(len(scores), p)
+	if k == 0 {
 		return skip
 	}
 	sorted := append([]float64(nil), scores...)
@@ -140,6 +139,20 @@ func SkipSet(scores []float64, p float64) []bool {
 		}
 	}
 	return skip
+}
+
+// skipQuota is the number of steps SkipSet marks among n at percentile p:
+// k = ⌈(n−1)·p/100⌉, p clamped to [0, 100], never below 0.
+func skipQuota(n int, p float64) int {
+	return max(int(math.Ceil(float64(n-1)*math.Min(math.Max(p, 0), 100)/100)), 0)
+}
+
+// minSurvivors is the fewest interior steps of segment [start, end) that
+// selectSurvivors at percentile p leaves to replay: the n interior steps
+// less SkipSet's quota. An exempt loss step only adds a survivor.
+func minSurvivors(start, end int, p float64) int {
+	n := max(end-start-1, 0)
+	return n - skipQuota(n, p)
 }
 
 // selectSurvivors returns the recompute timesteps of segment [start, end):

@@ -33,6 +33,36 @@ type segmentPlan struct {
 	// (it counts what it drops in st.SkippedSteps). Nil replays every
 	// interior step.
 	survivors func(scores []float64, start, end int, la *lossAccumulator, st *StepStats) []int
+	// p is the survivor policy's skip percentile (0: every interior step is
+	// replayed). Segment [start, end) replays at least minSurvivors(start,
+	// end, p) steps, which bounds the first pass's runs.
+	p float64
+}
+
+// runs splits [0, T) into the first pass's runs, each one layer-major walk.
+// BPTT keeps every record, so all T steps go in one run and its records lie
+// end to end per layer. A two-pass plan's replay of segment [start, end)
+// stores at least 1 + S records, the boundary and S = minSurvivors steps, so
+// the segment's first run takes at most S steps and each later one at most
+// S − 1, never fewer than 1. The carry from the run before plus a run (with
+// the boundary, once stored) then never holds more records than that replay
+// will, and no peak moves.
+func (plan segmentPlan) runs(T int) [][2]int {
+	if plan.keepAll {
+		return [][2]int{{0, T}}
+	}
+	var runs [][2]int
+	for i, start := range plan.bounds {
+		end := T
+		if i+1 < len(plan.bounds) {
+			end = plan.bounds[i+1]
+		}
+		s := minSurvivors(start, end, plan.p)
+		for a, n := start, max(s, 1); a < end; a, n = a+n, max(s-1, 1) {
+			runs = append(runs, [2]int{a, min(a+n, end)})
+		}
+	}
+	return runs
 }
 
 // trainSegments runs one batch under the plan and leaves the parameter
@@ -128,38 +158,21 @@ type pass struct {
 	// cut names the layers the backward walk gives no gradient from the
 	// layer above: TBPTT-LBP's local supervision.
 	cut map[int]bool
-	// quiet is the first pass's leak-only step for timesteps whose input is
-	// zero for the whole batch. Its cached zero-input currents depend on the
-	// biases, so it lives for this batch only and never sees an optimizer
-	// step. The cache is a broadcast of each layer's bias held in host
-	// scratch, like the per-lane im2col columns, and is not charged to the
-	// device.
-	quiet *layers.QuietState
+	// quietCovered is whether the leak-only step covers the network
+	// (layers.Network.QuietCovered), the condition StepStats.QuietSteps
+	// counts under.
+	quietCovered bool
 }
 
 func (tr *Trainer) newPass(input []*tensor.Tensor, st *StepStats) *pass {
-	return &pass{tr: tr, input: input, rs: tr.newRecordStore(), st: st, quiet: layers.NewQuietState(tr.Net, st.N)}
-}
-
-// step advances the network one timestep from prev. Event data is mostly
-// timesteps in which no sample of the batch has an event, and such a step
-// needs no synaptic kernel: it goes through layers.QuietState, which is
-// bitwise identical to ForwardStep on the zero input (a stack it does not
-// model takes the full step, as a quiet streaming window does).
-func (p *pass) step(t int, prev []*layers.LayerState) []*layers.LayerState {
-	if p.isQuiet(t) {
-		if states, ok := p.quiet.Step(prev); ok {
-			p.st.QuietSteps++
-			return states
-		}
-	}
-	return p.tr.Net.ForwardStep(p.input[t], prev)
+	return &pass{tr: tr, input: input, rs: tr.newRecordStore(), st: st, quietCovered: tr.Net.QuietCovered()}
 }
 
 // isQuiet reports whether timestep t's input is zero for the whole batch and
-// the quiet step covers the network.
+// the leak-only step covers the network. The walk's kernels turn such a
+// step's images into a bias add, so it costs each layer a leak.
 func (p *pass) isQuiet(t int) bool {
-	return p.quiet.Supported() && allZero(p.input[t])
+	return p.quietCovered && allZero(p.input[t])
 }
 
 func allZero(x *tensor.Tensor) bool {
@@ -186,11 +199,22 @@ func stepRange(a, b int) []int {
 	return steps
 }
 
-// firstPass is the storing forward pass over all T timesteps: records are
-// kept at the plan's timesteps only (bit-packed under CompressSpikes); any
-// other step's is charged as the rolling record while it is live, so the
-// device sees the true instantaneous footprint. The loss accumulator
-// observes the readout at every timestep.
+// forwardRun is the first pass's walk over one run of steps, a variable so
+// that a test can take the run one step per call.
+var forwardRun = (*layers.Network).Forward
+
+// firstPass is the storing forward pass over all T timesteps, one
+// layer-major walk per run (segmentPlan.runs). After a run's walk its records
+// are read in time order — SAM score, loss — and charged in time order:
+// stored at the plan's timesteps (bit-packed under CompressSpikes), charged
+// as rolling records elsewhere. Then the previous run's carry is released,
+// and every rolling record but the run's last, which carries the state into
+// the next run. So the device sees every record that is live at once.
+//
+// A two-pass plan keeps a record, not the run it came from: a stored boundary
+// and the carry are copied out of the run's per-layer blocks (tensor.Slots
+// views share one array), so that the host holds what the device is charged
+// for.
 func (p *pass) firstPass(plan segmentPlan, la *lossAccumulator) error {
 	tr := p.tr
 	isBound := map[int]bool{}
@@ -199,33 +223,78 @@ func (p *pass) firstPass(plan segmentPlan, la *lossAccumulator) error {
 	}
 	packed := tr.Cfg.CompressSpikes && !plan.keepAll
 	fwd, quiet := time.Now(), p.st.QuietSteps
-	var states []*layers.LayerState
-	var rolling *mem.Block
-	for t := 0; t < tr.Cfg.T; t++ {
-		states = p.step(t, states)
-		p.st.ForwardSteps++
-		if plan.sam != nil {
-			plan.sam.scores[t] = plan.sam.metric.Score(tr.Net, states)
+	var carry []*layers.LayerState
+	var carryBlock *mem.Block
+	for _, r := range plan.runs(tr.Cfg.T) {
+		steps := stepRange(r[0], r[1])
+		xs := make([]*tensor.Tensor, len(steps))
+		for i, t := range steps {
+			xs[i] = p.input[t]
 		}
-		la.observe(t, tr.Net.Logits(states))
-		// Allocate the new record before releasing the previous rolling one:
-		// both are live while the step computes.
-		var next *mem.Block
-		var err error
-		if plan.keepAll || isBound[t] {
-			err = p.rs.put(t, states, packed)
-		} else {
-			next, err = tr.Dev.Alloc(mem.Activations, stateBytes(states))
+		recs := forwardRun(tr.Net, xs, carry)
+		rolling := make([]*mem.Block, len(steps))
+		for i, t := range steps {
+			p.st.ForwardSteps++
+			if p.isQuiet(t) {
+				p.st.QuietSteps++
+			}
+			if plan.sam != nil {
+				plan.sam.scores[t] = plan.sam.metric.Score(tr.Net, recs[i])
+			}
+			la.observe(t, tr.Net.Logits(recs[i]))
+			var err error
+			switch {
+			case plan.keepAll:
+				err = p.rs.put(t, recs[i], false)
+			case isBound[t]:
+				recs[i] = detach(recs[i])
+				err = p.rs.put(t, recs[i], packed)
+			default:
+				rolling[i], err = tr.Dev.Alloc(mem.Activations, stateBytes(recs[i]))
+			}
+			if err != nil {
+				carryBlock.Release()
+				for _, b := range rolling {
+					b.Release()
+				}
+				return fmt.Errorf("core: %s forward t=%d: %w", plan.name, t, err)
+			}
 		}
-		rolling.Release()
-		rolling = next
-		if err != nil {
-			return fmt.Errorf("core: %s forward t=%d: %w", plan.name, t, err)
+		carryBlock.Release()
+		last := len(steps) - 1
+		for _, b := range rolling[:last] {
+			b.Release()
+		}
+		// The run's last record carries the state on: a stored one as it is,
+		// a rolling one copied out of its run.
+		carry, carryBlock = recs[last], rolling[last]
+		if carryBlock != nil {
+			carry = detach(carry)
 		}
 	}
-	rolling.Release()
+	carryBlock.Release()
 	tr.phaseDone(&p.st.ForwardTime, "forward", fwd, p.quietSince(quiet))
 	return nil
+}
+
+// detach copies a record's tensors out of the blocks they share with the
+// other steps of their walk.
+func detach(states []*layers.LayerState) []*layers.LayerState {
+	out := make([]*layers.LayerState, len(states))
+	for i, st := range states {
+		c := *st
+		if st.U != nil {
+			c.U = st.U.Clone()
+		}
+		if st.O != nil {
+			c.O = st.O.Clone()
+		}
+		if st.Sub != nil {
+			c.Sub = detach(st.Sub)
+		}
+		out[i] = &c
+	}
+	return out
 }
 
 // forward advances the network from states over the given timesteps (hopping

@@ -45,10 +45,15 @@ func (s Skipper) Validate(cfg Config, net *layers.Network) error {
 // TrainBatch implements Strategy: uniform bounds, and per segment the
 // SST_c rank cut over the first pass's SAM scores.
 func (s Skipper) TrainBatch(tr *Trainer, input []*tensor.Tensor, labels []int) (StepStats, error) {
-	return tr.trainSegments(input, labels, segmentPlan{
+	return tr.trainSegments(input, labels, s.plan(tr.Cfg.T))
+}
+
+func (s Skipper) plan(T int) segmentPlan {
+	return segmentPlan{
 		name:      "skipper",
-		bounds:    CheckpointTimes(tr.Cfg.T, s.C),
-		sam:       newSAMTrace(s.Metric, tr.Cfg.T),
+		bounds:    CheckpointTimes(T, s.C),
+		sam:       newSAMTrace(s.Metric, T),
 		survivors: s.selectSurvivors,
-	})
+		p:         s.P,
+	}
 }

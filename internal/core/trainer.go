@@ -24,9 +24,11 @@ type StepStats struct {
 	// second-pass (checkpoint replay) timesteps, SkippedSteps the timesteps
 	// Skipper dropped, and BackwardSteps the timesteps the δ recursion
 	// visited. QuietSteps counts the first-pass and replay timesteps whose
-	// input was zero for the whole batch and that were therefore advanced
-	// leak-only (layers.QuietState): the share of the workload that has the
-	// property. A counter only; nothing reads it to decide anything.
+	// input was zero for the whole batch, on a stack the leak-only step
+	// covers (layers.Network.QuietCovered): the walk's kernels turn each such
+	// image into a bias add, so the step costs a leak. It is the share of the
+	// workload that has the property; a counter only, nothing reads it to
+	// decide anything.
 	ForwardSteps    int
 	RecomputedSteps int
 	SkippedSteps    int

@@ -37,26 +37,35 @@ type QuietState struct {
 // cells) or when spike-pack mode is on; callers then fall back to a full
 // zero-input ForwardStep, which is always correct, just slower.
 func NewQuietState(net *Network, batch int) *QuietState {
-	net.mustBuilt()
 	q := &QuietState{
 		net:       net,
 		batch:     batch,
 		inShapes:  make([][]int, len(net.Layers)),
 		currents:  make([]*tensor.Tensor, len(net.Layers)),
 		zeroIns:   make([]*tensor.Tensor, len(net.Layers)),
-		supported: !net.spikePack,
+		supported: net.QuietCovered(),
 	}
 	in := net.InShape
 	for i, l := range net.Layers {
 		q.inShapes[i] = append([]int(nil), in...)
-		switch l.(type) {
-		case *SpikingConv2D, *SpikingLinear, *AvgPool2D, *GlobalAvgPool, *MaxPool2D, *Dropout:
-		default:
-			q.supported = false
-		}
 		in = layerOutShape(l, in)
 	}
 	return q
+}
+
+// QuietCovered reports whether the leak-only step models every layer of the
+// network: a stack of spiking conv and linear layers, pools and dropout, not
+// in spike-pack mode.
+func (n *Network) QuietCovered() bool {
+	n.mustBuilt()
+	for _, l := range n.Layers {
+		switch l.(type) {
+		case *SpikingConv2D, *SpikingLinear, *AvgPool2D, *GlobalAvgPool, *MaxPool2D, *Dropout:
+		default:
+			return false
+		}
+	}
+	return !n.spikePack
 }
 
 // Supported reports whether the quiet fast path covers this network.

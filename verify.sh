@@ -16,8 +16,9 @@ go vet ./...
 test -z "$(gofmt -l .)"
 go test -race ./internal/parallel/... ./internal/tensor/... ./internal/layers/... ./internal/serve/... ./internal/runstate/... ./internal/faults/... ./internal/trace/... ./internal/dist/... ./internal/router/... ./internal/stream/...
 # The layer-major walk fans a whole segment's steps over the pool; the line
-# above races its own tests (TestWalk*), this one races it in the engine.
-go test -race -run 'TestPassWalk|TestSegmentEngineGoldenAccounting' ./internal/core/
+# above races its own tests (TestWalk*), this one races it in the engine's
+# first pass, replay and backward.
+go test -race -run 'TestPassWalk|TestFirstPass|TestSegmentEngineGoldenAccounting' ./internal/core/
 go test ./...
 
 # The benchmark is its own module, so the root `go test ./...` does not reach
