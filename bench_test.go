@@ -2,6 +2,7 @@ package skipper
 
 import (
 	"io"
+	"math/rand"
 	"testing"
 	"time"
 
@@ -131,13 +132,13 @@ var benchWorkloads = []struct {
 }
 
 // benchStrategyBatch times one whole training step (encode, train batch,
-// optimizer step) under a strategy on each benchmark workload, on successive
-// batches from untrained weights, and reports the run's exact cost counters
+// optimizer step) under a strategy on each benchmark workload, on batches
+// drawn from untrained weights, and reports the run's exact cost counters
 // and heap allocations beside the time and its split into the first pass,
 // the replay and the backward walk, so `go test -bench Strategy -benchtime
 // 10x -count 6` on two trees is an in-process paired comparison that shows
-// where a saving lands.
-func benchStrategyBatch(b *testing.B, strat func(T, C int, P float64) core.Strategy) {
+// where a saving lands. spikePack sets Config.SpikePack.
+func benchStrategyBatch(b *testing.B, strat func(T, C int, P float64) core.Strategy, spikePack bool) {
 	b.Helper()
 	for _, w := range benchWorkloads {
 		b.Run(w.name, func(b *testing.B) {
@@ -150,18 +151,22 @@ func benchStrategyBatch(b *testing.B, strat func(T, C int, P float64) core.Strat
 				b.Fatal(err)
 			}
 			dev := mem.Unlimited()
-			tr, err := core.NewTrainer(net, data, strat(w.T, w.C, w.P), core.Config{T: w.T, Batch: w.B, Device: dev})
+			tr, err := core.NewTrainer(net, data, strat(w.T, w.C, w.P), core.Config{T: w.T, Batch: w.B, Device: dev, SpikePack: spikePack})
 			if err != nil {
 				b.Fatal(err)
 			}
 			defer tr.Close()
+			// Samples are drawn as benchmark/train.go draws them; the first
+			// samples in index order are unrepresentative on events, where
+			// almost every hidden δ image is zero.
+			rng := rand.New(rand.NewSource(3))
 			idx := make([]int, w.B)
 			var total core.StepStats
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				for j := range idx {
-					idx[j] = (i*w.B + j) % data.Len(dataset.Train)
+					idx[j] = rng.Intn(data.Len(dataset.Train))
 				}
 				st, err := tr.TrainBatchIndices(dataset.Train, idx)
 				if err != nil {
@@ -181,20 +186,28 @@ func benchStrategyBatch(b *testing.B, strat func(T, C int, P float64) core.Strat
 	}
 }
 
-func BenchmarkStrategyBPTT(b *testing.B) {
-	benchStrategyBatch(b, func(int, int, float64) core.Strategy { return core.BPTT{} })
-}
-func BenchmarkStrategyCheckpoint(b *testing.B) {
-	benchStrategyBatch(b, func(_, C int, _ float64) core.Strategy { return core.Checkpoint{C: C} })
-}
-func BenchmarkStrategySkipper(b *testing.B) {
-	benchStrategyBatch(b, func(_, C int, P float64) core.Strategy { return core.Skipper{C: C, P: P} })
-}
+func bpttStrategy(int, int, float64) core.Strategy      { return core.BPTT{} }
+func ckptStrategy(_, C int, _ float64) core.Strategy    { return core.Checkpoint{C: C} }
+func skipperStrategy(_, C int, P float64) core.Strategy { return core.Skipper{C: C, P: P} }
+
+func BenchmarkStrategyBPTT(b *testing.B)       { benchStrategyBatch(b, bpttStrategy, false) }
+func BenchmarkStrategyCheckpoint(b *testing.B) { benchStrategyBatch(b, ckptStrategy, false) }
+func BenchmarkStrategySkipper(b *testing.B)    { benchStrategyBatch(b, skipperStrategy, false) }
 func BenchmarkStrategyAdaptiveSkipper(b *testing.B) {
-	benchStrategyBatch(b, func(_, C int, P float64) core.Strategy { return &core.AdaptiveSkipper{C: C, P: P} })
+	benchStrategyBatch(b, func(_, C int, P float64) core.Strategy { return &core.AdaptiveSkipper{C: C, P: P} }, false)
 }
 func BenchmarkStrategyTBPTT(b *testing.B) {
-	benchStrategyBatch(b, func(T, C int, _ float64) core.Strategy { return core.TBPTT{Window: T / C} })
+	benchStrategyBatch(b, func(T, C int, _ float64) core.Strategy { return core.TBPTT{Window: T / C} }, false)
+}
+
+// BenchmarkSpikePack is BenchmarkStrategy{BPTT,Checkpoint,Skipper} with
+// Config.SpikePack set: against those rows, it is the row that decides
+// whether the bit-packed compute path (-spike-pack) beats the default
+// kernels.
+func BenchmarkSpikePack(b *testing.B) {
+	b.Run("BPTT", func(b *testing.B) { benchStrategyBatch(b, bpttStrategy, true) })
+	b.Run("Checkpoint", func(b *testing.B) { benchStrategyBatch(b, ckptStrategy, true) })
+	b.Run("Skipper", func(b *testing.B) { benchStrategyBatch(b, skipperStrategy, true) })
 }
 
 func BenchmarkAblationPlacement(b *testing.B) { runExperiment(b, "ablate-placement") }

@@ -117,16 +117,28 @@ func col2imRows(dx []float32, col []float32, h, w int, s ConvSpec, r0, r1 int) {
 // Conv2D computes out = conv(x, weight) + bias for x [N,Cin,H,W],
 // weight [Cout,Cin,KH,KW], bias [Cout] (bias may be nil). out must have shape
 // [N,Cout,OH,OW]. The batch dimension partitions across pool lanes, each with
-// a private im2col column from sc (nil sc allocates a throwaway workspace).
-// Every image is processed by exactly the serial per-image code, so the
-// output is bit-identical for every pool size.
+// private workspace from sc (nil sc allocates a throwaway workspace). Every
+// image is processed by exactly the serial per-image code, so the output is
+// bit-identical for every pool size.
 //
-// An image whose input is all zero (no spike this timestep) gets no im2col
-// and no product: its output is zero before the bias, which is what the
-// product gives for finite weights (each term is ±0 and the sum starts at
-// +0), the identity Conv2DGradWeight's zero-image skip relies on. A quiet
-// timestep in a batch of timesteps therefore costs a bias add.
+// Each image takes one of two paths, picked from a count of its nonzero
+// inputs (see gatherDensity). A dense image is unpacked by im2col and
+// multiplied. A sparse one gets no im2col: each nonzero input is multiplied
+// into the outputs it reaches, kernel tap by kernel tap in im2col row order
+// (convGather). Both give every output element the same terms in the same
+// order except the product's zero terms w·0 = ±0, which change no partial
+// sum that starts at +0, so for finite weights the two paths agree bit for
+// bit. An image whose input is all zero (no spike this timestep) is the
+// empty gather: its output is zero before the bias, the identity
+// Conv2DGradWeight's zero-image skip relies on, and a quiet timestep in a
+// batch of timesteps costs a bias add.
 func Conv2D(p *parallel.Pool, out, x, weight, bias *Tensor, s ConvSpec, sc *Scratch) {
+	conv2D(p, out, x, weight, bias, s, sc, gatherDensity)
+}
+
+// conv2D is Conv2D with the crossover as a parameter: an image gathers when
+// fewer than 1/density of its inputs are nonzero.
+func conv2D(p *parallel.Pool, out, x, weight, bias *Tensor, s ConvSpec, sc *Scratch, density int) {
 	xs := x.Shape()
 	n, c, h, w := xs[0], xs[1], xs[2], xs[3]
 	oh, ow := s.OutSize(h, w)
@@ -137,20 +149,20 @@ func Conv2D(p *parallel.Pool, out, x, weight, bias *Tensor, s ConvSpec, sc *Scra
 		sc = NewScratch()
 	}
 	sc.reserve(p.Lanes())
+	limit := gatherLimit(c*h*w, density)
 	wMat := weight.Data // [Cout, k] row-major view
 	p.Run(n, func(lane, lo, hi int) {
-		col := sc.lane(lane, k*ohw)
+		cs := sc.convSpace(lane, s, h, w, limit, k*ohw)
 		for img := lo; img < hi; img++ {
 			dst := out.Data[img*s.OutChannels*ohw : (img+1)*s.OutChannels*ohw]
-			for i := range dst {
-				dst[i] = 0
-			}
+			clear(dst)
 			ximg := x.Data[img*c*h*w : (img+1)*c*h*w]
-			if allZero(ximg) {
+			if cs.collect(ximg) {
+				cs.convGather(dst, wMat)
 				continue
 			}
-			Im2Col(col, ximg, c, h, w, s)
-			matmulAcc(dst, wMat, col, s.OutChannels, k, ohw)
+			Im2Col(cs.col, ximg, c, h, w, s)
+			matmulAcc(dst, wMat, cs.col, s.OutChannels, k, ohw)
 		}
 	})
 	if bias != nil {
@@ -211,20 +223,31 @@ func Conv2DGradInput(p *parallel.Pool, dx, dout, weight *Tensor, s ConvSpec, sc 
 // [N,Cin,H,W]; dout [N,Cout,OH,OW]; dw [Cout,Cin,KH,KW].
 //
 // Parallelism is over the rows of the im2col matrix, which are dW's columns
-// (one per input channel and kernel tap): each lane unpacks only its rows of
-// every image into its own column buffer and owns the dW elements they feed.
-// So every image is unpacked once, with no workspace beyond one column per
-// lane, and every dW element accumulates its per-image terms in ascending
-// image order, exactly as the serial loop does — no cross-lane partial
-// accumulators, no reduction, bit-identical results for every pool size.
+// (one per input channel and kernel tap): each lane owns the dW elements its
+// rows feed and reads every image for them, with no workspace beyond one
+// column's rows and one nonzero list per lane. Every dW element accumulates
+// its per-image terms in ascending image order, exactly as the serial loop
+// does — no cross-lane partial accumulators, no reduction, bit-identical
+// results for every pool size.
 //
-// An image whose input is all zero (a sample with no event this timestep)
-// is skipped: its column is zero, so for finite dout it would add ±0 to
-// every dW element, which changes none of them (dW accumulates up from +0
-// and is never −0) — the identity Conv2DGradInput's zero-weight skip
-// already relies on. Its dout still enters dbias, so a non-finite dout still reaches
-// the divergence guard.
+// An image's term for one element is Σ_p dout[co,p]·col[kk,p], summed over p
+// in ascending order from +0. A dense image computes it from its im2col rows;
+// a sparse one (see gatherDensity) from its nonzero inputs alone
+// (gradWeightGather), whose row-kk positions p ascend in the list's (row,
+// column) order. The two sums differ only by the zero terms dout·0 = ±0,
+// which change no partial sum that starts at +0, so for finite dout the paths
+// agree bit for bit. An image whose input is all zero (a sample with no event
+// this timestep) adds nothing to dW, for the same reason (dW accumulates up
+// from +0 and is never −0) — the identity Conv2DGradInput's zero-weight skip
+// already relies on. Its dout still enters dbias, so a non-finite dout still
+// reaches the divergence guard.
 func Conv2DGradWeight(p *parallel.Pool, dw, dbias, dout, x *Tensor, s ConvSpec, sc *Scratch) {
+	conv2DGradWeight(p, dw, dbias, dout, x, s, sc, gatherDensity)
+}
+
+// conv2DGradWeight is Conv2DGradWeight with the crossover as a parameter, as
+// conv2D is Conv2D's.
+func conv2DGradWeight(p *parallel.Pool, dw, dbias, dout, x *Tensor, s ConvSpec, sc *Scratch, density int) {
 	xs := x.Shape()
 	n, c, h, w := xs[0], xs[1], xs[2], xs[3]
 	oh, ow := s.OutSize(h, w)
@@ -235,17 +258,19 @@ func Conv2DGradWeight(p *parallel.Pool, dw, dbias, dout, x *Tensor, s ConvSpec, 
 		sc = NewScratch()
 	}
 	sc.reserve(p.Lanes())
+	limit := gatherLimit(c*h*w, density)
 	p.RunGrain(k, grainFor(n*s.OutChannels*ohw), func(lane, lo, hi int) {
-		col := sc.lane(lane, (hi-lo)*ohw)
+		cs := sc.convSpace(lane, s, h, w, limit, (hi-lo)*ohw)
 		for img := 0; img < n; img++ {
 			ximg := x.Data[img*c*h*w : (img+1)*c*h*w]
-			if allZero(ximg) {
+			dslice := dout.Data[img*s.OutChannels*ohw : (img+1)*s.OutChannels*ohw]
+			if cs.collect(ximg) {
+				cs.gradWeightGather(dw.Data, dslice, lo, hi)
 				continue
 			}
-			im2colRows(col, ximg, h, w, s, lo, hi)
-			dslice := dout.Data[img*s.OutChannels*ohw : (img+1)*s.OutChannels*ohw]
+			im2colRows(cs.col, ximg, h, w, s, lo, hi)
 			for co := 0; co < s.OutChannels; co++ {
-				gradWeightRow(dw.Data[co*k+lo:co*k+hi], dslice[co*ohw:(co+1)*ohw], col)
+				gradWeightRow(dw.Data[co*k+lo:co*k+hi], dslice[co*ohw:(co+1)*ohw], cs.col)
 			}
 		}
 	})
@@ -286,15 +311,6 @@ func gradWeightRow(wrow, drow, col []float32) {
 		}
 		wrow[r] += sum
 	}
-}
-
-func allZero(xs []float32) bool {
-	for _, v := range xs {
-		if v != 0 {
-			return false
-		}
-	}
-	return true
 }
 
 func checkConvShapes(op string, out, x, weight *Tensor, s ConvSpec, n, oh, ow int) {

@@ -207,3 +207,12 @@ func MatMulTransB(p *parallel.Pool, dst, a, b *Tensor) {
 		}
 	})
 }
+
+func allZero(xs []float32) bool {
+	for _, v := range xs {
+		if v != 0 {
+			return false
+		}
+	}
+	return true
+}

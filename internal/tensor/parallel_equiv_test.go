@@ -2,6 +2,7 @@ package tensor
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"skipper/internal/parallel"
@@ -88,59 +89,196 @@ var convShapes = []struct {
 	n, c, h, w     int
 	out, kh, s, pd int
 }{
-	{1, 1, 4, 4, 1, 3, 1, 1}, // single image: fewer images than lanes
-	{2, 3, 8, 8, 4, 3, 1, 1}, // padding
-	{5, 2, 9, 7, 3, 3, 2, 0}, // odd spatial, stride 2, no pad
-	{8, 4, 6, 6, 6, 5, 1, 2}, // 5x5 kernel, wide pad
-	{3, 2, 5, 5, 2, 1, 1, 0}, // 1x1 kernel
+	{1, 1, 4, 4, 1, 3, 1, 1},   // single image: fewer images than lanes
+	{2, 3, 8, 8, 4, 3, 1, 1},   // padding
+	{5, 2, 9, 7, 3, 3, 2, 0},   // odd spatial, stride 2, no pad
+	{8, 4, 6, 6, 6, 5, 1, 2},   // 5x5 kernel, wide pad
+	{3, 2, 5, 5, 2, 1, 1, 0},   // 1x1 kernel
+	{4, 3, 11, 9, 5, 5, 2, 2},  // 5x5 kernel, stride 2, wide pad
+	{6, 4, 16, 16, 4, 3, 1, 1}, // lenet conv2, per image
 }
+
+// convFill is one input of the conv table: the original mixed pattern, or
+// an exact count of nonzeros per image (binary or not) that places each
+// image on a chosen side of the gather/dense crossover.
+type convFill struct {
+	name   string
+	nnz    func(size int) int // nonzeros per image of size inputs; nil: equivFill
+	binary bool
+}
+
+func convFills() []convFill {
+	frac := func(d float64) func(int) int {
+		return func(size int) int {
+			if d == 0 {
+				return 0
+			}
+			return max(1, int(d*float64(size)+0.5))
+		}
+	}
+	crossover := func(off int) func(int) int {
+		return func(size int) int { return max(0, gatherLimit(size, gatherDensity)+off) }
+	}
+	fills := []convFill{{name: "mixed"}}
+	for _, binary := range []bool{true, false} {
+		for _, d := range []struct {
+			name string
+			nnz  func(int) int
+		}{
+			{"0", frac(0)},
+			{"0.001", frac(0.001)},
+			{"0.01", frac(0.01)},
+			{"below-crossover", crossover(-1)},
+			{"at-crossover", crossover(0)},
+			{"0.5", frac(0.5)},
+		} {
+			fills = append(fills, convFill{name: fmt.Sprintf("%s binary=%v", d.name, binary), nnz: d.nnz, binary: binary})
+		}
+	}
+	return fills
+}
+
+// fill writes x [N,...] image by image; each image of the count fills gets
+// exactly that many nonzeros at pseudo-random distinct positions.
+func (f convFill) fill(x *Tensor, seed uint64) {
+	if f.nnz == nil {
+		equivFill(x.Data, seed)
+		return
+	}
+	clear(x.Data)
+	n := x.Dim(0)
+	size := len(x.Data) / n
+	s := seed*0x9E3779B97F4A7C15 + 1
+	next := func() uint64 {
+		s ^= s << 13
+		s ^= s >> 7
+		s ^= s << 17
+		return s
+	}
+	for img := 0; img < n; img++ {
+		d := x.Data[img*size : (img+1)*size]
+		for placed := 0; placed < min(f.nnz(size), size); {
+			i := int(next() % uint64(size))
+			if d[i] != 0 {
+				continue
+			}
+			v := float32(1)
+			if !f.binary {
+				if v = float32(int(next()%2047)-1023) / 512 * roughScale; v == 0 {
+					v = roughScale
+				}
+			}
+			d[i] = v
+			placed++
+		}
+	}
+}
+
+// roughScale has a full mantissa: operands scaled by it make products and
+// sums round, so a kernel that adds its terms in another order shows. The
+// dyadic values of equivFill add exactly in any order.
+const roughScale = float32(math.Pi / 4)
+
+// operand fills a weight, bias or gradient operand: equivFill for the mixed
+// fill, as the table always had, else equivFill scaled by roughScale.
+func (f convFill) operand(d []float32, seed uint64) {
+	equivFill(d, seed)
+	if f.nnz != nil {
+		for i := range d {
+			d[i] *= roughScale
+		}
+	}
+}
+
+// alwaysGather and neverGather are crossovers for the test seams conv2D and
+// conv2DGradWeight: gather every image that is not fully dense, or only the
+// empty ones — the dense path as it was before the gather.
+const (
+	alwaysGather = 1
+	neverGather  = math.MaxInt
+)
 
 func TestConvKernelsBitIdenticalAcrossPoolSizes(t *testing.T) {
 	for _, lanes := range []int{2, 4, 5} {
 		pool := parallel.NewPool(lanes)
 		defer pool.Close()
 		for _, sh := range convShapes {
-			spec := ConvSpec{
-				InChannels: sh.c, OutChannels: sh.out,
-				KernelH: sh.kh, KernelW: sh.kh, Stride: sh.s, Pad: sh.pd,
+			for _, fill := range convFills() {
+				spec := ConvSpec{
+					InChannels: sh.c, OutChannels: sh.out,
+					KernelH: sh.kh, KernelW: sh.kh, Stride: sh.s, Pad: sh.pd,
+				}
+				oh, ow := spec.OutSize(sh.h, sh.w)
+				if oh <= 0 || ow <= 0 {
+					t.Fatalf("bad conv shape %+v", sh)
+				}
+				x := New(sh.n, sh.c, sh.h, sh.w)
+				weight := New(sh.out, sh.c, sh.kh, sh.kh)
+				bias := New(sh.out)
+				fill.fill(x, 3)
+				fill.operand(weight.Data, 5)
+				fill.operand(bias.Data, 7)
+				label := fmt.Sprintf("[N%d C%d->%d %dx%d k%d s%d p%d %s]@%d lanes",
+					sh.n, sh.c, sh.out, sh.h, sh.w, sh.kh, sh.s, sh.pd, fill.name, lanes)
+
+				outS := New(sh.n, sh.out, oh, ow)
+				outP := New(sh.n, sh.out, oh, ow)
+				Conv2D(nil, outS, x, weight, bias, spec, NewScratch())
+				Conv2D(pool, outP, x, weight, bias, spec, NewScratch())
+				requireBitEqual(t, "Conv2D"+label, outS, outP)
+				// Gather ≡ dense: the dense path, serial, is the reference
+				// for both paths at every pool width.
+				ref := New(sh.n, sh.out, oh, ow)
+				conv2D(nil, ref, x, weight, bias, spec, NewScratch(), neverGather)
+				requireBitEqual(t, "Conv2D≡dense"+label, ref, outP)
+				for _, p := range []*parallel.Pool{nil, pool} {
+					gathered := New(sh.n, sh.out, oh, ow)
+					conv2D(p, gathered, x, weight, bias, spec, NewScratch(), alwaysGather)
+					requireBitEqual(t, "Conv2D gather≡dense"+label, ref, gathered)
+				}
+
+				dout := New(sh.n, sh.out, oh, ow)
+				fill.operand(dout.Data, 11)
+				dxS, dxP := New(sh.n, sh.c, sh.h, sh.w), New(sh.n, sh.c, sh.h, sh.w)
+				Conv2DGradInput(nil, dxS, dout, weight, spec, NewScratch())
+				Conv2DGradInput(pool, dxP, dout, weight, spec, NewScratch())
+				requireBitEqual(t, "Conv2DGradInput"+label, dxS, dxP)
+
+				dwS, dwP := New(sh.out, sh.c, sh.kh, sh.kh), New(sh.out, sh.c, sh.kh, sh.kh)
+				dbS, dbP := New(sh.out), New(sh.out)
+				// Gradient kernels accumulate; seed both sides identically.
+				fill.operand(dwS.Data, 13)
+				copy(dwP.Data, dwS.Data)
+				fill.operand(dbS.Data, 19)
+				copy(dbP.Data, dbS.Data)
+				Conv2DGradWeight(nil, dwS, dbS, dout, x, spec, NewScratch())
+				Conv2DGradWeight(pool, dwP, dbP, dout, x, spec, NewScratch())
+				requireBitEqual(t, "Conv2DGradWeight"+label, dwS, dwP)
+				requireBitEqual(t, "Conv2DGradWeight(bias)"+label, dbS, dbP)
+
+				// Gather ≡ dense for the weight gradient, accumulating over
+				// two calls into one seeded gradient and one scratch.
+				dout2 := New(sh.n, sh.out, oh, ow)
+				fill.operand(dout2.Data, 17)
+				grads := func(p *parallel.Pool, density int) (dw, db *Tensor) {
+					dw, db = New(sh.out, sh.c, sh.kh, sh.kh), New(sh.out)
+					fill.operand(dw.Data, 13)
+					fill.operand(db.Data, 19)
+					sc := NewScratch()
+					conv2DGradWeight(p, dw, db, dout, x, spec, sc, density)
+					conv2DGradWeight(p, dw, db, dout2, x, spec, sc, density)
+					return dw, db
+				}
+				dwRef, dbRef := grads(nil, neverGather)
+				for _, p := range []*parallel.Pool{nil, pool} {
+					for _, density := range []int{gatherDensity, alwaysGather} {
+						dw, db := grads(p, density)
+						name := fmt.Sprintf("Conv2DGradWeight crossover 1/%d ≡ dense%s", density, label)
+						requireBitEqual(t, name, dwRef, dw)
+						requireBitEqual(t, name+"(bias)", dbRef, db)
+					}
+				}
 			}
-			oh, ow := spec.OutSize(sh.h, sh.w)
-			if oh <= 0 || ow <= 0 {
-				t.Fatalf("bad conv shape %+v", sh)
-			}
-			x := New(sh.n, sh.c, sh.h, sh.w)
-			weight := New(sh.out, sh.c, sh.kh, sh.kh)
-			bias := New(sh.out)
-			equivFill(x.Data, 3)
-			equivFill(weight.Data, 5)
-			equivFill(bias.Data, 7)
-			label := fmt.Sprintf("[N%d C%d->%d %dx%d k%d s%d p%d]@%d lanes",
-				sh.n, sh.c, sh.out, sh.h, sh.w, sh.kh, sh.s, sh.pd, lanes)
-
-			outS := New(sh.n, sh.out, oh, ow)
-			outP := New(sh.n, sh.out, oh, ow)
-			Conv2D(nil, outS, x, weight, bias, spec, NewScratch())
-			Conv2D(pool, outP, x, weight, bias, spec, NewScratch())
-			requireBitEqual(t, "Conv2D"+label, outS, outP)
-
-			dout := New(sh.n, sh.out, oh, ow)
-			equivFill(dout.Data, 11)
-			dxS, dxP := New(sh.n, sh.c, sh.h, sh.w), New(sh.n, sh.c, sh.h, sh.w)
-			Conv2DGradInput(nil, dxS, dout, weight, spec, NewScratch())
-			Conv2DGradInput(pool, dxP, dout, weight, spec, NewScratch())
-			requireBitEqual(t, "Conv2DGradInput"+label, dxS, dxP)
-
-			dwS, dwP := New(sh.out, sh.c, sh.kh, sh.kh), New(sh.out, sh.c, sh.kh, sh.kh)
-			dbS, dbP := New(sh.out), New(sh.out)
-			// Gradient kernels accumulate; seed both sides identically.
-			equivFill(dwS.Data, 13)
-			copy(dwP.Data, dwS.Data)
-			equivFill(dbS.Data, 19)
-			copy(dbP.Data, dbS.Data)
-			Conv2DGradWeight(nil, dwS, dbS, dout, x, spec, NewScratch())
-			Conv2DGradWeight(pool, dwP, dbP, dout, x, spec, NewScratch())
-			requireBitEqual(t, "Conv2DGradWeight"+label, dwS, dwP)
-			requireBitEqual(t, "Conv2DGradWeight(bias)"+label, dbS, dbP)
 		}
 	}
 }
