@@ -137,8 +137,8 @@ var benchWorkloads = []struct {
 // and heap allocations beside the time and its split into the first pass,
 // the replay and the backward walk, so `go test -bench Strategy -benchtime
 // 10x -count 6` on two trees is an in-process paired comparison that shows
-// where a saving lands. spikePack sets Config.SpikePack.
-func benchStrategyBatch(b *testing.B, strat func(T, C int, P float64) core.Strategy, spikePack bool) {
+// where a saving lands.
+func benchStrategyBatch(b *testing.B, strat func(T, C int, P float64) core.Strategy) {
 	b.Helper()
 	for _, w := range benchWorkloads {
 		b.Run(w.name, func(b *testing.B) {
@@ -151,7 +151,7 @@ func benchStrategyBatch(b *testing.B, strat func(T, C int, P float64) core.Strat
 				b.Fatal(err)
 			}
 			dev := mem.Unlimited()
-			tr, err := core.NewTrainer(net, data, strat(w.T, w.C, w.P), core.Config{T: w.T, Batch: w.B, Device: dev, SpikePack: spikePack})
+			tr, err := core.NewTrainer(net, data, strat(w.T, w.C, w.P), core.Config{T: w.T, Batch: w.B, Device: dev})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -186,28 +186,20 @@ func benchStrategyBatch(b *testing.B, strat func(T, C int, P float64) core.Strat
 	}
 }
 
-func bpttStrategy(int, int, float64) core.Strategy      { return core.BPTT{} }
-func ckptStrategy(_, C int, _ float64) core.Strategy    { return core.Checkpoint{C: C} }
-func skipperStrategy(_, C int, P float64) core.Strategy { return core.Skipper{C: C, P: P} }
-
-func BenchmarkStrategyBPTT(b *testing.B)       { benchStrategyBatch(b, bpttStrategy, false) }
-func BenchmarkStrategyCheckpoint(b *testing.B) { benchStrategyBatch(b, ckptStrategy, false) }
-func BenchmarkStrategySkipper(b *testing.B)    { benchStrategyBatch(b, skipperStrategy, false) }
+func BenchmarkStrategyBPTT(b *testing.B) {
+	benchStrategyBatch(b, func(int, int, float64) core.Strategy { return core.BPTT{} })
+}
+func BenchmarkStrategyCheckpoint(b *testing.B) {
+	benchStrategyBatch(b, func(_, C int, _ float64) core.Strategy { return core.Checkpoint{C: C} })
+}
+func BenchmarkStrategySkipper(b *testing.B) {
+	benchStrategyBatch(b, func(_, C int, P float64) core.Strategy { return core.Skipper{C: C, P: P} })
+}
 func BenchmarkStrategyAdaptiveSkipper(b *testing.B) {
-	benchStrategyBatch(b, func(_, C int, P float64) core.Strategy { return &core.AdaptiveSkipper{C: C, P: P} }, false)
+	benchStrategyBatch(b, func(_, C int, P float64) core.Strategy { return &core.AdaptiveSkipper{C: C, P: P} })
 }
 func BenchmarkStrategyTBPTT(b *testing.B) {
-	benchStrategyBatch(b, func(T, C int, _ float64) core.Strategy { return core.TBPTT{Window: T / C} }, false)
-}
-
-// BenchmarkSpikePack is BenchmarkStrategy{BPTT,Checkpoint,Skipper} with
-// Config.SpikePack set: against those rows, it is the row that decides
-// whether the bit-packed compute path (-spike-pack) beats the default
-// kernels.
-func BenchmarkSpikePack(b *testing.B) {
-	b.Run("BPTT", func(b *testing.B) { benchStrategyBatch(b, bpttStrategy, true) })
-	b.Run("Checkpoint", func(b *testing.B) { benchStrategyBatch(b, ckptStrategy, true) })
-	b.Run("Skipper", func(b *testing.B) { benchStrategyBatch(b, skipperStrategy, true) })
+	benchStrategyBatch(b, func(T, C int, _ float64) core.Strategy { return core.TBPTT{Window: T / C} })
 }
 
 func BenchmarkAblationPlacement(b *testing.B) { runExperiment(b, "ablate-placement") }

@@ -4,7 +4,7 @@
 // Usage:
 //
 //	skipper-bench -list
-//	skipper-bench -exp fig7 [-scale tiny|small|full] [-seed N] [-spike-pack]
+//	skipper-bench -exp fig7 [-scale tiny|small|full] [-seed N]
 //	skipper-bench -exp all
 package main
 
@@ -24,7 +24,6 @@ func main() {
 		exp   = flag.String("exp", "", "experiment id (see -list), or 'all'")
 		scale = flag.String("scale", "small", "run scale: tiny | small | full")
 		seed  = flag.Uint64("seed", 1, "experiment seed")
-		pack  = flag.Bool("spike-pack", false, "run workload measurements with bit-packed spike compute (bit-identical results)")
 		list  = flag.Bool("list", false, "list available experiments")
 		debug = flag.String("debug-addr", "", "serve net/http/pprof on this address while experiments run")
 	)
@@ -53,7 +52,7 @@ func main() {
 	if err != nil {
 		cli.Fatal(err)
 	}
-	cfg := bench.RunConfig{Scale: sc, Seed: *seed, SpikePack: *pack}
+	cfg := bench.RunConfig{Scale: sc, Seed: *seed}
 
 	ids := []string{*exp}
 	if *exp == "all" {

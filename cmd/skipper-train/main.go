@@ -72,7 +72,6 @@ func main() {
 		surrName = flag.String("surrogate", "triangle", "surrogate gradient: triangle | fastsigmoid | atan | rectangular")
 		seed     = flag.Uint64("seed", 1, "seed")
 		threads  = flag.Int("threads", 0, "compute-pool width for kernels (0 = all cores; results are bit-identical at every width)")
-		pack     = flag.Bool("spike-pack", false, "bit-packed spike compute: AND+popcount kernels and packed checkpoint records (bit-identical results)")
 		budget   = flag.Int64("budget-mib", 0, "device budget in MiB (0 = unlimited)")
 		maxB     = flag.Int("max-batches", 0, "cap batches per epoch (0 = full epoch)")
 		pretrain = flag.Bool("pretrain", true, "hybrid-style pre-initialisation before the main run")
@@ -230,10 +229,6 @@ func main() {
 		SnapshotEvery: *snapEvery,
 		GuardRetries:  *guardN,
 		GuardGradNorm: float32(*guardGN),
-		// -spike-pack buys both halves of the packed story: packed compute
-		// kernels and packed (compressed) checkpoint boundary records.
-		SpikePack:      *pack,
-		CompressSpikes: *pack,
 	})
 	if err != nil {
 		cli.Fatal(err)

@@ -29,7 +29,7 @@ func init() {
 				if err != nil {
 					return err
 				}
-				m, err := w.measure(strat, B, measureOpts{batches: bud.measureBatches, seed: cfg.seed(), spikePack: cfg.SpikePack})
+				m, err := w.measure(strat, B, measureOpts{batches: bud.measureBatches, seed: cfg.seed()})
 				if err != nil {
 					return err
 				}
@@ -64,7 +64,7 @@ func init() {
 				if err != nil {
 					return err
 				}
-				m, err := w.measure(strat, B, measureOpts{batches: bud.measureBatches, seed: cfg.seed(), spikePack: cfg.SpikePack})
+				m, err := w.measure(strat, B, measureOpts{batches: bud.measureBatches, seed: cfg.seed()})
 				if err != nil {
 					return err
 				}
@@ -159,7 +159,7 @@ func init() {
 				if err != nil {
 					return err
 				}
-				m, err := w.measure(row.strat, B, measureOpts{batches: bud.measureBatches, seed: cfg.seed(), spikePack: cfg.SpikePack})
+				m, err := w.measure(row.strat, B, measureOpts{batches: bud.measureBatches, seed: cfg.seed()})
 				if err != nil {
 					return err
 				}
@@ -187,7 +187,7 @@ func init() {
 				fmt.Fprintf(out, "%-12s %16s %14s\n", "records", "activations", "time/batch")
 				for _, compress := range []bool{false, true} {
 					m, err := w.measureCompressed(core.Checkpoint{C: w.C}, B,
-						measureOpts{batches: bud.measureBatches, seed: cfg.seed(), spikePack: cfg.SpikePack}, compress)
+						measureOpts{batches: bud.measureBatches, seed: cfg.seed()}, compress)
 					if err != nil {
 						return err
 					}

@@ -64,10 +64,6 @@ func (s Scale) String() string {
 type RunConfig struct {
 	Scale Scale
 	Seed  uint64
-	// SpikePack runs the workload measurements with bit-packed spike
-	// compute (core.Config.SpikePack). Results are bit-identical, so the
-	// figures' shapes must not move; only the clock may.
-	SpikePack bool
 }
 
 func (c RunConfig) seed() uint64 {
@@ -246,10 +242,6 @@ type measureOpts struct {
 	batches int // measured batches after one warm-up
 	devCfg  mem.Config
 	seed    uint64
-	// spikePack routes the run through the bit-packed spike kernels
-	// (bit-identical to dense, so every paper figure may be regenerated
-	// packed via skipper-bench -spike-pack).
-	spikePack bool
 }
 
 // memActivationsCat aliases the activations category for runner tables.
@@ -274,7 +266,7 @@ func (w Workload) measureCompressed(strat core.Strategy, B int, o measureOpts, c
 		return m, err
 	}
 	dev := mem.NewDevice(o.devCfg)
-	cfg := core.Config{T: w.T, Batch: B, Seed: o.seed, Device: dev, CompressSpikes: compress, SpikePack: o.spikePack}
+	cfg := core.Config{T: w.T, Batch: B, Seed: o.seed, Device: dev, CompressSpikes: compress}
 	tr, err := core.NewTrainer(net, data, strat, cfg)
 	if err != nil {
 		return m, err

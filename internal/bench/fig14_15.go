@@ -31,7 +31,7 @@ func init() {
 				// base horizon, so the baseline dies within the sweep while
 				// checkpointing and skipper keep scaling (paper Fig 14).
 				baseT := w.T
-				m0, err := w.measure(core.BPTT{}, B, measureOpts{batches: 1, seed: cfg.seed(), spikePack: cfg.SpikePack})
+				m0, err := w.measure(core.BPTT{}, B, measureOpts{batches: 1, seed: cfg.seed()})
 				if err != nil {
 					return err
 				}
@@ -61,7 +61,7 @@ func init() {
 					} {
 						strat := mk()
 						m, err := wt.measure(strat, B, measureOpts{
-							batches: 1, seed: cfg.seed(), spikePack: cfg.SpikePack,
+							batches: 1, seed: cfg.seed(),
 							devCfg: mem.Config{Budget: budgetBytes},
 						})
 						if err != nil {
@@ -94,7 +94,7 @@ func init() {
 			// batch (as the Jetson Nano only fit B=8 in the paper): measure
 			// the baseline at the smallest batch and allow 1.3x that.
 			bs := append([]int{1}, w.Batches...)
-			m0, err := w.measure(core.BPTT{}, bs[0], measureOpts{batches: 1, seed: cfg.seed(), spikePack: cfg.SpikePack})
+			m0, err := w.measure(core.BPTT{}, bs[0], measureOpts{batches: 1, seed: cfg.seed()})
 			if err != nil {
 				return err
 			}
@@ -113,7 +113,7 @@ func init() {
 					core.Skipper{C: w.C, P: w.P},
 				} {
 					m, err := w.measure(strat, B, measureOpts{
-						batches: bud.measureBatches, seed: cfg.seed(), devCfg: edge, spikePack: cfg.SpikePack,
+						batches: bud.measureBatches, seed: cfg.seed(), devCfg: edge,
 					})
 					if err != nil {
 						if isOOM(err) {

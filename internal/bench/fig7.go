@@ -58,14 +58,14 @@ func init() {
 				header(out, "fig7", "memory & time vs C — "+model, w)
 				B := w.Batches[0]
 				fmt.Fprintf(out, "%10s %14s %14s %12s\n", "C", "peak memory", "time/batch", "overhead")
-				base, err := w.measure(core.BPTT{}, B, measureOpts{batches: bud.measureBatches, seed: cfg.seed(), spikePack: cfg.SpikePack})
+				base, err := w.measure(core.BPTT{}, B, measureOpts{batches: bud.measureBatches, seed: cfg.seed()})
 				if err != nil {
 					return err
 				}
 				fmt.Fprintf(out, "%10s %14s %14s %12s\n", "base", gib(base.PeakReserved),
 					base.TimePerBatch.Round(time.Millisecond), "—")
 				for _, C := range cSweep(w, ln) {
-					m, err := w.measure(core.Checkpoint{C: C}, B, measureOpts{batches: bud.measureBatches, seed: cfg.seed(), spikePack: cfg.SpikePack})
+					m, err := w.measure(core.Checkpoint{C: C}, B, measureOpts{batches: bud.measureBatches, seed: cfg.seed()})
 					if err != nil {
 						return err
 					}

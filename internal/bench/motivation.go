@@ -105,7 +105,7 @@ func init() {
 					}
 					wt := w
 					wt.T = T
-					m, err := wt.measure(core.BPTT{}, B, measureOpts{batches: bud.measureBatches, seed: cfg.seed(), spikePack: cfg.SpikePack})
+					m, err := wt.measure(core.BPTT{}, B, measureOpts{batches: bud.measureBatches, seed: cfg.seed()})
 					if err != nil {
 						return err
 					}
@@ -137,7 +137,7 @@ func init() {
 				for _, T := range tSweep(base, cfg.Scale) {
 					wt := w
 					wt.T = T
-					m, err := wt.measure(core.BPTT{}, B, measureOpts{batches: bud.measureBatches, seed: cfg.seed(), spikePack: cfg.SpikePack})
+					m, err := wt.measure(core.BPTT{}, B, measureOpts{batches: bud.measureBatches, seed: cfg.seed()})
 					if err != nil {
 						return err
 					}
@@ -178,7 +178,7 @@ func init() {
 				}
 				n := data.Len(dataset.Train)
 				for _, B := range w.Batches {
-					m, err := w.measure(core.BPTT{}, B, measureOpts{batches: bud.measureBatches, seed: cfg.seed(), spikePack: cfg.SpikePack})
+					m, err := w.measure(core.BPTT{}, B, measureOpts{batches: bud.measureBatches, seed: cfg.seed()})
 					if err != nil {
 						return err
 					}
@@ -206,7 +206,7 @@ func init() {
 				"T", "activations", "input", "weights", "wt grads+opt", "total")
 			for _, T := range tSweep(ln+4, cfg.Scale) {
 				w.T = T
-				m, err := w.measure(core.BPTT{}, 1, measureOpts{batches: bud.measureBatches, seed: cfg.seed(), spikePack: cfg.SpikePack})
+				m, err := w.measure(core.BPTT{}, 1, measureOpts{batches: bud.measureBatches, seed: cfg.seed()})
 				if err != nil {
 					return err
 				}

@@ -55,10 +55,9 @@ func batchSweep(cfg RunConfig) ([]sweepCell, error) {
 		for _, B := range w.Batches {
 			for _, strat := range strategiesFor(w) {
 				m, err := w.measure(strat, B, measureOpts{
-					batches:   bud.measureBatches,
-					seed:      cfg.seed(),
-					spikePack: cfg.SpikePack,
-					devCfg:    mem.Config{ContextOverhead: figContext},
+					batches: bud.measureBatches,
+					seed:    cfg.seed(),
+					devCfg:  mem.Config{ContextOverhead: figContext},
 				})
 				if err != nil {
 					return nil, fmt.Errorf("sweep %s/%s/B=%d: %w", model, strat.Name(), B, err)

@@ -79,7 +79,7 @@ func init() {
 				if err != nil {
 					return fmt.Errorf("table2 %s: %w", r.label, err)
 				}
-				m, err := w.measure(r.strat, B, measureOpts{batches: bud.measureBatches, seed: cfg.seed(), spikePack: cfg.SpikePack})
+				m, err := w.measure(r.strat, B, measureOpts{batches: bud.measureBatches, seed: cfg.seed()})
 				if err != nil {
 					return err
 				}
@@ -106,7 +106,7 @@ func init() {
 				if err != nil {
 					return fmt.Errorf("fig16 %s: %w", label, err)
 				}
-				m, err := w.measure(strat, B, measureOpts{batches: bud.measureBatches, seed: cfg.seed(), spikePack: cfg.SpikePack})
+				m, err := w.measure(strat, B, measureOpts{batches: bud.measureBatches, seed: cfg.seed()})
 				if err != nil {
 					return err
 				}

@@ -63,18 +63,14 @@ type Config struct {
 	// paper's time-axis techniques. 0 disables (one pass per step).
 	MicroBatch int
 	// CompressSpikes bit-packs the binary spike tensors of checkpoint
-	// boundary records (32× smaller), shrinking the O(C) term of Eq. 3.
-	// Lossless — gradient exactness is preserved. Applies to the
-	// Checkpoint, Skipper, and AdaptiveSkipper strategies.
+	// boundary records (32× smaller) for the Checkpoint, Skipper and
+	// AdaptiveSkipper strategies. Lossless: gradients are unchanged. It
+	// shrinks the boundary records, not always the reserved peak: on the
+	// benchmark's dvsgesture workload (lenet w0.5, T=120, B=4) it raises
+	// ckpt's peak from 3 959 296 to 3 984 896 bytes and skipper's from
+	// 2 822 656 to 2 848 256, since something else sets that peak. The
+	// ROADMAP item "Records hold U only" replaces it.
 	CompressSpikes bool
-	// SpikePack routes spike activations through the bit-packed compute
-	// kernels (AND+popcount gathers in internal/tensor): spiking layers
-	// publish packed activation views, the forward/backward steps consume
-	// them directly, and checkpoint boundary records stay packed until a
-	// consumer actually needs floats. Bit-identical to the dense float path
-	// at any pool width, so it composes with checkpoint/skip determinism.
-	// Combine with CompressSpikes to also store boundary records packed.
-	SpikePack bool
 	// Metrics, when non-nil, receives one JSON line per epoch (loss,
 	// accuracy, step counts, durations, peak memory) — machine-readable
 	// training telemetry for dashboards and regression tracking.

@@ -53,7 +53,7 @@ func firstPassSetup(t *testing.T, fix goldenFixture, strat planner, threads int,
 	net, data, T := fix(t)
 	rt := NewRuntime(WithThreads(threads))
 	t.Cleanup(rt.Close)
-	cfg := Config{T: T, Batch: 2, Device: dev, SpikePack: mode == "spike-pack", CompressSpikes: mode == "compress"}
+	cfg := Config{T: T, Batch: 2, Device: dev, CompressSpikes: mode == "compress"}
 	tr, err := rt.NewTrainer(net, data, strat, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -112,9 +112,9 @@ func firstPassRun(t *testing.T, fix goldenFixture, strat planner, threads int, m
 // one step per call: every SAM score, the loss, the accuracy and every
 // injected loss gradient, every kept record, the step counters, and the
 // activation and reserved peaks once it is done — for every strategy of the
-// segment engine, on 1, 2 and 4 threads, with the boundary records plain,
-// bit-packed and in spike-pack mode, on frame input and on event input
-// whose steps are mostly quiet, woken and as built. BPTT's records lie end
+// segment engine, on 1, 2 and 4 threads, with the boundary records plain
+// and bit-packed, on frame input and on event input whose steps are mostly
+// quiet, woken and as built. BPTT's records lie end
 // to end per layer, so its backward takes each layer in one kernel call.
 func TestFirstPassRunsEqualOneStepPerCall(t *testing.T) {
 	fixtures := []struct {
@@ -134,13 +134,13 @@ func TestFirstPassRunsEqualOneStepPerCall(t *testing.T) {
 			{"adaptive", func() planner { return &AdaptiveSkipper{C: fx.C, P: fx.P} }},
 		}
 		for _, sc := range strategies {
-			for _, mode := range []string{"plain", "compress", "spike-pack"} {
+			for _, mode := range []string{"plain", "compress"} {
 				t.Run(fmt.Sprintf("%s/%s/%s", fx.name, sc.name, mode), func(t *testing.T) {
 					saved := forwardRun
 					forwardRun = oneStepPerCall
 					each, _ := firstPassRun(t, fx.fix, sc.strat(), 1, mode)
 					forwardRun = saved
-					if fx.name != "cifar10" && mode != "spike-pack" && each.quiet == 0 {
+					if fx.name != "cifar10" && each.quiet == 0 {
 						t.Fatal("no quiet step: the events case pins nothing")
 					}
 					for _, threads := range []int{1, 2, 4} {
@@ -149,7 +149,7 @@ func TestFirstPassRunsEqualOneStepPerCall(t *testing.T) {
 							if fmt.Sprint(runs) != fmt.Sprint(each) {
 								t.Fatalf("in runs %+v\none step per call %+v", runs, each)
 							}
-							if sc.name == "bptt" && mode != "spike-pack" {
+							if sc.name == "bptt" {
 								assertEndToEnd(t, p)
 							}
 						})

@@ -101,12 +101,6 @@ func (r InferResult) EarlyExits() int {
 	return n
 }
 
-// Infer runs an inference-only forward pass over a pre-materialised T-step
-// spike train. See InferStream.
-func Infer(net *layers.Network, input []*tensor.Tensor, opts InferOptions) InferResult {
-	return InferStream(net, len(input), func(t int) *tensor.Tensor { return input[t] }, opts)
-}
-
 // InferStream runs an inference-only forward pass, pulling each timestep's
 // input spikes from step (called with t = 0..T−1 in order, at most once
 // each). Unlike the training strategies it stores no activation records:

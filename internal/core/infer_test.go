@@ -24,7 +24,7 @@ func TestInferMatchesEvaluatePath(t *testing.T) {
 	const T, B = 12, 4
 	input, _ := src.SpikeBatch(dataset.Test, []int{0, 1, 2, 3}, T)
 
-	res := Infer(net, input, InferOptions{})
+	res := InferStream(net, len(input), func(tt int) *tensor.Tensor { return input[tt] }, InferOptions{})
 	if res.StepsRun != T || res.StepsSaved() != 0 || res.EarlyExits() != 0 {
 		t.Fatalf("full run must execute all steps: %+v", res)
 	}
@@ -101,12 +101,12 @@ func TestEarlyExitMatchesFullHorizon(t *testing.T) {
 		for _, K := range []int{3, 4, 6} {
 			idx := []int{0, 1, 2, 3, 4, 5}
 			input, _ := src.SpikeBatch(dataset.Test, idx, tc.T)
-			full := Infer(net, input, InferOptions{})
+			full := InferStream(net, len(input), func(tt int) *tensor.Tensor { return input[tt] }, InferOptions{})
 			// A conservative confidence gate: event-stream inputs carry
 			// time-varying evidence, so thin-margin leaders can still be
 			// overturned late in the horizon. The gate keeps such samples
 			// running; the property below is over the ones that do exit.
-			early := Infer(net, input, InferOptions{EarlyExit: true, K: K, MinMargin: 0.2})
+			early := InferStream(net, len(input), func(tt int) *tensor.Tensor { return input[tt] }, InferOptions{EarlyExit: true, K: K, MinMargin: 0.2})
 			if early.StepsRun > full.StepsRun {
 				t.Fatalf("%s K=%d: early exit ran %d > %d steps", tc.model, K, early.StepsRun, full.StepsRun)
 			}

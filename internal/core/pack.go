@@ -8,9 +8,9 @@ import (
 // packedState is a storage-optimised timestep record: membrane potentials
 // stay as float32 (they are dense reals), while binary spike tensors are
 // bit-packed 32×. Enabled by Config.CompressSpikes for the long-lived
-// checkpoint boundary records — an optimisation beyond the paper that
-// shrinks the O(C) term of Eq. 3. Packing is lossless for binary tensors,
-// so gradient exactness is unaffected (a tested invariant).
+// checkpoint boundary records, a storage format beyond the paper. Packing
+// is lossless for binary tensors, so gradient exactness is unaffected (a
+// tested invariant).
 type packedState struct {
 	u       *tensor.Tensor
 	oPacked *tensor.PackedSpikes
@@ -24,12 +24,7 @@ func packState(st *layers.LayerState) *packedState {
 		return nil
 	}
 	ps := &packedState{u: st.U}
-	switch {
-	case st.OPacked != nil:
-		// Spike-pack mode already carries the packed view — reuse it and
-		// skip the binary scan and re-pack entirely.
-		ps.oPacked = st.OPacked
-	case st.O != nil:
+	if st.O != nil {
 		if p, ok := tensor.PackSpikes(st.O); ok {
 			ps.oPacked = p
 		} else {
@@ -42,26 +37,18 @@ func packState(st *layers.LayerState) *packedState {
 	return ps
 }
 
-// unpack rebuilds the record. Dense, every packed spike plane expands back
-// to floats and the original is reconstructed exactly. Lazy, the planes
-// travel as LayerState.OPacked and the packed-aware layer kernels consume
-// the bits directly; LayerState.DenseO materialises on demand for any
-// consumer that still needs floats. Non-binary outputs (readout membranes)
-// were never packed and come back dense either way.
-func (ps *packedState) unpack(lazy bool) *layers.LayerState {
+// unpack rebuilds the record exactly: every packed spike plane expands back
+// to floats. Non-binary outputs (readout membranes) were never packed.
+func (ps *packedState) unpack() *layers.LayerState {
 	if ps == nil {
 		return nil
 	}
 	st := &layers.LayerState{U: ps.u, O: ps.oRaw}
 	if ps.oPacked != nil {
-		if lazy {
-			st.OPacked = ps.oPacked
-		} else {
-			st.O = ps.oPacked.Unpack()
-		}
+		st.O = ps.oPacked.Unpack()
 	}
 	for _, sub := range ps.sub {
-		st.Sub = append(st.Sub, sub.unpack(lazy))
+		st.Sub = append(st.Sub, sub.unpack())
 	}
 	return st
 }
@@ -97,11 +84,11 @@ func packStates(states []*layers.LayerState) ([]*packedState, int64) {
 	return out, bytes
 }
 
-// unpackStates reconstructs the record set, keeping spikes packed when lazy.
-func unpackStates(ps []*packedState, lazy bool) []*layers.LayerState {
+// unpackStates reconstructs the record set.
+func unpackStates(ps []*packedState) []*layers.LayerState {
 	out := make([]*layers.LayerState, len(ps))
 	for i, p := range ps {
-		out[i] = p.unpack(lazy)
+		out[i] = p.unpack()
 	}
 	return out
 }

@@ -119,8 +119,8 @@ func captureState(prefix string, st *layers.LayerState, out *[]tensor.Named) {
 	if st.U != nil {
 		*out = append(*out, tensor.Named{Name: prefix + ".u", T: st.U.Clone()})
 	}
-	if o := st.DenseO(); o != nil {
-		*out = append(*out, tensor.Named{Name: prefix + ".o", T: o.Clone()})
+	if st.O != nil {
+		*out = append(*out, tensor.Named{Name: prefix + ".o", T: st.O.Clone()})
 	}
 	for k, sub := range st.Sub {
 		captureState(fmt.Sprintf("%s.sub%d", prefix, k), sub, out)

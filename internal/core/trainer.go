@@ -123,10 +123,6 @@ type Trainer struct {
 	// serial full-batch mean (see ShardGrads). 0 outside shard computation.
 	lossDenom int
 
-	// packScanned/packSkipped are the last-seen packed-kernel word counters
-	// (process-global), used to emit per-batch deltas into the trace.
-	packScanned, packSkipped int64
-
 	// lrScale is the divergence guard's cumulative learning-rate reduction
 	// (1 = untouched); it survives checkpoint/resume via the manifest.
 	lrScale float32
@@ -157,9 +153,6 @@ func NewTrainer(net *layers.Network, data dataset.Source, strat Strategy, cfg Co
 	// Pool size never changes results (see internal/parallel), so this does
 	// not interact with seeding or resume determinism.
 	net.SetPool(cfg.Runtime.Pool())
-	// Bit-packed spike compute is bit-identical to the dense path, so this
-	// flag also never interacts with seeding or resume determinism.
-	net.SetSpikePack(cfg.SpikePack)
 	// The device reports reserved-memory high-water marks into the runtime's
 	// tracer (a no-op when tracing is off).
 	tr.Dev.SetTracer(cfg.Runtime.Tracer())
@@ -318,14 +311,6 @@ func (tr *Trainer) TrainBatchIndices(split dataset.Split, indices []int) (StepSt
 	total.GradNorm = float64(opt.GradClip(tr.Net.Params(), tr.Cfg.GradClip))
 	tr.Opt.Step()
 	tr.tracer().SpanAt(trace.TrackTrain, "opt_step", stepStart, time.Since(stepStart))
-	if tr.Cfg.SpikePack {
-		// Event-driven skip visibility: per-batch deltas of the packed
-		// kernels' word-occupancy counters, next to the pool-lane series.
-		scanned, skipped := tensor.PackedKernelStats()
-		tr.tracer().Counter(trace.TrackPool, "spike_words_scanned", scanned-tr.packScanned)
-		tr.tracer().Counter(trace.TrackPool, "spike_words_skipped", skipped-tr.packSkipped)
-		tr.packScanned, tr.packSkipped = scanned, skipped
-	}
 	return total, nil
 }
 
@@ -547,11 +532,6 @@ func stateBytes(states []*layers.LayerState) int64 {
 type recordStore struct {
 	dev     *mem.Device
 	records map[int]*record
-	// lazy keeps packed records' spike planes bit-packed on get: the
-	// materialised LayerStates carry OPacked instead of dense O, and the
-	// packed-aware layer kernels recompute/backprop straight from the bits
-	// (DenseO expands on demand for anything else). Set in spike-pack mode.
-	lazy bool
 }
 
 // record is one stored timestep: its device charge and its states, which a
@@ -562,11 +542,9 @@ type record struct {
 	packed []*packedState
 }
 
-// newRecordStore returns the trainer's record store, lazy when spike-pack
-// mode is on so checkpoint boundary records skip the unpack-to-dense round
-// trip.
+// newRecordStore returns the trainer's record store.
 func (tr *Trainer) newRecordStore() *recordStore {
-	return &recordStore{dev: tr.Dev, records: map[int]*record{}, lazy: tr.Cfg.SpikePack}
+	return &recordStore{dev: tr.Dev, records: map[int]*record{}}
 }
 
 // put charges and retains the record for timestep t — as given, or as a
@@ -594,7 +572,7 @@ func (rs *recordStore) get(t int) []*layers.LayerState {
 		return nil
 	}
 	if r.states == nil {
-		r.states = unpackStates(r.packed, rs.lazy)
+		r.states = unpackStates(r.packed)
 	}
 	return r.states
 }

@@ -23,7 +23,7 @@ func statesBits(ts []*tensor.Tensor, states []*layers.LayerState) []*tensor.Tens
 		if st.U != nil {
 			ts = append(ts, st.U)
 		}
-		ts = append(ts, st.DenseO())
+		ts = append(ts, st.O)
 		ts = statesBits(ts, st.Sub)
 	}
 	return ts
@@ -58,7 +58,7 @@ func walkRun(t *testing.T, fix goldenFixture, threads int, mode string, each boo
 	net, data, T := fix(t)
 	rt := NewRuntime(WithThreads(threads))
 	t.Cleanup(rt.Close)
-	cfg := Config{T: T, Batch: 2, Device: mem.Unlimited(), SpikePack: mode == "spike-pack", CompressSpikes: mode == "compress"}
+	cfg := Config{T: T, Batch: 2, Device: mem.Unlimited(), CompressSpikes: mode == "compress"}
 	tr, err := rt.NewTrainer(net, data, Checkpoint{C: 3}, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -133,15 +133,15 @@ func walkRun(t *testing.T, fix goldenFixture, threads int, mode string, each boo
 // produce one step per call: every record (the readout's membrane among
 // them, so the logits), the δ carried between segments, every gradient and
 // the step counters, quiet steps included. On 1, 2 and 4 threads, with the
-// boundary records plain, bit-packed and in spike-pack mode, on frame input
-// and on event input whose steps are mostly quiet.
+// boundary records plain and bit-packed, on frame input and on event input
+// whose steps are mostly quiet.
 func TestPassWalkManyStepsEqualsOneStepPerCall(t *testing.T) {
 	fixtures := []struct {
 		name string
 		fix  goldenFixture
 	}{{"cifar10", tinyFixture}, {"events", eventFixture(true)}}
 	for _, fx := range fixtures {
-		for _, mode := range []string{"plain", "compress", "spike-pack"} {
+		for _, mode := range []string{"plain", "compress"} {
 			for _, threads := range []int{1, 2, 4} {
 				t.Run(fmt.Sprintf("%s/%s/threads=%d", fx.name, mode, threads), func(t *testing.T) {
 					whole := walkRun(t, fx.fix, threads, mode, false)
@@ -149,8 +149,7 @@ func TestPassWalkManyStepsEqualsOneStepPerCall(t *testing.T) {
 					if fmt.Sprint(whole) != fmt.Sprint(each) {
 						t.Fatalf("whole lists %+v\none step per call %+v", whole, each)
 					}
-					// The quiet step does not model spike-pack mode.
-					if fx.name == "events" && mode != "spike-pack" && whole.st.QuietSteps == 0 {
+					if fx.name == "events" && whole.st.QuietSteps == 0 {
 						t.Fatal("no quiet step: the events case pins nothing")
 					}
 				})

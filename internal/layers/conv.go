@@ -21,12 +21,11 @@ type SpikingConv2D struct {
 	weight, bias *tensor.Tensor
 	gradW, gradB *tensor.Tensor
 
-	inShape   []int // [C,H,W]
-	outShape  []int // [Cout,OH,OW]
-	pool      *parallel.Pool
-	scratch   *tensor.Scratch
-	colLen    int
-	spikePack bool
+	inShape  []int // [C,H,W]
+	outShape []int // [Cout,OH,OW]
+	pool     *parallel.Pool
+	scratch  *tensor.Scratch
+	colLen   int
 	// inputLayer is set by Network.Build on Layers[0]: Backward then returns
 	// a nil input gradient instead of computing one nobody reads.
 	inputLayer bool
@@ -77,9 +76,6 @@ func (l *SpikingConv2D) Build(inShape []int, rng *tensor.RNG) ([]int, error) {
 // SetPool implements PoolAware.
 func (l *SpikingConv2D) SetPool(p *parallel.Pool) { l.pool = p }
 
-// SetSpikePack implements SpikePackAware.
-func (l *SpikingConv2D) SetSpikePack(on bool) { l.spikePack = on }
-
 func (l *SpikingConv2D) markInputLayer() { l.inputLayer = true }
 
 // Params implements Layer.
@@ -109,23 +105,10 @@ func (l *SpikingConv2D) forwardSteps(xs []*tensor.Tensor, prev *LayerState, out 
 	scan(us, newSteps(len(xs), xs[0].Dim(0), l.outShape), prev, l.fire, out)
 }
 
-// ForwardPacked implements PackedForward: the convolution runs on a packed
-// im2col of the input spike bits (bit-identical to the dense Conv2D).
-func (l *SpikingConv2D) ForwardPacked(_ *tensor.Tensor, xp *tensor.PackedSpikes, prev *LayerState) *LayerState {
-	shape := append([]int{xp.Shape()[0]}, l.outShape...)
-	st := &LayerState{U: tensor.New(shape...), O: tensor.New(shape...)}
-	tensor.Conv2DPacked(l.pool, st.U, xp, l.weight, l.bias, l.Spec, l.scratch)
-	l.fire(st, prev)
-	return st
-}
-
 // fire folds the leak/reset recurrence into st.U, which holds the step's
 // synaptic current, and fires st.O.
 func (l *SpikingConv2D) fire(st, prev *LayerState) {
 	stepLIFPrev(l.pool, st.U, st.O, prev, l.Neuron)
-	if l.spikePack {
-		packOutput(st, st.O)
-	}
 }
 
 // Backward implements Layer: backwardSteps on one step.
@@ -152,20 +135,6 @@ func (l *SpikingConv2D) backwardSteps(g *stepGrads, deltaIn *Delta) *Delta {
 		})
 	}
 	return &Delta{D: last}
-}
-
-// BackwardPacked implements PackedBackward: the input spikes feed only the
-// weight gradient, which the packed gather kernel accumulates bit-identically
-// without expanding a lazy checkpoint record.
-func (l *SpikingConv2D) BackwardPacked(xp *tensor.PackedSpikes, st *LayerState, gradOut *tensor.Tensor, deltaIn *Delta) (*tensor.Tensor, *Delta) {
-	delta := oneStep(nil, st, gradOut, false).scanDeltas(l.pool, deltaIn, l.Neuron, l.Surrogate)
-	tensor.Conv2DGradWeightPacked(l.pool, l.gradW, l.gradB, delta, xp, l.Spec, l.scratch)
-	if l.inputLayer {
-		return nil, &Delta{D: delta}
-	}
-	gradIn := tensor.New(xp.Shape()...)
-	tensor.Conv2DGradInput(l.pool, gradIn, delta, l.weight, l.Spec, l.scratch)
-	return gradIn, &Delta{D: delta}
 }
 
 // StateBytes implements Layer: U and O per stored timestep.

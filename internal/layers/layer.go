@@ -7,6 +7,8 @@
 package layers
 
 import (
+	"skipper/internal/parallel"
+	"skipper/internal/snn"
 	"skipper/internal/tensor"
 )
 
@@ -16,36 +18,19 @@ import (
 type LayerState struct {
 	U *tensor.Tensor
 	O *tensor.Tensor
-	// OPacked is the bit-packed view of the spike output when the network
-	// runs in spike-pack mode. Freshly computed states carry both O and
-	// OPacked; a lazily materialised checkpoint boundary record carries ONLY
-	// OPacked (O nil) until DenseO expands it on demand, so packed-aware
-	// layers can recompute straight from the bits.
-	OPacked *tensor.PackedSpikes
 	// Sub holds internal states of composite layers, e.g. the first LIF of a
 	// residual block.
 	Sub []*LayerState
 }
 
-// DenseO returns the dense spike output, expanding and caching the packed
-// form the first time a lazy record's O is actually needed. Nil only for a
-// state that has neither representation.
-func (s *LayerState) DenseO() *tensor.Tensor {
-	if s.O == nil && s.OPacked != nil {
-		s.O = s.OPacked.Unpack()
+// stepLIFPrev advances one LIF timestep from prev, the layer's state at t−1
+// (nil at t = 0).
+func stepLIFPrev(pool *parallel.Pool, u, o *tensor.Tensor, prev *LayerState, p snn.Params) {
+	if prev == nil {
+		snn.StepLIF(pool, u, o, nil, nil, u, p)
+		return
 	}
-	return s.O
-}
-
-// OutShape returns the output shape without forcing a lazy record dense.
-func (s *LayerState) OutShape() []int {
-	if s.O != nil {
-		return s.O.Shape()
-	}
-	if s.OPacked != nil {
-		return s.OPacked.Shape()
-	}
-	return nil
+	snn.StepLIF(pool, u, o, prev.U, prev.O, u, p)
 }
 
 // Bytes returns the storage footprint of the record in bytes; this is what
@@ -58,13 +43,8 @@ func (s *LayerState) Bytes() int64 {
 	if s.U != nil {
 		n += s.U.Bytes()
 	}
-	// OPacked alongside a dense O is a transient compute view, not extra
-	// stored activation; only a lazy record (O nil) is charged at its packed
-	// size.
 	if s.O != nil {
 		n += s.O.Bytes()
-	} else if s.OPacked != nil {
-		n += s.OPacked.Bytes()
 	}
 	for _, sub := range s.Sub {
 		n += sub.Bytes()
@@ -83,10 +63,6 @@ func (s *LayerState) SpikeSum() float64 {
 		for _, v := range s.O.Data {
 			sum += float64(v)
 		}
-	} else if s.OPacked != nil {
-		// A popcount over the packed bits equals the float spike-sum exactly
-		// (spikes are 0/1 and integer counts are exact in float64).
-		sum += float64(s.OPacked.Count())
 	}
 	for _, sub := range s.Sub {
 		sum += sub.SpikeSum()

@@ -28,16 +28,12 @@ type SpikingLinear struct {
 	inShape      []int
 	inFeatures   int
 	pool         *parallel.Pool
-	spikePack    bool
 	// inputLayer: see SpikingConv2D.
 	inputLayer bool
 }
 
 // SetPool implements PoolAware.
 func (l *SpikingLinear) SetPool(p *parallel.Pool) { l.pool = p }
-
-// SetSpikePack implements SpikePackAware.
-func (l *SpikingLinear) SetSpikePack(on bool) { l.spikePack = on }
 
 func (l *SpikingLinear) markInputLayer() { l.inputLayer = true }
 
@@ -108,17 +104,6 @@ func (l *SpikingLinear) forwardSteps(xs []*tensor.Tensor, prev *LayerState, out 
 	scan(us, newSteps(len(xs), xs[0].Dim(0), shape), prev, l.fire, out)
 }
 
-// ForwardPacked implements PackedForward: the synaptic current is gathered
-// straight from the input spike bits (bit-identical to the dense matmul).
-func (l *SpikingLinear) ForwardPacked(_ *tensor.Tensor, xp *tensor.PackedSpikes, prev *LayerState) *LayerState {
-	b := xp.Shape()[0]
-	st := &LayerState{U: tensor.New(b, l.Out), O: tensor.New(b, l.Out)}
-	tensor.MatMulTransBPacked(l.pool, st.U, xp, l.weight) // current = x·Wᵀ over set bits
-	tensor.AddRowBias(st.U, l.bias)
-	l.fire(st, prev)
-	return st
-}
-
 // fire folds the leak/reset recurrence into st.U, which holds the step's
 // synaptic current, and fires st.O.
 func (l *SpikingLinear) fire(st, prev *LayerState) {
@@ -131,9 +116,6 @@ func (l *SpikingLinear) fire(st, prev *LayerState) {
 		return
 	}
 	stepLIFPrev(l.pool, st.U, st.O, prev, l.Neuron)
-	if l.spikePack {
-		packOutput(st, st.O)
-	}
 }
 
 // Backward implements Layer: backwardSteps on one step.
@@ -176,21 +158,6 @@ func (l *SpikingLinear) scanDeltas(g *stepGrads, deltaIn *Delta) *tensor.Tensor 
 		last = d
 	}
 	return last
-}
-
-// BackwardPacked implements PackedBackward: the input spikes enter the
-// weight gradient only, and the packed accumulate kernel is bit-identical to
-// the dense one, so a lazy checkpoint record never needs expanding here.
-func (l *SpikingLinear) BackwardPacked(xp *tensor.PackedSpikes, st *LayerState, gradOut *tensor.Tensor, deltaIn *Delta) (*tensor.Tensor, *Delta) {
-	delta := l.scanDeltas(oneStep(nil, st, gradOut, false), deltaIn)
-	tensor.MatMulTransAPackedAcc(l.pool, l.gradW, delta, xp) // ∂W += δᵀ·x over set bits
-	tensor.SumPerColumn(l.gradB, delta)                      // ∂b += Σ_batch δ
-	if l.inputLayer {
-		return nil, &Delta{D: delta}
-	}
-	gradFlat := tensor.New(delta.Dim(0), l.inFeatures)
-	tensor.MatMul(l.pool, gradFlat, delta, l.weight)
-	return gradFlat.Reshape(xp.Shape()...), &Delta{D: delta}
 }
 
 // StateBytes implements Layer: U and O per stored timestep.

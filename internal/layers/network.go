@@ -17,10 +17,9 @@ type Network struct {
 	InShape []int // per-sample input shape [C,H,W]
 	Layers  []Layer
 
-	outShape  []int
-	built     bool
-	pool      *parallel.Pool
-	spikePack bool
+	outShape []int
+	built    bool
+	pool     *parallel.Pool
 }
 
 // PoolAware is implemented by layers whose kernels run on the parallel
@@ -45,23 +44,6 @@ func (n *Network) SetPool(p *parallel.Pool) {
 
 // Pool returns the compute pool the network's layers run on (nil = serial).
 func (n *Network) Pool() *parallel.Pool { return n.pool }
-
-// SetSpikePack turns bit-packed spike compute on or off for the whole stack,
-// fanning the flag out to every SpikePackAware layer (mirroring SetPool).
-// With it on, spiking layers publish packed activation views and the
-// forward/backward steps route through the AND+popcount gather kernels —
-// bit-identical to the dense float path at any pool width.
-func (n *Network) SetSpikePack(on bool) {
-	n.spikePack = on
-	for _, l := range n.Layers {
-		if sa, ok := l.(SpikePackAware); ok {
-			sa.SetSpikePack(on)
-		}
-	}
-}
-
-// SpikePack reports whether bit-packed spike compute is on.
-func (n *Network) SpikePack() bool { return n.spikePack }
 
 // NewNetwork assembles an unbuilt network from layers.
 func NewNetwork(name string, inShape []int, ls ...Layer) *Network {
@@ -217,7 +199,7 @@ func (n *Network) ForwardStep(x *tensor.Tensor, prev []*LayerState) []*LayerStat
 // Logits returns the readout output of the final layer for a timestep's
 // states.
 func (n *Network) Logits(states []*LayerState) *tensor.Tensor {
-	return states[len(states)-1].DenseO()
+	return states[len(states)-1].O
 }
 
 // SpikeSum returns s_t = Σ_l sum(o_t^l) over all layers for one timestep's

@@ -34,8 +34,8 @@ type QuietState struct {
 // NewQuietState prepares the fast path for one network at a fixed batch
 // size. Supported reports false when the stack contains layers whose quiet
 // behaviour is not modelled here (batch norm, residual blocks, recurrent
-// cells) or when spike-pack mode is on; callers then fall back to a full
-// zero-input ForwardStep, which is always correct, just slower.
+// cells); callers then fall back to a full zero-input ForwardStep, which is
+// always correct, just slower.
 func NewQuietState(net *Network, batch int) *QuietState {
 	q := &QuietState{
 		net:       net,
@@ -54,8 +54,7 @@ func NewQuietState(net *Network, batch int) *QuietState {
 }
 
 // QuietCovered reports whether the leak-only step models every layer of the
-// network: a stack of spiking conv and linear layers, pools and dropout, not
-// in spike-pack mode.
+// network: a stack of spiking conv and linear layers, pools and dropout.
 func (n *Network) QuietCovered() bool {
 	n.mustBuilt()
 	for _, l := range n.Layers {
@@ -65,7 +64,7 @@ func (n *Network) QuietCovered() bool {
 			return false
 		}
 	}
-	return !n.spikePack
+	return true
 }
 
 // Supported reports whether the quiet fast path covers this network.
@@ -104,7 +103,7 @@ func (q *QuietState) current(i int, compute func(zero *tensor.Tensor) *tensor.Te
 // switches the remainder of the stack back to the normal Forward chain.
 // Returns (nil, false) when the network is unsupported.
 func (q *QuietState) Step(prev []*LayerState) ([]*LayerState, bool) {
-	if !q.supported || q.net.spikePack {
+	if !q.supported {
 		return nil, false
 	}
 	n := q.net

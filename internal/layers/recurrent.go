@@ -35,14 +35,10 @@ type RecurrentSpikingLinear struct {
 	inShape                 []int
 	inFeatures              int
 	pool                    *parallel.Pool
-	spikePack               bool
 }
 
 // SetPool implements PoolAware.
 func (l *RecurrentSpikingLinear) SetPool(p *parallel.Pool) { l.pool = p }
-
-// SetSpikePack implements SpikePackAware.
-func (l *RecurrentSpikingLinear) SetSpikePack(on bool) { l.spikePack = on }
 
 // NewRecurrentSpikingLinear returns an unbuilt recurrent spiking layer.
 func NewRecurrentSpikingLinear(label string, out int, neuron snn.Params, surr snn.Surrogate) *RecurrentSpikingLinear {
@@ -94,77 +90,29 @@ func (l *RecurrentSpikingLinear) flatten(x *tensor.Tensor) *tensor.Tensor {
 	return x.Reshape(x.Dim(0), l.inFeatures)
 }
 
-// Forward implements Layer.
+// Forward implements Layer. The lateral recurrence W_rec·o_{t-1} is folded
+// into the synaptic current before the leak/reset step.
 func (l *RecurrentSpikingLinear) Forward(x *tensor.Tensor, prev *LayerState) *LayerState {
 	xf := l.flatten(x)
 	b := xf.Dim(0)
 	u := tensor.New(b, l.Out)
 	tensor.MatMulTransB(l.pool, u, xf, l.weight)
 	tensor.AddRowBias(u, l.bias)
-	return l.fire(u, prev, b)
-}
-
-// ForwardPacked implements PackedForward: both the feed-forward current and
-// the lateral recurrence gather straight from spike bits.
-func (l *RecurrentSpikingLinear) ForwardPacked(_ *tensor.Tensor, xp *tensor.PackedSpikes, prev *LayerState) *LayerState {
-	b := xp.Shape()[0]
-	u := tensor.New(b, l.Out)
-	tensor.MatMulTransBPacked(l.pool, u, xp, l.weight)
-	tensor.AddRowBias(u, l.bias)
-	return l.fire(u, prev, b)
-}
-
-// fire folds in the lateral recurrence and the leak/reset step. The previous
-// state's spikes may be dense or packed (a lazy checkpoint record); both
-// recurrence kernels are bit-identical.
-func (l *RecurrentSpikingLinear) fire(u *tensor.Tensor, prev *LayerState, b int) *LayerState {
 	if prev != nil {
 		rec := tensor.New(b, l.Out)
-		if prev.O != nil {
-			tensor.MatMulTransB(l.pool, rec, prev.O, l.recWeight)
-		} else {
-			tensor.MatMulTransBPacked(l.pool, rec, prev.OPacked, l.recWeight)
-		}
+		tensor.MatMulTransB(l.pool, rec, prev.O, l.recWeight)
 		tensor.AXPY(u, 1, rec)
 	}
 	o := tensor.New(b, l.Out)
 	stepLIFPrev(l.pool, u, o, prev, l.Neuron)
-	st := &LayerState{U: u, O: o}
-	if l.spikePack {
-		packOutput(st, o)
-	}
-	return st
+	return &LayerState{U: u, O: o}
 }
 
-// Backward implements Layer.
+// Backward implements Layer. δ_t folds in the lateral credit from t+1 and
+// ∂W_rec accumulates before the input gradient is formed.
 func (l *RecurrentSpikingLinear) Backward(x *tensor.Tensor, st *LayerState, gradOut *tensor.Tensor, deltaIn *Delta) (*tensor.Tensor, *Delta) {
 	xf := l.flatten(x)
 	b := xf.Dim(0)
-	delta := l.deltaStep(st, gradOut, deltaIn, b)
-	gradFlat := tensor.New(b, l.inFeatures)
-	tensor.MatMul(l.pool, gradFlat, delta, l.weight)
-	tensor.MatMulTransAAcc(l.pool, l.gradW, delta, xf)
-	tensor.SumPerColumn(l.gradB, delta)
-	return gradFlat.Reshape(x.Shape()...), &Delta{D: delta}
-}
-
-// BackwardPacked implements PackedBackward: the layer input feeds only the
-// feed-forward weight gradient, which the packed kernel accumulates
-// bit-identically from the spike bits.
-func (l *RecurrentSpikingLinear) BackwardPacked(xp *tensor.PackedSpikes, st *LayerState, gradOut *tensor.Tensor, deltaIn *Delta) (*tensor.Tensor, *Delta) {
-	b := xp.Shape()[0]
-	delta := l.deltaStep(st, gradOut, deltaIn, b)
-	gradFlat := tensor.New(b, l.inFeatures)
-	tensor.MatMul(l.pool, gradFlat, delta, l.weight)
-	tensor.MatMulTransAPackedAcc(l.pool, l.gradW, delta, xp)
-	tensor.SumPerColumn(l.gradB, delta)
-	return gradFlat.Reshape(xp.Shape()...), &Delta{D: delta}
-}
-
-// deltaStep computes δ_t from the stored state, folding in the lateral
-// credit from t+1 and accumulating ∂W_rec. The stored spikes o_t may be
-// dense or packed (lazy boundary record).
-func (l *RecurrentSpikingLinear) deltaStep(st *LayerState, gradOut *tensor.Tensor, deltaIn *Delta, b int) *tensor.Tensor {
 	// Total ∂L/∂o_t: the downstream gradient plus the lateral credit from
 	// t+1 (δ_{t+1} entered U_{t+1} through W_rec·o_t).
 	gradO := gradOut.Clone()
@@ -174,16 +122,15 @@ func (l *RecurrentSpikingLinear) deltaStep(st *LayerState, gradOut *tensor.Tenso
 		lat := tensor.New(b, l.Out)
 		tensor.MatMul(l.pool, lat, next, l.recWeight)
 		tensor.AXPY(gradO, 1, lat)
-		// ∂W_rec += δ_{t+1}ᵀ · o_t
-		if st.O != nil {
-			tensor.MatMulTransAAcc(l.pool, l.gradRec, next, st.O)
-		} else {
-			tensor.MatMulTransAPackedAcc(l.pool, l.gradRec, next, st.OPacked)
-		}
+		tensor.MatMulTransAAcc(l.pool, l.gradRec, next, st.O) // ∂W_rec += δ_{t+1}ᵀ · o_t
 	}
 	delta := tensor.New(b, l.Out)
 	snn.SurrogateDelta(l.pool, delta, st.U, gradO, next, l.Neuron.Threshold, l.Neuron.Leak, l.Surrogate)
-	return delta
+	gradFlat := tensor.New(b, l.inFeatures)
+	tensor.MatMul(l.pool, gradFlat, delta, l.weight)
+	tensor.MatMulTransAAcc(l.pool, l.gradW, delta, xf)
+	tensor.SumPerColumn(l.gradB, delta)
+	return gradFlat.Reshape(x.Shape()...), &Delta{D: delta}
 }
 
 // StateBytes implements Layer.

@@ -30,14 +30,10 @@ type ResidualBlock struct {
 	pool                        *parallel.Pool
 	scratch                     *tensor.Scratch
 	colLen                      int
-	spikePack                   bool
 }
 
 // SetPool implements PoolAware.
 func (l *ResidualBlock) SetPool(p *parallel.Pool) { l.pool = p }
-
-// SetSpikePack implements SpikePackAware.
-func (l *ResidualBlock) SetSpikePack(on bool) { l.spikePack = on }
 
 // NewResidualBlock returns an unbuilt residual block producing out channels
 // with the given first-stage stride.
@@ -117,62 +113,29 @@ func (l *ResidualBlock) Params() []Param {
 // stage; Sub[0] is the first LIF stage.
 func (l *ResidualBlock) Forward(x *tensor.Tensor, prev *LayerState) *LayerState {
 	b := x.Dim(0)
-	u1 := tensor.New(b, l.midShape[0], l.midShape[1], l.midShape[2])
-	tensor.Conv2D(l.pool, u1, x, l.w1, l.b1, l.spec1, l.scratch)
-	return l.fire(u1, x, nil, prev, b)
-}
-
-// ForwardPacked implements PackedForward. The convolutions gather from the
-// input spike bits; the identity shortcut adds the dense view (an
-// elementwise add has nothing to gain from packing).
-func (l *ResidualBlock) ForwardPacked(x *tensor.Tensor, xp *tensor.PackedSpikes, prev *LayerState) *LayerState {
-	b := xp.Shape()[0]
-	u1 := tensor.New(b, l.midShape[0], l.midShape[1], l.midShape[2])
-	tensor.Conv2DPacked(l.pool, u1, xp, l.w1, l.b1, l.spec1, l.scratch)
-	return l.fire(u1, x, xp, prev, b)
-}
-
-// fire runs both LIF stages and the shortcut from the first stage's synaptic
-// current u1. x is the dense block input; xp is its packed view (nil on the
-// dense path).
-func (l *ResidualBlock) fire(u1, x *tensor.Tensor, xp *tensor.PackedSpikes, prev *LayerState, b int) *LayerState {
-	o1 := tensor.New(b, l.midShape[0], l.midShape[1], l.midShape[2])
 	var p1, p2 *LayerState
 	if prev != nil {
 		p1 = prev.Sub[0]
 		p2 = prev
 	}
+	u1 := tensor.New(b, l.midShape[0], l.midShape[1], l.midShape[2])
+	o1 := tensor.New(b, l.midShape[0], l.midShape[1], l.midShape[2])
+	tensor.Conv2D(l.pool, u1, x, l.w1, l.b1, l.spec1, l.scratch)
 	stepLIFPrev(l.pool, u1, o1, p1, l.Neuron)
-	st1 := &LayerState{U: u1, O: o1}
-	if l.spikePack {
-		packOutput(st1, o1)
-	}
 
 	u2 := tensor.New(b, l.outShape[0], l.outShape[1], l.outShape[2])
 	o2 := tensor.New(b, l.outShape[0], l.outShape[1], l.outShape[2])
-	if st1.OPacked != nil {
-		tensor.Conv2DPacked(l.pool, u2, st1.OPacked, l.w2, l.b2, l.spec2, l.scratch)
-	} else {
-		tensor.Conv2D(l.pool, u2, o1, l.w2, l.b2, l.spec2, l.scratch)
-	}
+	tensor.Conv2D(l.pool, u2, o1, l.w2, l.b2, l.spec2, l.scratch)
 	// Shortcut current joins before the second LIF.
 	if l.identity {
 		tensor.AXPY(u2, 1, x)
 	} else {
 		sc := tensor.New(b, l.outShape[0], l.outShape[1], l.outShape[2])
-		if xp != nil {
-			tensor.Conv2DPacked(l.pool, sc, xp, l.wsc, nil, l.specSC, l.scratch)
-		} else {
-			tensor.Conv2D(l.pool, sc, x, l.wsc, nil, l.specSC, l.scratch)
-		}
+		tensor.Conv2D(l.pool, sc, x, l.wsc, nil, l.specSC, l.scratch)
 		tensor.AXPY(u2, 1, sc)
 	}
 	stepLIFPrev(l.pool, u2, o2, p2, l.Neuron)
-	st := &LayerState{U: u2, O: o2, Sub: []*LayerState{st1}}
-	if l.spikePack {
-		packOutput(st, o2)
-	}
-	return st
+	return &LayerState{U: u2, O: o2, Sub: []*LayerState{{U: u1, O: o1}}}
 }
 
 // Backward implements Layer, unwinding the two LIF stages and the shortcut.
@@ -187,9 +150,9 @@ func (l *ResidualBlock) Backward(x *tensor.Tensor, st *LayerState, gradOut *tens
 	snn.SurrogateDelta(l.pool, delta2, st.U, gradOut, next2, theta, l.Neuron.Leak, l.Surrogate)
 	st1 := st.Sub[0]
 	// Main path through conv2 to the first stage's output.
-	gradO1 := tensor.New(st1.OutShape()...)
+	gradO1 := tensor.New(st1.O.Shape()...)
 	tensor.Conv2DGradInput(l.pool, gradO1, delta2, l.w2, l.spec2, l.scratch)
-	l.gradWeightStage(l.gw2, l.gb2, delta2, st1, l.spec2)
+	tensor.Conv2DGradWeight(l.pool, l.gw2, l.gb2, delta2, st1.O, l.spec2, l.scratch)
 	// Shortcut path straight to the block input.
 	gradIn := tensor.New(x.Shape()...)
 	if l.identity {
@@ -210,52 +173,6 @@ func (l *ResidualBlock) Backward(x *tensor.Tensor, st *LayerState, gradOut *tens
 	tensor.Conv2DGradWeight(l.pool, l.gw1, l.gb1, delta1, x, l.spec1, l.scratch)
 	tensor.AXPY(gradIn, 1, gradMain)
 	return gradIn, &Delta{D: delta2, Sub: []*Delta{{D: delta1}}}
-}
-
-// BackwardPacked implements PackedBackward: both conv stages and the
-// projection shortcut take their weight gradients straight from the packed
-// spikes; the identity shortcut never touches the input at all.
-func (l *ResidualBlock) BackwardPacked(xp *tensor.PackedSpikes, st *LayerState, gradOut *tensor.Tensor, deltaIn *Delta) (*tensor.Tensor, *Delta) {
-	theta := l.Neuron.Threshold
-	delta2 := tensor.New(st.U.Shape()...)
-	var next2 *tensor.Tensor
-	if deltaIn != nil {
-		next2 = deltaIn.D
-	}
-	snn.SurrogateDelta(l.pool, delta2, st.U, gradOut, next2, theta, l.Neuron.Leak, l.Surrogate)
-	st1 := st.Sub[0]
-	gradO1 := tensor.New(st1.OutShape()...)
-	tensor.Conv2DGradInput(l.pool, gradO1, delta2, l.w2, l.spec2, l.scratch)
-	l.gradWeightStage(l.gw2, l.gb2, delta2, st1, l.spec2)
-	gradIn := tensor.New(xp.Shape()...)
-	if l.identity {
-		copy(gradIn.Data, delta2.Data)
-	} else {
-		tensor.Conv2DGradInput(l.pool, gradIn, delta2, l.wsc, l.specSC, l.scratch)
-		tensor.Conv2DGradWeightPacked(l.pool, l.gwsc, nil, delta2, xp, l.specSC, l.scratch)
-	}
-	delta1 := tensor.New(st1.U.Shape()...)
-	var next1 *tensor.Tensor
-	if deltaIn != nil && len(deltaIn.Sub) > 0 {
-		next1 = deltaIn.Sub[0].D
-	}
-	snn.SurrogateDelta(l.pool, delta1, st1.U, gradO1, next1, theta, l.Neuron.Leak, l.Surrogate)
-	gradMain := tensor.New(xp.Shape()...)
-	tensor.Conv2DGradInput(l.pool, gradMain, delta1, l.w1, l.spec1, l.scratch)
-	tensor.Conv2DGradWeightPacked(l.pool, l.gw1, l.gb1, delta1, xp, l.spec1, l.scratch)
-	tensor.AXPY(gradIn, 1, gradMain)
-	return gradIn, &Delta{D: delta2, Sub: []*Delta{{D: delta1}}}
-}
-
-// gradWeightStage accumulates one conv stage's weight gradient from a
-// sub-state whose spikes may be packed, dense, or both (packed preferred:
-// the kernels are bit-identical either way).
-func (l *ResidualBlock) gradWeightStage(gw, gb, delta *tensor.Tensor, st1 *LayerState, spec tensor.ConvSpec) {
-	if st1.OPacked != nil {
-		tensor.Conv2DGradWeightPacked(l.pool, gw, gb, delta, st1.OPacked, spec, l.scratch)
-		return
-	}
-	tensor.Conv2DGradWeight(l.pool, gw, gb, delta, st1.DenseO(), spec, l.scratch)
 }
 
 // StateBytes implements Layer: both stages' (U,O) per stored timestep.

@@ -26,8 +26,8 @@ import (
 // stepLayer is a layer whose kernels take any number of timesteps in one
 // call; Forward and Backward are its one-step case. Layers without a batched
 // form (batch norm's per-timestep statistics, residual blocks, recurrent
-// cells, max pooling's batch-relative argmax record) and every layer in
-// spike-pack mode run step by step inside the same layer loop instead.
+// cells, max pooling's batch-relative argmax record) run step by step inside
+// the same layer loop instead.
 type stepLayer interface {
 	Layer
 	// forwardSteps writes into out the records of the steps whose inputs are
@@ -168,42 +168,23 @@ func (n *Network) Forward(xs []*tensor.Tensor, prev []*LayerState) [][]*LayerSta
 	for j := range in {
 		in[j] = xs[k-1-j]
 	}
-	var inP []*tensor.PackedSpikes
-	if n.spikePack {
-		// Pack the network input too when it is binary (rate/latency-coded
-		// spikes); a non-binary input simply leaves the first layer dense.
-		inP = make([]*tensor.PackedSpikes, k)
-		for j, x := range in {
-			inP[j], _ = tensor.PackSpikes(x)
-		}
-	}
 	out := make([]*LayerState, k)
 	for l, layer := range n.Layers {
 		var p *LayerState
 		if prev != nil {
 			p = prev[l]
 		}
-		if sl, ok := layer.(stepLayer); ok && !n.spikePack {
+		if sl, ok := layer.(stepLayer); ok {
 			sl.forwardSteps(in, p, out)
 		} else {
 			for j := k - 1; j >= 0; j-- {
-				if pf, ok := layer.(PackedForward); ok && inP != nil && inP[j] != nil {
-					out[j] = pf.ForwardPacked(in[j], inP[j], p)
-				} else {
-					out[j] = layer.Forward(in[j], p)
-				}
+				out[j] = layer.Forward(in[j], p)
 				p = out[j]
 			}
 		}
 		for j, st := range out {
 			recs[k-1-j][l] = st
 			in[j] = st.O
-			if inP != nil {
-				// The packed chain flows only through layers publishing packed
-				// outputs; anything else (pools, dropout, norm) drops back to
-				// dense.
-				inP[j] = st.OPacked
-			}
 		}
 	}
 	return recs
@@ -278,7 +259,7 @@ func (n *Network) Backward(xs []*tensor.Tensor, recs [][]*LayerState, inject []m
 				out = inj
 			case out == nil:
 				if zero == nil {
-					zero = tensor.New(g.st[j].OutShape()...)
+					zero = tensor.New(g.st[j].O.Shape()...)
 				}
 				out = zero
 			}
@@ -290,7 +271,7 @@ func (n *Network) Backward(xs []*tensor.Tensor, recs [][]*LayerState, inject []m
 			din = deltas[l]
 		}
 		sl, batched := layer.(stepLayer)
-		if !batched || n.spikePack {
+		if !batched {
 			newDeltas[l], flow = n.backwardEachStep(l, xs, recs, g.gradOut, din, wantIn)
 			continue
 		}
@@ -299,7 +280,7 @@ func (n *Network) Backward(xs []*tensor.Tensor, recs [][]*LayerState, inject []m
 			if l == 0 {
 				g.x[j] = xs[k-1-j]
 			} else {
-				g.x[j] = recs[k-1-j][l-1].DenseO()
+				g.x[j] = recs[k-1-j][l-1].O
 			}
 		}
 		g.delta = nil
@@ -335,34 +316,22 @@ func (n *Network) Backward(xs []*tensor.Tensor, recs [][]*LayerState, inject []m
 }
 
 // backwardEachStep is the walk's step-by-step form of layer l, latest step
-// first, through the layer's own Backward (or, in spike-pack mode, its
-// packed twin when the input record holds packed spikes). It returns the
-// earliest step's δ carry and, when wanted, each step's ∂L/∂x.
+// first, through the layer's own Backward. It returns the earliest step's δ
+// carry and, when wanted, each step's ∂L/∂x.
 func (n *Network) backwardEachStep(l int, xs []*tensor.Tensor, recs [][]*LayerState, gradOut []*tensor.Tensor, din *Delta, wantIn bool) (*Delta, []*tensor.Tensor) {
 	k := len(xs)
 	var ins []*tensor.Tensor
 	if wantIn {
 		ins = make([]*tensor.Tensor, k)
 	}
-	layer := n.Layers[l]
 	for j := range gradOut {
 		i := k - 1 - j
-		var gradIn *tensor.Tensor
-		var prevPacked *tensor.PackedSpikes
+		x := xs[i]
 		if l > 0 {
-			prevPacked = recs[i][l-1].OPacked
+			x = recs[i][l-1].O
 		}
-		if pb, ok := layer.(PackedBackward); ok && prevPacked != nil {
-			// The input spikes stay packed; a lazily materialised boundary
-			// record is consumed without ever expanding to dense.
-			gradIn, din = pb.BackwardPacked(prevPacked, recs[i][l], gradOut[j], din)
-		} else {
-			x := xs[i]
-			if l > 0 {
-				x = recs[i][l-1].DenseO()
-			}
-			gradIn, din = layer.Backward(x, recs[i][l], gradOut[j], din)
-		}
+		var gradIn *tensor.Tensor
+		gradIn, din = n.Layers[l].Backward(x, recs[i][l], gradOut[j], din)
 		if wantIn {
 			ins[j] = gradIn
 		}

@@ -71,10 +71,10 @@ func walkInput(in []int, T int) []*tensor.Tensor {
 
 // pair is one network stepped a step per call on the serial path (ref) and
 // its twin walked many steps per call on a pool (walk), with the same
-// weights, dropout masks and spike-pack mode.
+// weights and dropout masks.
 type pair struct{ ref, walk *layers.Network }
 
-func newPair(t *testing.T, build func() (*layers.Network, error), pack bool, lanes int) pair {
+func newPair(t *testing.T, build func() (*layers.Network, error), lanes int) pair {
 	t.Helper()
 	var p pair
 	for _, n := range []**layers.Network{&p.ref, &p.walk} {
@@ -82,7 +82,6 @@ func newPair(t *testing.T, build func() (*layers.Network, error), pack bool, lan
 		if err != nil {
 			t.Fatal(err)
 		}
-		net.SetSpikePack(pack)
 		net.BeginIteration(tensor.NewRNG(9))
 		net.ZeroGrads()
 		*n = net
@@ -141,7 +140,7 @@ func bitsEqual(a, b *tensor.Tensor) bool {
 }
 
 func sameState(a, b *layers.LayerState) bool {
-	if !bitsEqual(a.U, b.U) || !bitsEqual(a.DenseO(), b.DenseO()) || len(a.Sub) != len(b.Sub) {
+	if !bitsEqual(a.U, b.U) || !bitsEqual(a.O, b.O) || len(a.Sub) != len(b.Sub) {
 		return false
 	}
 	for i := range a.Sub {
@@ -171,7 +170,7 @@ func sameDeltas(a, b []*layers.Delta) bool {
 }
 
 func cloneState(s *layers.LayerState) *layers.LayerState {
-	c := &layers.LayerState{O: s.DenseO().Clone()}
+	c := &layers.LayerState{O: s.O.Clone()}
 	if s.U != nil {
 		c.U = s.U.Clone()
 	}
@@ -198,9 +197,8 @@ func requireSameGrads(t *testing.T, p pair) {
 // (Network.Forward/Backward, on 1, 2 and 4 lanes) is bit-identical to one
 // step per call on the serial path (ForwardStep/BackwardStep): every record,
 // the δ carried between two segments, every parameter gradient and the
-// logits — on stacks with and without a batched form, in and out of
-// spike-pack mode, over survivor lists with gaps, quiet steps and quiet
-// images.
+// logits — on stacks with and without a batched form, over survivor lists
+// with gaps, quiet steps and quiet images.
 func TestWalkManyStepsEqualsOneStepPerCall(t *testing.T) {
 	const T = 9
 	// Two segments of a T=9 batch, walked last first: [5, 9) keeping steps
@@ -210,56 +208,54 @@ func TestWalkManyStepsEqualsOneStepPerCall(t *testing.T) {
 		survivors []int
 	}{{5, []int{6, 8}}, {0, []int{1, 3, 4}}}
 	for _, nc := range walkNets {
-		for _, pack := range []bool{false, true} {
-			for _, lanes := range []int{1, 2, 4} {
-				t.Run(fmt.Sprintf("%s/pack=%v/lanes=%d", nc.name, pack, lanes), func(t *testing.T) {
-					p := newPair(t, nc.build, pack, lanes)
-					xs := walkInput(nc.in, T)
-					refFirst, walkFirst := p.firstPass(xs, T)
-					p.ref.BeginRecompute()
-					p.walk.BeginRecompute()
-					var refCarry, walkCarry []*layers.Delta
-					for _, seg := range segments {
-						steps := append([]int{seg.start}, seg.survivors...)
-						refRecs := [][]*layers.LayerState{refFirst[seg.start]}
-						states := refFirst[seg.start]
-						for _, s := range seg.survivors {
-							states = p.ref.ForwardStep(xs[s], states)
-							refRecs = append(refRecs, states)
-						}
-						var sx []*tensor.Tensor
-						for _, s := range seg.survivors {
-							sx = append(sx, xs[s])
-						}
-						walkRecs := append([][]*layers.LayerState{walkFirst[seg.start]}, p.walk.Forward(sx, walkFirst[seg.start])...)
-						for i := range steps {
-							for l := range refRecs[i] {
-								if !sameState(refRecs[i][l], walkRecs[i][l]) {
-									t.Fatalf("step %d layer %d (%s): records differ", steps[i], l, p.ref.Layers[l].Name())
-								}
+		for _, lanes := range []int{1, 2, 4} {
+			t.Run(fmt.Sprintf("%s/lanes=%d", nc.name, lanes), func(t *testing.T) {
+				p := newPair(t, nc.build, lanes)
+				xs := walkInput(nc.in, T)
+				refFirst, walkFirst := p.firstPass(xs, T)
+				p.ref.BeginRecompute()
+				p.walk.BeginRecompute()
+				var refCarry, walkCarry []*layers.Delta
+				for _, seg := range segments {
+					steps := append([]int{seg.start}, seg.survivors...)
+					refRecs := [][]*layers.LayerState{refFirst[seg.start]}
+					states := refFirst[seg.start]
+					for _, s := range seg.survivors {
+						states = p.ref.ForwardStep(xs[s], states)
+						refRecs = append(refRecs, states)
+					}
+					var sx []*tensor.Tensor
+					for _, s := range seg.survivors {
+						sx = append(sx, xs[s])
+					}
+					walkRecs := append([][]*layers.LayerState{walkFirst[seg.start]}, p.walk.Forward(sx, walkFirst[seg.start])...)
+					for i := range steps {
+						for l := range refRecs[i] {
+							if !sameState(refRecs[i][l], walkRecs[i][l]) {
+								t.Fatalf("step %d layer %d (%s): records differ", steps[i], l, p.ref.Layers[l].Name())
 							}
 						}
-						if !bitsEqual(p.ref.Logits(refRecs[len(steps)-1]), p.walk.Logits(walkRecs[len(steps)-1])) {
-							t.Fatal("logits differ")
-						}
-
-						var wx []*tensor.Tensor
-						var winj []map[int]*tensor.Tensor
-						for i := len(steps) - 1; i >= 0; i-- {
-							refCarry = p.ref.BackwardStep(xs[steps[i]], refRecs[i], gradsAt(p.ref, steps[i], refRecs[i]), refCarry)
-						}
-						for i, s := range steps {
-							wx = append(wx, xs[s])
-							winj = append(winj, gradsAt(p.walk, s, walkRecs[i]))
-						}
-						walkCarry = p.walk.Backward(wx, walkRecs, winj, walkCarry, nil, -1)
-						if !sameDeltas(refCarry, walkCarry) {
-							t.Fatalf("δ carry out of segment [%d, …) differs", seg.start)
-						}
 					}
-					requireSameGrads(t, p)
-				})
-			}
+					if !bitsEqual(p.ref.Logits(refRecs[len(steps)-1]), p.walk.Logits(walkRecs[len(steps)-1])) {
+						t.Fatal("logits differ")
+					}
+
+					var wx []*tensor.Tensor
+					var winj []map[int]*tensor.Tensor
+					for i := len(steps) - 1; i >= 0; i-- {
+						refCarry = p.ref.BackwardStep(xs[steps[i]], refRecs[i], gradsAt(p.ref, steps[i], refRecs[i]), refCarry)
+					}
+					for i, s := range steps {
+						wx = append(wx, xs[s])
+						winj = append(winj, gradsAt(p.walk, s, walkRecs[i]))
+					}
+					walkCarry = p.walk.Backward(wx, walkRecs, winj, walkCarry, nil, -1)
+					if !sameDeltas(refCarry, walkCarry) {
+						t.Fatalf("δ carry out of segment [%d, …) differs", seg.start)
+					}
+				}
+				requireSameGrads(t, p)
+			})
 		}
 	}
 }
@@ -270,7 +266,7 @@ func TestWalkLeavesKeptRecordIntact(t *testing.T) {
 	const T = 6
 	for _, nc := range walkNets {
 		t.Run(nc.name, func(t *testing.T) {
-			p := newPair(t, nc.build, false, 2)
+			p := newPair(t, nc.build, 2)
 			xs := walkInput(nc.in, T)
 			refRecs, _ := p.firstPass(xs, T)
 			walkRecs := p.walk.Forward(xs, nil)

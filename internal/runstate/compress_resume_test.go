@@ -7,13 +7,12 @@ import (
 	"skipper/internal/core"
 )
 
-// Spike-pack mode composes with crash-safe resume: a run killed mid-epoch
-// and resumed from the manifest matches the uninterrupted sequence exactly —
-// and because the packed kernels are bit-identical to the dense float path,
-// the reference run here trains with SpikePack OFF while the victim and
-// survivor train with it ON. Same weights at the end is the strongest form
-// of both contracts at once.
-func TestSpikePackResumeMatchesDenseUninterrupted(t *testing.T) {
+// CompressSpikes composes with crash-safe resume: a run whose checkpoint
+// boundary records are bit-packed, killed mid-epoch and resumed from the
+// manifest, ends byte-equal to the same run left uninterrupted — every
+// packed record the killed process held is rebuilt by the survivor's own
+// first pass.
+func TestCompressSpikesResumeMatchesUninterrupted(t *testing.T) {
 	// Checkpoint segments need T/C > L_n (= 4 for customnet+BN), and packed
 	// boundary records only exist under CompressSpikes.
 	cfg := testCfg()
@@ -22,8 +21,7 @@ func TestSpikePackResumeMatchesDenseUninterrupted(t *testing.T) {
 	cfg.CompressSpikes = true
 	mk := func() core.Strategy { return core.Checkpoint{C: 2} }
 
-	dense := cfg
-	ref := testTrainer(t, mk(), dense)
+	ref := testTrainer(t, mk(), cfg)
 	var refStats []core.EpochStats
 	for e := 1; e <= 2; e++ {
 		ep, err := ref.TrainEpoch()
@@ -33,28 +31,26 @@ func TestSpikePackResumeMatchesDenseUninterrupted(t *testing.T) {
 		refStats = append(refStats, ep)
 	}
 
-	packed := cfg
-	packed.SpikePack = true
 	store, err := Open(t.TempDir(), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	calls := 0
-	victim := testTrainer(t, crashStrategy{inner: mk(), calls: &calls, at: 6}, packed)
+	victim := testTrainer(t, crashStrategy{inner: mk(), calls: &calls, at: 6}, cfg)
 	Attach(victim, store)
 	ep1, err := victim.TrainEpoch()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if normalize(ep1) != normalize(refStats[0]) {
-		t.Fatalf("packed pre-crash epoch 1 differs from dense:\n  packed: %+v\n  dense:  %+v",
+		t.Fatalf("pre-crash epoch 1 differs from uninterrupted:\n  victim: %+v\n  ref:    %+v",
 			normalize(ep1), normalize(refStats[0]))
 	}
 	if _, err := victim.TrainEpoch(); !errors.Is(err, errCrash) {
 		t.Fatalf("victim should have crashed, got: %v", err)
 	}
 
-	survivor := testTrainer(t, mk(), packed)
+	survivor := testTrainer(t, mk(), cfg)
 	cur, partial, err := Resume(survivor, store)
 	if err != nil {
 		t.Fatal(err)
@@ -64,8 +60,8 @@ func TestSpikePackResumeMatchesDenseUninterrupted(t *testing.T) {
 		t.Fatal(err)
 	}
 	if normalize(ep2) != normalize(refStats[1]) {
-		t.Fatalf("packed resumed epoch 2 differs from dense:\n  packed: %+v\n  dense:  %+v",
+		t.Fatalf("resumed epoch 2 differs from uninterrupted:\n  survivor: %+v\n  ref:      %+v",
 			normalize(ep2), normalize(refStats[1]))
 	}
-	requireSameWeights(t, ref, survivor, "packed resume vs dense uninterrupted")
+	requireSameWeights(t, ref, survivor, "compressed resume vs uninterrupted")
 }

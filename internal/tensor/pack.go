@@ -7,18 +7,9 @@ import (
 
 // PackedSpikes is a bit-packed binary tensor: exactly-0/1 float32 data
 // stored one bit per element. Spike tensors dominate a stored SNN timestep
-// record, and packing them shrinks that share 32×, which makes long-lived
-// checkpoint records far cheaper to hold (an optimisation beyond the paper;
-// see core.Config.CompressSpikes).
-//
-// Packed tensors are also a first-class compute dtype: the spike-side
-// matmul and convolution kernels in this package (MatMulPacked,
-// MatMulTransBPacked, MatMulTransAPackedAcc, Conv2DPacked,
-// Conv2DGradWeightPacked) consume the packed words directly — spikes are
-// exactly 0/1, so a weight·spike product is a gather of weight values at
-// set-bit positions, and whole all-zero 64-spike words are skipped without
-// touching a float. A PackedSpikes is immutable after construction, so it
-// may be read concurrently from any number of pool lanes.
+// record, and packing them shrinks that share 32× (a storage format beyond
+// the paper; see core.Config.CompressSpikes). A PackedSpikes is immutable
+// after construction.
 type PackedSpikes struct {
 	shape []int
 	n     int
@@ -103,13 +94,6 @@ func (p *PackedSpikes) Shape() []int { return p.shape }
 func (p *PackedSpikes) Bit(i int) bool {
 	return p.bits[i>>6]&(1<<uint(i&63)) != 0
 }
-
-// Words exposes the backing bit words (element i lives at bit i&63 of word
-// i>>6; trailing bits of the last word are zero). The slice is the live
-// storage and must be treated as read-only — it exists so packed-aware
-// kernels outside this package (the LIF step) can walk words and skip empty
-// ones without copying.
-func (p *PackedSpikes) Words() []uint64 { return p.bits }
 
 // Count returns the number of set bits (spikes). For a binary tensor this
 // equals the float spike-sum exactly (integer counts are exact in float64

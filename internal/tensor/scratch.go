@@ -1,12 +1,12 @@
 package tensor
 
-// Scratch holds per-lane kernel workspace: im2col columns, packed columns,
-// and the nonzero lists of the gather convolution. Each layer owns one
-// Scratch; the parallel kernels grow each lane's slots on first use, so
-// concurrent lanes of one kernel call never share a buffer. A Scratch must
-// not be shared between layer instances that can run concurrently — the
-// serving worker replicas each build a private network (and therefore
-// private Scratches) for exactly this reason.
+// Scratch holds per-lane kernel workspace: im2col columns and the nonzero
+// lists of the gather convolution. Each layer owns one Scratch; the parallel
+// kernels grow each lane's slots on first use, so concurrent lanes of one
+// kernel call never share a buffer. A Scratch must not be shared between
+// layer instances that can run concurrently — the serving worker replicas
+// each build a private network (and therefore private Scratches) for
+// exactly this reason.
 //
 // The zero value is ready to use; nil is accepted by every kernel and makes
 // the call allocate a throwaway workspace.
@@ -17,7 +17,6 @@ type Scratch struct {
 // laneSlots is one lane's workspace, one slot per element type.
 type laneSlots struct {
 	floats []float32
-	words  []uint64
 	ints   []int32
 }
 
@@ -50,14 +49,6 @@ func (s *Scratch) lane(lane, n int) []float32 {
 	l := &s.lanes[lane]
 	l.floats = grow(l.floats, n)
 	return l.floats[:n]
-}
-
-// laneWords is lane for uint64 workspace — the packed im2col columns of the
-// bit-packed convolution kernels.
-func (s *Scratch) laneWords(lane, n int) []uint64 {
-	l := &s.lanes[lane]
-	l.words = grow(l.words, n)
-	return l.words[:n]
 }
 
 // laneInts is lane for int32 workspace — the gather convolution's

@@ -585,3 +585,84 @@ func TestPackSpikesRoundTripProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// fillSpikes fills d with a deterministic 0/1 pattern at roughly the given
+// spike density (xorshift, no time or math/rand dependency).
+func fillSpikes(d []float32, seed uint64, density float64) {
+	s := seed*0x9E3779B97F4A7C15 + 1
+	thr := uint64(density * float64(1<<32))
+	for i := range d {
+		s ^= s << 13
+		s ^= s >> 7
+		s ^= s << 17
+		if s&0xFFFFFFFF < thr {
+			d[i] = 1
+		} else {
+			d[i] = 0
+		}
+	}
+}
+
+func fillFloats(d []float32, seed uint64) {
+	s := seed*0x9E3779B97F4A7C15 + 1
+	for i := range d {
+		s ^= s << 13
+		s ^= s >> 7
+		s ^= s << 17
+		d[i] = float32(s%2048)/1024 - 1
+	}
+}
+
+func mustPack(t *testing.T, x *Tensor) *PackedSpikes {
+	t.Helper()
+	p, ok := PackSpikes(x)
+	if !ok {
+		t.Fatal("binary tensor must pack")
+	}
+	return p
+}
+
+// densities covers the regimes a pack round trip must be exact in: empty,
+// sparse late-timestep, mid, dense, and all-one tensors.
+var densities = []float64{0, 0.02, 0.1, 0.5, 1}
+
+func TestPackUnpackRoundTrip(t *testing.T) {
+	for di, density := range densities {
+		x := New(3, 67) // 201 elements: exercises the partial trailing word
+		fillSpikes(x.Data, uint64(di+17), density)
+		p := mustPack(t, x)
+		back := p.Unpack()
+		requireBitEqual(t, "Unpack", x, back)
+		count := 0
+		for i, v := range x.Data {
+			if p.Bit(i) != (v == 1) {
+				t.Fatalf("Bit(%d) = %v, element is %v", i, p.Bit(i), v)
+			}
+			if v == 1 {
+				count++
+			}
+		}
+		if p.Count() != count {
+			t.Fatalf("Count = %d, want %d", p.Count(), count)
+		}
+		if want := int64((x.Len() + 63) / 64 * 8); p.Bytes() != want {
+			t.Fatalf("Bytes = %d, want %d", p.Bytes(), want)
+		}
+	}
+}
+
+// The binarity probe runs on every checkpoint record's membrane tensors; a
+// rejected tensor must not cost an allocation (it used to allocate the full
+// bit buffer before scanning).
+func TestPackSpikesRejectionAllocFree(t *testing.T) {
+	x := New(4096)
+	fillFloats(x.Data, 9)
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, ok := PackSpikes(x); ok {
+			t.Fatal("unexpected pack")
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("rejecting PackSpikes allocated %.1f times per op, want 0", allocs)
+	}
+}

@@ -13,6 +13,10 @@ tree_before=$(tree_state)
 
 go build ./...
 go vet ./...
+# Bit-packed spike compute was deleted; no root-module Go file may bring its
+# surface back. benchmark/surface_test.go forbids the same names in the
+# benchmark module, together with the ones CompressSpikes still uses here.
+test -z "$(grep -rlE 'SpikePack|SetSpikePack|OPacked|PackedForward|ForwardPacked|PackedBackward|BackwardPacked|StepLIFPacked|Conv2DPacked|Conv2DGradWeightPacked|MatMulPacked|MatMulTransBPacked|MatMulTransAPacked|PackedKernelStats|spike-pack' --include='*.go' --exclude-dir=benchmark .)"
 test -z "$(gofmt -l .)"
 go test -race ./internal/parallel/... ./internal/tensor/... ./internal/layers/... ./internal/serve/... ./internal/runstate/... ./internal/faults/... ./internal/trace/... ./internal/dist/... ./internal/router/... ./internal/stream/...
 # The layer-major walk fans a whole segment's steps over the pool; the line
