@@ -198,7 +198,9 @@ func requireSameGrads(t *testing.T, p pair) {
 // step per call on the serial path (ForwardStep/BackwardStep): every record,
 // the δ carried between two segments, every parameter gradient and the
 // logits — on stacks with and without a batched form, over survivor lists
-// with gaps, quiet steps and quiet images.
+// with gaps, quiet steps and quiet images. With pack=true the walk resumes
+// each segment from a boundary record that went through bit-packed storage
+// and back, as Config.CompressSpikes keeps its checkpoints.
 func TestWalkManyStepsEqualsOneStepPerCall(t *testing.T) {
 	const T = 9
 	// Two segments of a T=9 batch, walked last first: [5, 9) keeping steps
@@ -208,56 +210,92 @@ func TestWalkManyStepsEqualsOneStepPerCall(t *testing.T) {
 		survivors []int
 	}{{5, []int{6, 8}}, {0, []int{1, 3, 4}}}
 	for _, nc := range walkNets {
-		for _, lanes := range []int{1, 2, 4} {
-			t.Run(fmt.Sprintf("%s/lanes=%d", nc.name, lanes), func(t *testing.T) {
-				p := newPair(t, nc.build, lanes)
-				xs := walkInput(nc.in, T)
-				refFirst, walkFirst := p.firstPass(xs, T)
-				p.ref.BeginRecompute()
-				p.walk.BeginRecompute()
-				var refCarry, walkCarry []*layers.Delta
-				for _, seg := range segments {
-					steps := append([]int{seg.start}, seg.survivors...)
-					refRecs := [][]*layers.LayerState{refFirst[seg.start]}
-					states := refFirst[seg.start]
-					for _, s := range seg.survivors {
-						states = p.ref.ForwardStep(xs[s], states)
-						refRecs = append(refRecs, states)
-					}
-					var sx []*tensor.Tensor
-					for _, s := range seg.survivors {
-						sx = append(sx, xs[s])
-					}
-					walkRecs := append([][]*layers.LayerState{walkFirst[seg.start]}, p.walk.Forward(sx, walkFirst[seg.start])...)
-					for i := range steps {
-						for l := range refRecs[i] {
-							if !sameState(refRecs[i][l], walkRecs[i][l]) {
-								t.Fatalf("step %d layer %d (%s): records differ", steps[i], l, p.ref.Layers[l].Name())
+		for _, pack := range []bool{false, true} {
+			for _, lanes := range []int{1, 2, 4} {
+				t.Run(fmt.Sprintf("%s/pack=%v/lanes=%d", nc.name, pack, lanes), func(t *testing.T) {
+					p := newPair(t, nc.build, lanes)
+					xs := walkInput(nc.in, T)
+					refFirst, walkFirst := p.firstPass(xs, T)
+					p.ref.BeginRecompute()
+					p.walk.BeginRecompute()
+					var refCarry, walkCarry []*layers.Delta
+					for _, seg := range segments {
+						steps := append([]int{seg.start}, seg.survivors...)
+						refRecs := [][]*layers.LayerState{refFirst[seg.start]}
+						states := refFirst[seg.start]
+						for _, s := range seg.survivors {
+							states = p.ref.ForwardStep(xs[s], states)
+							refRecs = append(refRecs, states)
+						}
+						var sx []*tensor.Tensor
+						for _, s := range seg.survivors {
+							sx = append(sx, xs[s])
+						}
+						boundary := walkFirst[seg.start]
+						if pack {
+							boundary = packRoundTrip(t, boundary)
+						}
+						walkRecs := append([][]*layers.LayerState{boundary}, p.walk.Forward(sx, boundary)...)
+						for i := range steps {
+							for l := range refRecs[i] {
+								if !sameState(refRecs[i][l], walkRecs[i][l]) {
+									t.Fatalf("step %d layer %d (%s): records differ", steps[i], l, p.ref.Layers[l].Name())
+								}
 							}
 						}
-					}
-					if !bitsEqual(p.ref.Logits(refRecs[len(steps)-1]), p.walk.Logits(walkRecs[len(steps)-1])) {
-						t.Fatal("logits differ")
-					}
+						if !bitsEqual(p.ref.Logits(refRecs[len(steps)-1]), p.walk.Logits(walkRecs[len(steps)-1])) {
+							t.Fatal("logits differ")
+						}
 
-					var wx []*tensor.Tensor
-					var winj []map[int]*tensor.Tensor
-					for i := len(steps) - 1; i >= 0; i-- {
-						refCarry = p.ref.BackwardStep(xs[steps[i]], refRecs[i], gradsAt(p.ref, steps[i], refRecs[i]), refCarry)
+						var wx []*tensor.Tensor
+						var winj []map[int]*tensor.Tensor
+						for i := len(steps) - 1; i >= 0; i-- {
+							refCarry = p.ref.BackwardStep(xs[steps[i]], refRecs[i], gradsAt(p.ref, steps[i], refRecs[i]), refCarry)
+						}
+						for i, s := range steps {
+							wx = append(wx, xs[s])
+							winj = append(winj, gradsAt(p.walk, s, walkRecs[i]))
+						}
+						walkCarry = p.walk.Backward(wx, walkRecs, winj, walkCarry, nil, -1)
+						if !sameDeltas(refCarry, walkCarry) {
+							t.Fatalf("δ carry out of segment [%d, …) differs", seg.start)
+						}
 					}
-					for i, s := range steps {
-						wx = append(wx, xs[s])
-						winj = append(winj, gradsAt(p.walk, s, walkRecs[i]))
-					}
-					walkCarry = p.walk.Backward(wx, walkRecs, winj, walkCarry, nil, -1)
-					if !sameDeltas(refCarry, walkCarry) {
-						t.Fatalf("δ carry out of segment [%d, …) differs", seg.start)
-					}
-				}
-				requireSameGrads(t, p)
-			})
+					requireSameGrads(t, p)
+				})
+			}
 		}
 	}
+}
+
+// packRoundTrip returns a record set whose binary outputs went through
+// tensor.PackSpikes and back to floats, the storage Config.CompressSpikes
+// gives a checkpoint; non-binary outputs and membranes are kept as they are.
+// It fails the test if no output was packed, which would leave pack=true
+// pinning nothing.
+func packRoundTrip(t *testing.T, recs []*layers.LayerState) []*layers.LayerState {
+	t.Helper()
+	packed := 0
+	var trip func(s *layers.LayerState) *layers.LayerState
+	trip = func(s *layers.LayerState) *layers.LayerState {
+		c := &layers.LayerState{U: s.U, O: s.O}
+		if p, ok := tensor.PackSpikes(s.O); ok {
+			c.O = p.Unpack()
+			packed++
+		}
+		for _, sub := range s.Sub {
+			c.Sub = append(c.Sub, trip(sub))
+		}
+		return c
+	}
+	out := make([]*layers.LayerState, len(recs))
+	for i, s := range recs {
+		out[i] = trip(s)
+	}
+	if packed == 0 {
+		t.Fatal("no boundary output is binary: pack=true pins nothing")
+	}
+	return out
 }
 
 // A windowed caller's kept record comes through the walk untouched, while
