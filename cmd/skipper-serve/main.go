@@ -64,7 +64,7 @@ func main() {
 		sessionDir  = flag.String("session-dir", "", "directory for durable streaming-session snapshots (empty = sessions are memory-only)")
 		sessionTTL  = flag.Duration("session-ttl", 5*time.Minute, "evict a streaming session idle longer than this")
 		sessionSnap = flag.Int("session-snapshot-every", 8, "snapshot a durable session every N windows (<0 disables periodic snapshots)")
-		streamSkip  = flag.Int("stream-skip-threshold", 0, "skip windows with at most this many events via leak-only decay (0 = only empty windows, lossless; <0 disables)")
+		streamSkip  = flag.Int("stream-skip-threshold", 0, "step windows with at most this many events as empty windows (0 = only empty windows, lossless; <0 disables)")
 	)
 	flag.Parse()
 

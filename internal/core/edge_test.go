@@ -202,6 +202,47 @@ func TestEvaluateOOMPropagates(t *testing.T) {
 	}
 }
 
+// TestEvaluateChargesTwoRecords pins evaluation's device charges. The pass
+// keeps only the rolling state: each step's record is charged before the
+// previous one is released, so exactly two records are live at the peak,
+// and every charge is returned when Evaluate does. A reference device fed
+// the same sequence (input, record, record) gives the expected peaks as
+// mem.Device rounds and caches them.
+func TestEvaluateChargesTwoRecords(t *testing.T) {
+	const T, batch = 6, 4
+	net, data, _, _ := tinySetup(t, T)
+	dev := mem.NewDevice(mem.Config{})
+	tr := newTestTrainer(t, net, data, BPTT{}, Config{T: T, Batch: batch, Device: dev})
+	reserved := dev.Reserved()
+	if _, _, err := tr.Evaluate(1); err != nil {
+		t.Fatal(err)
+	}
+
+	var rec int64
+	for _, st := range net.ForwardStep(tensor.New(append([]int{batch}, net.InShape...)...), nil) {
+		rec += st.Bytes()
+	}
+	input, labels := data.SpikeBatch(dataset.Test, make([]int, batch), T)
+	ref := mem.Unlimited()
+	in := ref.MustAlloc(mem.Input, tr.inputBytes(input, labels))
+	a := ref.MustAlloc(mem.Activations, rec)
+	ref.MustAlloc(mem.Activations, rec).Release()
+	a.Release()
+	in.Release()
+
+	for _, c := range []mem.Category{mem.Activations, mem.Input} {
+		if got, want := dev.PeakBy(c), ref.PeakBy(c); got != want {
+			t.Errorf("%v peak %d bytes, want %d", c, got, want)
+		}
+		if live := dev.AllocatedBy(c); live != 0 {
+			t.Errorf("%v still holds %d bytes after Evaluate", c, live)
+		}
+	}
+	if got, want := dev.PeakReserved()-reserved, ref.PeakReserved(); got != want {
+		t.Errorf("Evaluate grew reserved memory by %d bytes, want %d", got, want)
+	}
+}
+
 func TestGradClipLimitsUpdate(t *testing.T) {
 	const T = 12
 	run := func(clip float32) float32 {

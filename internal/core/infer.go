@@ -103,9 +103,9 @@ func (r InferResult) EarlyExits() int {
 
 // InferStream runs an inference-only forward pass, pulling each timestep's
 // input spikes from step (called with t = 0..T−1 in order, at most once
-// each). Unlike the training strategies it stores no activation records:
-// only the rolling per-layer state survives between timesteps, so the
-// footprint is O(1) in T. With opts.EarlyExit the pass stops as soon as
+// each). Unlike the training strategies it stores no activation records: it
+// steps a StreamState built at the first step's batch, so the footprint is
+// O(1) in T. With opts.EarlyExit the pass stops as soon as
 // every sample's readout argmax has been stable for K consecutive steps,
 // which also skips the spike generation for the remaining timesteps.
 //
@@ -123,7 +123,7 @@ func InferStream(net *layers.Network, T int, step func(t int) *tensor.Tensor, op
 		minSteps = 3 * net.StatefulCount()
 	}
 	var (
-		states  []*layers.LayerState
+		s       *StreamState
 		res     InferResult
 		acc     *tensor.Tensor // running sum of readout outputs
 		lastArg []int
@@ -133,8 +133,12 @@ func InferStream(net *layers.Network, T int, step func(t int) *tensor.Tensor, op
 	)
 	res.T = T
 	for t := 0; t < T; t++ {
-		states = net.ForwardStep(step(t), states)
-		logits := net.Logits(states)
+		x := step(t)
+		if s == nil {
+			s = NewStreamState(net, x.Dim(0))
+		}
+		s.StepInput(x)
+		logits := s.Logits()
 		res.StepsRun = t + 1
 		b := logits.Dim(0)
 		classes := logits.Dim(1)

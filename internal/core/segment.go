@@ -158,23 +158,14 @@ type pass struct {
 	// cut names the layers the backward walk gives no gradient from the
 	// layer above: TBPTT-LBP's local supervision.
 	cut map[int]bool
-	// quietCovered is whether the leak-only step covers the network
-	// (layers.Network.QuietCovered), the condition StepStats.QuietSteps
-	// counts under.
-	quietCovered bool
 }
 
 func (tr *Trainer) newPass(input []*tensor.Tensor, st *StepStats) *pass {
-	return &pass{tr: tr, input: input, rs: tr.newRecordStore(), st: st, quietCovered: tr.Net.QuietCovered()}
+	return &pass{tr: tr, input: input, rs: tr.newRecordStore(), st: st}
 }
 
-// isQuiet reports whether timestep t's input is zero for the whole batch and
-// the leak-only step covers the network. The walk's kernels turn such a
-// step's images into a bias add, so it costs each layer a leak.
-func (p *pass) isQuiet(t int) bool {
-	return p.quietCovered && allZero(p.input[t])
-}
-
+// allZero reports whether a timestep's input is zero for the whole batch.
+// The walk's kernels turn such a step's images into a bias add.
 func allZero(x *tensor.Tensor) bool {
 	for _, v := range x.Data {
 		if v != 0 {
@@ -184,7 +175,7 @@ func allZero(x *tensor.Tensor) bool {
 	return true
 }
 
-// quietSince is the span attr counting the leak-only steps taken since the
+// quietSince is the span attr counting the quiet steps taken since the
 // counter read `before`.
 func (p *pass) quietSince(before int) trace.Attr {
 	return trace.Attr{Key: "quiet", Val: int64(p.st.QuietSteps - before)}
@@ -235,7 +226,7 @@ func (p *pass) firstPass(plan segmentPlan, la *lossAccumulator) error {
 		rolling := make([]*mem.Block, len(steps))
 		for i, t := range steps {
 			p.st.ForwardSteps++
-			if p.isQuiet(t) {
+			if allZero(p.input[t]) {
 				p.st.QuietSteps++
 			}
 			if plan.sam != nil {
@@ -311,7 +302,7 @@ func (p *pass) forward(steps []int, states []*layers.LayerState) ([]*layers.Laye
 	xs := make([]*tensor.Tensor, len(steps))
 	for i, t := range steps {
 		xs[i] = p.input[t]
-		if p.isQuiet(t) {
+		if allZero(p.input[t]) {
 			p.st.QuietSteps++
 		}
 	}

@@ -24,11 +24,9 @@ type StepStats struct {
 	// second-pass (checkpoint replay) timesteps, SkippedSteps the timesteps
 	// Skipper dropped, and BackwardSteps the timesteps the δ recursion
 	// visited. QuietSteps counts the first-pass and replay timesteps whose
-	// input was zero for the whole batch, on a stack the leak-only step
-	// covers (layers.Network.QuietCovered): the walk's kernels turn each such
-	// image into a bias add, so the step costs a leak. It is the share of the
-	// workload that has the property; a counter only, nothing reads it to
-	// decide anything.
+	// input was zero for the whole batch: the walk's kernels turn each such
+	// image into a bias add. It is the share of the workload that has the
+	// property; a counter only, nothing reads it to decide anything.
 	ForwardSteps    int
 	RecomputedSteps int
 	SkippedSteps    int
@@ -472,9 +470,11 @@ func (tr *Trainer) EvaluateConfusion(maxBatches int) (*stats.Confusion, error) {
 }
 
 // evalBatches is the forward-only loop over the test split (capped at
-// maxBatches when > 0): each batch's input is charged to the device while
-// it runs, and its final-step logits and labels are handed to visit. It
-// returns the number of batches visited.
+// maxBatches when > 0): each batch steps a StreamState, with the batch's
+// input charged to the device while it runs and only the rolling state
+// charged as activations (each step's record before the previous one is
+// released, so two are live at once). Its final-step logits and labels are
+// handed to visit. It returns the number of batches visited.
 func (tr *Trainer) evalBatches(maxBatches int, visit func(logits *tensor.Tensor, labels []int)) (int, error) {
 	idx := dataset.Indices(tr.Data, dataset.Test, tr.Cfg.Seed, 0, false)
 	batches := dataset.Batches(idx, tr.Cfg.Batch)
@@ -487,34 +487,23 @@ func (tr *Trainer) evalBatches(maxBatches int, visit func(logits *tensor.Tensor,
 		if err != nil {
 			return 0, fmt.Errorf("core: charging eval input: %w", err)
 		}
-		logits, err := tr.forwardOnly(input)
-		inBlock.Release()
-		if err != nil {
-			return 0, err
+		s := NewStreamState(tr.Net, len(labels))
+		var rec *mem.Block
+		for t, x := range input {
+			s.StepInput(x)
+			next, err := tr.Dev.Alloc(mem.Activations, stateBytes(s.states))
+			rec.Release()
+			if err != nil {
+				inBlock.Release()
+				return 0, fmt.Errorf("core: eval forward t=%d: %w", t, err)
+			}
+			rec = next
 		}
-		visit(logits, labels)
+		visit(s.Logits(), labels)
+		rec.Release()
+		inBlock.Release()
 	}
 	return len(batches), nil
-}
-
-// forwardOnly runs inference keeping only the rolling state (two records
-// live at once), charging the transient footprint to the device.
-func (tr *Trainer) forwardOnly(input []*tensor.Tensor) (*tensor.Tensor, error) {
-	var states []*layers.LayerState
-	var prevBlock *mem.Block
-	for t := 0; t < len(input); t++ {
-		states = tr.Net.ForwardStep(input[t], states)
-		b, err := tr.Dev.Alloc(mem.Activations, stateBytes(states))
-		if err != nil {
-			prevBlock.Release()
-			return nil, fmt.Errorf("core: eval forward t=%d: %w", t, err)
-		}
-		prevBlock.Release()
-		prevBlock = b
-	}
-	logits := tr.Net.Logits(states).Clone()
-	prevBlock.Release()
-	return logits, nil
 }
 
 // stateBytes sums one timestep's record footprint.

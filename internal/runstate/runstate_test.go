@@ -44,7 +44,7 @@ func testTrainer(t *testing.T, strat core.Strategy, cfg core.Config) *core.Train
 
 // eventTrainer is testTrainer on the benchmark's event configuration: lenet
 // at half width on dvsgesture, where most timesteps of a T=120 batch have an
-// all-zero input and train through the leak-only quiet step.
+// all-zero input and count as quiet steps.
 func eventTrainer(t *testing.T, strat core.Strategy, cfg core.Config) *core.Trainer {
 	t.Helper()
 	data, err := dataset.Open("dvsgesture", 1)

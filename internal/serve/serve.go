@@ -88,7 +88,7 @@ type Config struct {
 	SessionSnapshotEvery int
 	// StreamSkipThreshold is the default activity gate for streaming
 	// sessions: a window with at most this many events advances by
-	// leak-only decay instead of the full forward. 0 (the default) skips
+	// stepping an empty window instead of its events. 0 (the default) skips
 	// only empty windows — lossless; negative disables skipping.
 	StreamSkipThreshold int
 }

@@ -37,7 +37,7 @@ type Config struct {
 	// Zero means 8; negative disables periodic snapshots.
 	SnapshotEvery int
 	// SkipThreshold is the default activity gate: a window with at most
-	// this many events takes the leak-only fast path. 0 (the default)
+	// this many events is stepped as an empty window. 0 (the default)
 	// skips only empty windows — lossless; negative disables skipping.
 	SkipThreshold int
 	// MaxSessions bounds the live registry. Zero means 256.
@@ -561,8 +561,8 @@ func (m *Manager) RenderMetrics(w io.Writer) {
 	c("skipper_stream_sessions_exported_total", "Sessions exported for migration.", m.exported.Load())
 	c("skipper_stream_sessions_evicted_total", "Idle sessions evicted by TTL.", m.evicted.Load())
 	c("skipper_stream_windows_total", "Event windows processed.", m.windows.Load())
-	c("skipper_stream_windows_skipped_total", "Windows advanced by leak-only fast-forward.", m.skipped.Load())
-	c("skipper_stream_steps_quiet_total", "Timesteps advanced by the leak-only fast path.", m.quiet.Load())
+	c("skipper_stream_windows_skipped_total", "Windows stepped as empty windows by the activity gate.", m.skipped.Load())
+	c("skipper_stream_steps_quiet_total", "Timesteps stepped on an all-zero input.", m.quiet.Load())
 	c("skipper_stream_steps_full_total", "Timesteps advanced by the full forward.", m.full.Load())
 	c("skipper_stream_snapshots_total", "Durable session snapshots written.", m.snapshots.Load())
 	c("skipper_stream_snapshot_failures_total", "Session snapshot attempts that failed.", m.snapFails.Load())

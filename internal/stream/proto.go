@@ -4,8 +4,8 @@
 // per-window predictions stream back as they are produced — the temporal
 // analogue of the paper's time-skipping applied online. A window whose
 // event count falls at or below the session's skip threshold advances the
-// membranes by the leak-only fast path (layers.QuietState) without running
-// the full forward, bitwise identically to stepping zero tensors.
+// membranes as an empty window: the same forward on zero tensors, in which
+// an all-zero image costs a bias add.
 //
 // Sessions are durable and movable: periodic snapshots via
 // runstate.SessionStore survive a serve restart bit-identically, and the
@@ -88,8 +88,8 @@ type OpenRequest struct {
 	// on resume so the client can verify stream identity.
 	Seed uint64 `json:"seed,omitempty"`
 	// SkipThreshold overrides the server's default activity gate for this
-	// session: a window with at most this many events is skipped
-	// (leak-only). 0 skips only empty windows (lossless); negative
+	// session: a window with at most this many events is skipped (stepped
+	// as an empty window). 0 skips only empty windows (lossless); negative
 	// disables skipping. Nil selects the server default.
 	SkipThreshold *int `json:"skip_threshold,omitempty"`
 	// RequireResume refuses to create a fresh session when no prior state
@@ -137,7 +137,7 @@ type WindowReply struct {
 	// timestep; Logits carries the full readout row.
 	Pred   int       `json:"pred"`
 	Logits []float32 `json:"logits"`
-	// Skipped is true when the whole window took the leak-only fast path.
+	// Skipped is true when the whole window was stepped as an empty one.
 	Skipped bool `json:"skipped"`
 	// Steps is the session's cumulative timestep cursor after this window.
 	Steps int `json:"steps"`

@@ -112,7 +112,7 @@ func (s *Session) runWindow(req WindowRequest) (WindowReply, *Error) {
 	}
 
 	// SAM-style activity gate, applied online: a window whose event count
-	// is at or below the threshold advances by leak-only decay. At the
+	// is at or below the threshold advances as an empty window. At the
 	// default threshold 0 only truly empty windows skip, so no event is
 	// ever dropped and the gate is lossless; positive thresholds drop
 	// sub-threshold windows' events (the paper's lossy skip, opt-in).
@@ -135,9 +135,8 @@ func (s *Session) runWindow(req WindowRequest) (WindowReply, *Error) {
 			if any {
 				s.stream.StepInput(x)
 			} else {
-				// An event-free timestep inside a busy window takes the
-				// quiet path too — bitwise identical to stepping the zero
-				// tensor, just cheaper.
+				// An event-free timestep inside a busy window counts as a
+				// quiet step too.
 				s.stream.StepQuiet()
 			}
 		}

@@ -153,13 +153,11 @@ func AddBias(dst *Tensor, bias *Tensor) {
 		panic(fmt.Sprintf("tensor: AddBias bias length %d != channels %d", bias.Len(), c))
 	}
 	hw := h * w
-	for i := 0; i < n; i++ {
-		for j := 0; j < c; j++ {
-			b := bias.Data[j]
-			base := (i*c + j) * hw
-			for k := 0; k < hw; k++ {
-				dst.Data[base+k] += b
-			}
+	for i := 0; i < n*c; i++ {
+		b := bias.Data[i%c]
+		plane := dst.Data[i*hw : (i+1)*hw]
+		for k := range plane {
+			plane[k] += b
 		}
 	}
 }

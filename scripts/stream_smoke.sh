@@ -5,8 +5,8 @@
 # placement, SIGTERM one replica mid-stream, and require (a) every session
 # finished with zero resets — the drain handoff moved membrane state, it
 # never silently restarted, (b) at least one session visibly migrated to the
-# surviving replica, and (c) the quiet windows actually took the leak-only
-# skip path (the survivor's skipped-windows counter is non-zero).
+# surviving replica, and (c) the quiet windows actually took the skip path
+# (the survivor's skipped-windows counter is non-zero).
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -115,7 +115,7 @@ METRICS=$(curl -sf "http://127.0.0.1:$R2_HTTP/metrics")
 echo "$METRICS" | awk '$1=="skipper_stream_sessions_imported_total"{exit !($2>=1)}' \
     || fail "surviving replica imported no sessions"
 echo "$METRICS" | awk '$1=="skipper_stream_windows_skipped_total"{exit !($2>=1)}' \
-    || fail "surviving replica never took the leak-only skip path"
+    || fail "surviving replica never took the skip path"
 
 kill -TERM "$RT" 2>/dev/null || true
 kill -TERM "$R2" 2>/dev/null || true

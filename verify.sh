@@ -17,6 +17,10 @@ go vet ./...
 # surface back. benchmark/surface_test.go forbids the same names in the
 # benchmark module, together with the ones CompressSpikes still uses here.
 test -z "$(grep -rlE 'SpikePack|SetSpikePack|OPacked|PackedForward|ForwardPacked|PackedBackward|BackwardPacked|StepLIFPacked|Conv2DPacked|Conv2DGradWeightPacked|MatMulPacked|MatMulTransBPacked|MatMulTransAPacked|PackedKernelStats|spike-pack' --include='*.go' --exclude-dir=benchmark .)"
+# The leak-only quiet step was deleted: a quiet timestep runs the same
+# forward as any other, through core.StreamState. QuietSteps and StepQuiet
+# stay.
+test -z "$(grep -rlE 'QuietState|QuietCovered|QuietSupported|InvalidateQuietCache|QuietFallbacks' --include='*.go' --exclude-dir=benchmark .)"
 test -z "$(gofmt -l .)"
 go test -race ./internal/parallel/... ./internal/tensor/... ./internal/layers/... ./internal/serve/... ./internal/runstate/... ./internal/faults/... ./internal/trace/... ./internal/dist/... ./internal/router/... ./internal/stream/...
 # The layer-major walk fans a whole segment's steps over the pool; the line
@@ -48,7 +52,7 @@ sh ./scripts/router_ha_smoke.sh
 # Streaming-session smoke: 2 replicas with durable session dirs behind a
 # router, paced event streams through placement, SIGTERM one replica
 # mid-stream — every session resumes on the survivor with zero membrane
-# resets and the quiet windows take the leak-only skip path.
+# resets and the quiet windows take the skip path.
 sh ./scripts/stream_smoke.sh
 
 # The gate must leave the tree as it found it: a step that writes a tracked
