@@ -41,7 +41,8 @@ func Im2Col(col []float32, x []float32, c, h, w int, s ConvSpec) {
 
 // im2colRows writes rows [r0, r1) of x's im2col matrix — row (ch·KH+kh)·KW+kw
 // is input channel ch seen through kernel tap (kh, kw) — into col, which
-// starts at row r0.
+// starts at row r0. Each output row's in-bounds span is copied from x, and
+// only the padding around it is cleared.
 func im2colRows(col []float32, x []float32, h, w int, s ConvSpec, r0, r1 int) {
 	oh, ow := s.OutSize(h, w)
 	ohw := oh * ow
@@ -49,69 +50,40 @@ func im2colRows(col []float32, x []float32, h, w int, s ConvSpec, r0, r1 int) {
 	for row := r0; row < r1; row++ {
 		ch, tap := row/taps, row%taps
 		kh, kw := tap/s.KernelW, tap%s.KernelW
-		chBase := ch * h * w
+		oy0, oy1 := tapSpan(kh, h, oh, s)
+		ox0, ox1 := tapSpan(kw, w, ow, s)
 		dst := col[(row-r0)*ohw : (row-r0+1)*ohw]
-		i := 0
-		for oy := 0; oy < oh; oy++ {
-			iy := oy*s.Stride + kh - s.Pad
-			if iy < 0 || iy >= h {
-				for ox := 0; ox < ow; ox++ {
-					dst[i] = 0
-					i++
-				}
+		clear(dst[:oy0*ow])
+		clear(dst[oy1*ow:])
+		for oy := oy0; oy < oy1; oy++ {
+			d := dst[oy*ow : (oy+1)*ow]
+			clear(d[:ox0])
+			clear(d[ox1:])
+			src := x[ch*h*w+(oy*s.Stride+kh-s.Pad)*w:]
+			ix := ox0*s.Stride + kw - s.Pad
+			if s.Stride == 1 {
+				copy(d[ox0:ox1], src[ix:])
 				continue
 			}
-			rowBase := chBase + iy*w
-			ix := kw - s.Pad
-			for ox := 0; ox < ow; ox++ {
-				if ix >= 0 && ix < w {
-					dst[i] = x[rowBase+ix]
-				} else {
-					dst[i] = 0
-				}
-				i++
+			for ox := ox0; ox < ox1; ox++ {
+				d[ox] = src[ix]
 				ix += s.Stride
 			}
 		}
 	}
 }
 
-// Col2Im scatters col [C*KH*KW, OH*OW] back into the image gradient
-// dx [C,H,W], accumulating overlapping contributions. dx is not zeroed;
-// callers zero it when starting a fresh accumulation.
-func Col2Im(dx []float32, col []float32, c, h, w int, s ConvSpec) {
-	col2imRows(dx, col, h, w, s, 0, c*s.KernelH*s.KernelW)
-}
-
-// col2imRows scatters rows [r0, r1) of an im2col matrix, held in col from
-// row r0, back into dx, row after row.
-func col2imRows(dx []float32, col []float32, h, w int, s ConvSpec, r0, r1 int) {
-	oh, ow := s.OutSize(h, w)
-	ohw := oh * ow
-	taps := s.KernelH * s.KernelW
-	for row := r0; row < r1; row++ {
-		ch, tap := row/taps, row%taps
-		kh, kw := tap/s.KernelW, tap%s.KernelW
-		chBase := ch * h * w
-		src := col[(row-r0)*ohw : (row-r0+1)*ohw]
-		i := 0
-		for oy := 0; oy < oh; oy++ {
-			iy := oy*s.Stride + kh - s.Pad
-			if iy < 0 || iy >= h {
-				i += ow
-				continue
-			}
-			rowBase := chBase + iy*w
-			ix := kw - s.Pad
-			for ox := 0; ox < ow; ox++ {
-				if ix >= 0 && ix < w {
-					dx[rowBase+ix] += src[i]
-				}
-				i++
-				ix += s.Stride
-			}
-		}
+// tapSpan returns the outputs [o0, o1), of on along one axis, whose input
+// o·stride + kk − pad through kernel offset kk lies inside the axis's n
+// inputs: the output span a kernel tap reads without padding.
+func tapSpan(kk, n, on int, s ConvSpec) (o0, o1 int) {
+	if d := s.Pad - kk; d > 0 {
+		o0 = (d + s.Stride - 1) / s.Stride
 	}
+	if last := n - 1 - kk + s.Pad; last >= 0 {
+		o1 = min(on, last/s.Stride+1)
+	}
+	return o0, max(o0, o1)
 }
 
 // Conv2D computes out = conv(x, weight) + bias for x [N,Cin,H,W],
@@ -173,49 +145,185 @@ func conv2D(p *parallel.Pool, out, x, weight, bias *Tensor, s ConvSpec, sc *Scra
 // Conv2DGradInput computes dx = convBackwardInput(dout, weight) for
 // dout [N,Cout,OH,OW] and weight [Cout,Cin,KH,KW]. dx must have the input
 // shape [N,Cin,H,W] and is fully overwritten. Images partition across lanes.
-// Each row of the image's column gradient Wᵀ·dout (one input channel and
-// kernel tap) is summed over the output channels in ascending order into a
-// one-row buffer of the lane's column and scattered into dx at once, so
-// every dx element takes its taps in ascending row order, as a scatter of
-// the whole column would give them.
+//
+// Each row kk of an image's column gradient Wᵀ·dout (one input channel and
+// kernel tap) sums, over ascending co, the terms W[co,kk]·dout[co] of the
+// output channels whose δ plane holds a nonzero and whose weight is
+// nonzero; an image whose δ is all zero is skipped. The first term is
+// written into a one-row buffer (scale), the middle ones are added to it
+// (axpy2, axpy), and the last is added on the way into dx (axpyAdd). A
+// single term is added to dx directly. Every dx element thus takes its taps
+// in ascending kk order, each tap the sum of its terms in ascending co
+// order — the order of the column form, which builds the whole column from
+// a cleared row and scatters it back (col2im).
+//
+// At stride 1 a tap is a shift, so its add is one span: the lane copies the
+// live δ planes into rows widened by zero columns, builds the row in that
+// layout, and adds it into a widened copy of one input channel of dx, whose
+// extra columns catch what the shift carries past a row's end and are
+// dropped. Each dx element then takes from a tap either its term of
+// the column form or, where that tap reads padding, a sum of products with
+// zero. At other strides the row is added output row by output row, over
+// the span the tap maps inside the image.
+//
+// The column form differs only by dropped and added terms w·0 = ±0 and by a
+// row that starts at its first product instead of +0: a partial sum that
+// starts at +0 is never −0, and neither is dx, so for finite weights none of
+// these changes a bit of dx.
+//
+// BenchmarkKernelConv2DGradInput (serial, 2-core Xeon guest, fastest of
+// 10, the column form on the same SSE2 leaves) puts column form → this
+// kernel, in ms, with no zero δ plane / with 40 % of the planes zero, at
+// lenet conv2 10.1 → 2.8 / 9.9 → 2.2; conv4 7.2 → 4.3 / 7.2 → 2.8; conv5
+// 4.1 → 4.4 / 4.2 → 2.9; vgg5 conv2 7.8 → 5.8 / 7.7 → 4.0; conv3 6.7 → 6.9
+// / 6.7 → 4.4. On 4×4 planes the zero columns cost what the scatter saved.
 func Conv2DGradInput(p *parallel.Pool, dx, dout, weight *Tensor, s ConvSpec, sc *Scratch) {
 	xs := dx.Shape()
 	n, c, h, w := xs[0], xs[1], xs[2], xs[3]
 	oh, ow := s.OutSize(h, w)
 	checkConvShapes("Conv2DGradInput", dout, dx, weight, s, n, oh, ow)
 	k := s.InChannels * s.KernelH * s.KernelW
-	ohw := oh * ow
+	ohw, cout := oh*ow, s.OutChannels
+	// The lane's δ planes have rows ws wide, δ in columns [pl, pl+OW). At
+	// stride 1 zero columns surround it, and one input channel of dx is
+	// held in rows of the same width, the image in columns [xl, xl+W), in
+	// xLen floats: tap (kh, kw) then carries wide δ position q to wide dx
+	// position q + (kh−pad)·ws + kw. A real dx element reads the δ it reads
+	// in the column form, or a zero column where that lies outside δ, and
+	// the widths keep every read and write inside the planes. At other
+	// strides δ is not widened and dx is written in place.
+	ws, pl, xl, xLen := ow, 0, 0, 0
+	if s.Stride == 1 {
+		pl = max(0, s.KernelW-1-s.Pad)
+		ws = pl + max(ow, w+s.Pad)
+		xl, xLen = pl+s.Pad, h*ws+s.KernelW-1
+	}
+	plane := oh * ws
 	if sc == nil {
 		sc = NewScratch()
 	}
 	sc.reserve(p.Lanes())
-	dx.Zero()
 	p.Run(n, func(lane, lo, hi int) {
-		row := sc.lane(lane, ohw)
+		fl := sc.lane(lane, k*cout+(cout+1)*plane+xLen)
+		wt, row := fl[:k*cout], fl[k*cout:k*cout+plane]
+		wide, x := fl[k*cout+plane:k*cout+(cout+1)*plane], fl[k*cout+(cout+1)*plane:]
+		for co := 0; co < cout; co++ {
+			for kk, v := range weight.Data[co*k : (co+1)*k] {
+				wt[kk*cout+co] = v
+			}
+		}
+		clear(wide) // the margins stay zero: only δ is copied in
+		ints := sc.laneInts(lane, 2*cout)
+		live, terms := ints[:cout], ints[cout:]
 		for img := lo; img < hi; img++ {
-			dslice := dout.Data[img*s.OutChannels*ohw : (img+1)*s.OutChannels*ohw]
-			for kk := 0; kk < k; kk++ {
-				// row = Σ_co W[co,kk]·dout[img,co], co ascending.
-				clear(row)
-				for co := 0; co < s.OutChannels; co++ {
-					w0 := weight.Data[co*k+kk]
-					if w0 == 0 {
-						continue
-					}
-					d0 := dslice[co*ohw : (co+1)*ohw]
-					if co+1 < s.OutChannels {
-						if w1 := weight.Data[(co+1)*k+kk]; w1 != 0 {
-							axpy2(row, w0, d0, w1, dslice[(co+1)*ohw:(co+2)*ohw])
-							co++
+			dimg := dout.Data[img*cout*ohw : (img+1)*cout*ohw]
+			nl := 0
+			for co := 0; co < cout; co++ {
+				d := dimg[co*ohw : (co+1)*ohw]
+				if allZero(d) {
+					continue
+				}
+				live[nl] = int32(co)
+				nl++
+				for oy := 0; oy < oh; oy++ {
+					copy(wide[co*plane+oy*ws+pl:co*plane+oy*ws+pl+ow], d[oy*ow:(oy+1)*ow])
+				}
+			}
+			if nl == 0 || s.Stride != 1 {
+				// At stride 1 every channel of an image with a live plane is
+				// copied out whole.
+				clear(dx.Data[img*c*h*w : (img+1)*c*h*w])
+			}
+			if nl == 0 {
+				continue
+			}
+			kk := 0
+			for ch := 0; ch < c; ch++ {
+				dxch := dx.Data[(img*c+ch)*h*w : (img*c+ch+1)*h*w]
+				if s.Stride == 1 {
+					clear(x)
+				}
+				for kh := 0; kh < s.KernelH; kh++ {
+					oy0, oy1 := tapSpan(kh, h, oh, s)
+					for kw := 0; kw < s.KernelW; kw++ {
+						wk := wt[kk*cout : (kk+1)*cout]
+						kk++
+						nt := 0
+						for _, co := range live[:nl] {
+							if wk[co] != 0 {
+								terms[nt] = co
+								nt++
+							}
+						}
+						if nt == 0 {
 							continue
 						}
+						r := sumTerms(row, wk, wide, terms[:nt-1])
+						co := int(terms[nt-1])
+						a, d := wk[co], wide[co*plane:(co+1)*plane]
+						if s.Stride != 1 {
+							addTapStrided(dxch, r, a, d, oy0, oy1, kh, kw, w, ow, s)
+							continue
+						}
+						// The tap's outputs (oy, ·) for oy in [oy0, oy1) land
+						// on input rows oy+kh−pad, shifted kw columns in x.
+						q0, q1 := oy0*ws, oy1*ws
+						o := q0 + (kh-s.Pad)*ws + kw
+						dst := x[o : o+q1-q0]
+						if r == nil {
+							axpy(dst, a, d[q0:q1])
+						} else {
+							axpyAdd(dst, r[q0:q1], a, d[q0:q1])
+						}
 					}
-					axpy(row, w0, d0)
 				}
-				col2imRows(dx.Data[img*c*h*w:(img+1)*c*h*w], row, h, w, s, kk, kk+1)
+				if s.Stride == 1 {
+					for iy := 0; iy < h; iy++ {
+						copy(dxch[iy*w:(iy+1)*w], x[iy*ws+xl:])
+					}
+				}
 			}
 		}
 	})
+}
+
+// sumTerms writes row = Σ wk[co]·planes[co] over the output channels co in
+// terms, each plane len(row) long: the first term is written, the others
+// added in order, two to a pass. It returns row, or nil for no terms.
+func sumTerms(row, wk, planes []float32, terms []int32) []float32 {
+	if len(terms) == 0 {
+		return nil
+	}
+	n := len(row)
+	plane := func(co int32) []float32 { return planes[int(co)*n : int(co+1)*n] }
+	scale(row, wk[terms[0]], plane(terms[0]))
+	i := 1
+	for ; i+1 < len(terms); i += 2 {
+		axpy2(row, wk[terms[i]], plane(terms[i]), wk[terms[i+1]], plane(terms[i+1]))
+	}
+	if i < len(terms) {
+		axpy(row, wk[terms[i]], plane(terms[i]))
+	}
+	return row
+}
+
+// addTapStrided adds the row of kernel tap (kh, kw), whose last term a·d is
+// still to come, into one channel of an image's dx [H,W]: dx[iy, ix] +=
+// r[p] + a·d[p] for every output position p = (oy, ox) that the tap maps
+// inside the image (oy in [oy0, oy1)), or += a·d[p] when r is nil.
+func addTapStrided(dx, r []float32, a float32, d []float32, oy0, oy1, kh, kw, w, ow int, s ConvSpec) {
+	ox0, ox1 := tapSpan(kw, w, ow, s)
+	for oy := oy0; oy < oy1; oy++ {
+		ix := (oy*s.Stride+kh-s.Pad)*w + ox0*s.Stride + kw - s.Pad
+		for p := oy*ow + ox0; p < oy*ow+ox1; p++ {
+			if r == nil {
+				dx[ix] += float32(a * d[p])
+			} else {
+				dx[ix] += r[p] + float32(a*d[p])
+			}
+			ix += s.Stride
+		}
+	}
 }
 
 // Conv2DGradWeight accumulates dW += convBackwardWeight(dout, x) and, when
@@ -224,23 +332,25 @@ func Conv2DGradInput(p *parallel.Pool, dx, dout, weight *Tensor, s ConvSpec, sc 
 //
 // Parallelism is over the rows of the im2col matrix, which are dW's columns
 // (one per input channel and kernel tap): each lane owns the dW elements its
-// rows feed and reads every image for them, with no workspace beyond one
-// column's rows and one nonzero list per lane. Every dW element accumulates
-// its per-image terms in ascending image order, exactly as the serial loop
-// does — no cross-lane partial accumulators, no reduction, bit-identical
-// results for every pool size.
+// rows feed and reads every image for them, with a workspace of its rows of
+// the column, one image's δ transposed, the rows' sums and one nonzero list.
+// Every dW element accumulates its per-image terms in ascending image order,
+// exactly as the serial loop does — no cross-lane partial accumulators, no
+// reduction, bit-identical results for every pool size.
 //
 // An image's term for one element is Σ_p dout[co,p]·col[kk,p], summed over p
-// in ascending order from +0. A dense image computes it from its im2col rows;
-// a sparse one (see gatherDensity) from its nonzero inputs alone
-// (gradWeightGather), whose row-kk positions p ascend in the list's (row,
-// column) order. The two sums differ only by the zero terms dout·0 = ±0,
-// which change no partial sum that starts at +0, so for finite dout the paths
-// agree bit for bit. An image whose input is all zero (a sample with no event
-// this timestep) adds nothing to dW, for the same reason (dW accumulates up
-// from +0 and is never −0) — the identity Conv2DGradInput's zero-weight skip
-// already relies on. Its dout still enters dbias, so a non-finite dout still
-// reaches the divergence guard.
+// in ascending order from +0. A dense image computes it from its im2col rows
+// and its δ transposed to [OH·OW][Cout], four output channels to a vector
+// and four rows side by side (mulAccT), each channel's sum still its own,
+// over ascending p; a sparse one (see gatherDensity) from its nonzero inputs
+// alone (gradWeightGather), whose row-kk positions p ascend in the list's
+// (row, column) order. The two sums differ only by the zero terms dout·0 =
+// ±0, which change no partial sum that starts at +0, so for finite dout the
+// paths agree bit for bit. An image whose input is all zero (a sample with
+// no event this timestep) adds nothing to dW, for the same reason (dW
+// accumulates up from +0 and is never −0) — the identity Conv2DGradInput's
+// zero-plane skip also relies on. Its dout still enters dbias, so a
+// non-finite dout still reaches the divergence guard.
 func Conv2DGradWeight(p *parallel.Pool, dw, dbias, dout, x *Tensor, s ConvSpec, sc *Scratch) {
 	conv2DGradWeight(p, dw, dbias, dout, x, s, sc, gatherDensity)
 }
@@ -259,57 +369,35 @@ func conv2DGradWeight(p *parallel.Pool, dw, dbias, dout, x *Tensor, s ConvSpec, 
 	}
 	sc.reserve(p.Lanes())
 	limit := gatherLimit(c*h*w, density)
-	p.RunGrain(k, grainFor(n*s.OutChannels*ohw), func(lane, lo, hi int) {
-		cs := sc.convSpace(lane, s, h, w, limit, (hi-lo)*ohw)
+	cout := s.OutChannels
+	p.RunGrain(k, grainFor(n*cout*ohw), func(lane, lo, hi int) {
+		rows := hi - lo
+		cs := sc.convSpace(lane, s, h, w, limit, rows*ohw+ohw*cout+rows*cout)
+		col, dT, acc := cs.col[:rows*ohw], cs.col[rows*ohw:rows*ohw+ohw*cout], cs.col[rows*ohw+ohw*cout:]
 		for img := 0; img < n; img++ {
 			ximg := x.Data[img*c*h*w : (img+1)*c*h*w]
-			dslice := dout.Data[img*s.OutChannels*ohw : (img+1)*s.OutChannels*ohw]
+			dslice := dout.Data[img*cout*ohw : (img+1)*cout*ohw]
 			if cs.collect(ximg) {
 				cs.gradWeightGather(dw.Data, dslice, lo, hi)
 				continue
 			}
-			im2colRows(cs.col, ximg, h, w, s, lo, hi)
-			for co := 0; co < s.OutChannels; co++ {
-				gradWeightRow(dw.Data[co*k+lo:co*k+hi], dslice[co*ohw:(co+1)*ohw], cs.col)
+			im2colRows(col, ximg, h, w, s, lo, hi)
+			for co := 0; co < cout; co++ {
+				for p, v := range dslice[co*ohw : (co+1)*ohw] {
+					dT[p*cout+co] = v
+				}
+			}
+			clear(acc)
+			mulAccT(acc, col, dT, rows, ohw, cout)
+			for r := 0; r < rows; r++ {
+				for co, v := range acc[r*cout : (r+1)*cout] {
+					dw.Data[co*k+lo+r] += v
+				}
 			}
 		}
 	})
 	if dbias != nil {
 		SumPerChannel(dbias, dout)
-	}
-}
-
-// gradWeightRow adds one image's terms to a run of dW elements:
-// wrow[r] += Σ_j drow[j]·col[r][j], each sum running over j in order from
-// zero. Four sums run side by side — independent chains the processor can
-// overlap — without changing any one's order.
-func gradWeightRow(wrow, drow, col []float32) {
-	ohw := len(drow)
-	r := 0
-	for ; r+4 <= len(wrow); r += 4 {
-		c0 := col[r*ohw : (r+1)*ohw]
-		c1 := col[(r+1)*ohw : (r+2)*ohw]
-		c2 := col[(r+2)*ohw : (r+3)*ohw]
-		c3 := col[(r+3)*ohw : (r+4)*ohw]
-		var s0, s1, s2, s3 float32
-		for j, d := range drow {
-			s0 += d * c0[j]
-			s1 += d * c1[j]
-			s2 += d * c2[j]
-			s3 += d * c3[j]
-		}
-		wrow[r] += s0
-		wrow[r+1] += s1
-		wrow[r+2] += s2
-		wrow[r+3] += s3
-	}
-	for ; r < len(wrow); r++ {
-		crow := col[r*ohw : (r+1)*ohw]
-		var sum float32
-		for j, d := range drow {
-			sum += d * crow[j]
-		}
-		wrow[r] += sum
 	}
 }
 

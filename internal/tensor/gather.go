@@ -7,12 +7,12 @@ package tensor
 // gatherDensity is the crossover between the two convolution paths: an
 // image with fewer than 1/gatherDensity of its inputs nonzero is gathered,
 // any other goes through im2col. BenchmarkKernelConv2DDensity (binary
-// inputs, serial, 2-core Xeon guest, medians of 3) puts the paths level near
-// density 0.4 on the lenet conv2 and vgg5 conv2 shapes, forward and weight
-// gradient alike: gather/dense is 0.08–0.19 at density ≤ 0.02, 0.25–0.30 at
-// 1/16, 0.34–0.53 at 0.1–0.15, 0.55–0.86 at 0.2–0.3, and 1.00–1.72 at 0.5.
-// 1/8 keeps gather under about half of dense at the switch, a margin for
-// shapes the row does not cover.
+// inputs, serial, 2-core Xeon guest, fastest of 3), on the lenet conv2 and
+// vgg5 conv2 shapes, forward and weight gradient alike, puts gather/dense
+// at 0.15–0.31 at density ≤ 0.02, 0.58–0.64 at 1/16, 0.68–0.96 at 0.1,
+// 1.23–1.54 at 0.15 and 2.2–3.2 at 0.5: the paths are level near 1/8. The
+// row read 0.34–0.53 at 0.1–0.15 before the dense path ran on the SSE2
+// leaves (leaves_amd64.s), when 1/8 kept gather under half of dense.
 const gatherDensity = 8
 
 // gatherLimit is the nonzero count at which an image of size ≥ 1 inputs
@@ -158,7 +158,7 @@ func (cs *convSpace) convGather(dst, wMat []float32) {
 // gradWeightGather adds one image's terms to dW's columns [lo, hi) (dw is
 // the whole [Cout, k] gradient) from its nonzero list: for each im2col row
 // kk, Σ_p dout[co,p]·x summed from +0 over the row's nonzeros, p ascending —
-// gradWeightRow's sum less its zero terms.
+// the dense path's sum less its zero terms.
 func (cs *convSpace) gradWeightGather(dw, dimg []float32, lo, hi int) {
 	s := cs.s
 	k := s.InChannels * s.KernelH * s.KernelW

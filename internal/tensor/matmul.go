@@ -87,48 +87,6 @@ func matmulAcc(dst, a, b []float32, m, k, n int) {
 	}
 }
 
-// axpy performs y[j] += a·x[j] for every j < len(y), four elements per pass
-// (each element's one multiply and one add are unchanged). The wider body
-// keeps the loop from being bound by instruction fetch, whose cost for a
-// tight loop swings with where the linker happens to place it.
-func axpy(y []float32, a float32, x []float32) {
-	x = x[:len(y)]
-	j := 0
-	for ; j+4 <= len(y); j += 4 {
-		ys, xs := y[j:j+4:j+4], x[j:j+4:j+4]
-		ys[0] += a * xs[0]
-		ys[1] += a * xs[1]
-		ys[2] += a * xs[2]
-		ys[3] += a * xs[3]
-	}
-	for ; j < len(y); j++ {
-		y[j] += a * x[j]
-	}
-}
-
-// axpy2 is axpy(y, a0, x0) then axpy(y, a1, x1) in one pass: each element
-// takes the same two roundings in the same order, (y + a0·x0) + a1·x1, with
-// a third less memory traffic.
-func axpy2(y []float32, a0 float32, x0 []float32, a1 float32, x1 []float32) {
-	x0, x1 = x0[:len(y)], x1[:len(y)]
-	j := 0
-	for ; j+4 <= len(y); j += 4 {
-		ys, p, q := y[j:j+4:j+4], x0[j:j+4:j+4], x1[j:j+4:j+4]
-		v0 := ys[0] + a0*p[0]
-		v1 := ys[1] + a0*p[1]
-		v2 := ys[2] + a0*p[2]
-		v3 := ys[3] + a0*p[3]
-		ys[0] = v0 + a1*q[0]
-		ys[1] = v1 + a1*q[1]
-		ys[2] = v2 + a1*q[2]
-		ys[3] = v3 + a1*q[3]
-	}
-	for ; j < len(y); j++ {
-		v := y[j] + a0*x0[j]
-		y[j] = v + a1*x1[j]
-	}
-}
-
 // MatMulTransA computes dst = aᵀ × b for a [K,M], b [K,N] -> dst [M,N].
 // Used for weight gradients: dW = deltaᵀ · input.
 func MatMulTransA(p *parallel.Pool, dst, a, b *Tensor) {

@@ -96,6 +96,8 @@ var convShapes = []struct {
 	{3, 2, 5, 5, 2, 1, 1, 0},   // 1x1 kernel
 	{4, 3, 11, 9, 5, 5, 2, 2},  // 5x5 kernel, stride 2, wide pad
 	{6, 4, 16, 16, 4, 3, 1, 1}, // lenet conv2, per image
+	{3, 2, 7, 6, 3, 3, 1, 0},   // stride 1, no pad: narrower output
+	{2, 3, 5, 5, 4, 3, 1, 2},   // stride 1, pad past the kernel: wider output
 }
 
 // convFill is one input of the conv table: the original mixed pattern, or
@@ -203,15 +205,15 @@ func TestConvKernelsBitIdenticalAcrossPoolSizes(t *testing.T) {
 		pool := parallel.NewPool(lanes)
 		defer pool.Close()
 		for _, sh := range convShapes {
+			spec := ConvSpec{
+				InChannels: sh.c, OutChannels: sh.out,
+				KernelH: sh.kh, KernelW: sh.kh, Stride: sh.s, Pad: sh.pd,
+			}
+			oh, ow := spec.OutSize(sh.h, sh.w)
+			if oh <= 0 || ow <= 0 {
+				t.Fatalf("bad conv shape %+v", sh)
+			}
 			for _, fill := range convFills() {
-				spec := ConvSpec{
-					InChannels: sh.c, OutChannels: sh.out,
-					KernelH: sh.kh, KernelW: sh.kh, Stride: sh.s, Pad: sh.pd,
-				}
-				oh, ow := spec.OutSize(sh.h, sh.w)
-				if oh <= 0 || ow <= 0 {
-					t.Fatalf("bad conv shape %+v", sh)
-				}
 				x := New(sh.n, sh.c, sh.h, sh.w)
 				weight := New(sh.out, sh.c, sh.kh, sh.kh)
 				bias := New(sh.out)
@@ -239,10 +241,6 @@ func TestConvKernelsBitIdenticalAcrossPoolSizes(t *testing.T) {
 
 				dout := New(sh.n, sh.out, oh, ow)
 				fill.operand(dout.Data, 11)
-				dxS, dxP := New(sh.n, sh.c, sh.h, sh.w), New(sh.n, sh.c, sh.h, sh.w)
-				Conv2DGradInput(nil, dxS, dout, weight, spec, NewScratch())
-				Conv2DGradInput(pool, dxP, dout, weight, spec, NewScratch())
-				requireBitEqual(t, "Conv2DGradInput"+label, dxS, dxP)
 
 				dwS, dwP := New(sh.out, sh.c, sh.kh, sh.kh), New(sh.out, sh.c, sh.kh, sh.kh)
 				dbS, dbP := New(sh.out), New(sh.out)
@@ -279,7 +277,96 @@ func TestConvKernelsBitIdenticalAcrossPoolSizes(t *testing.T) {
 					}
 				}
 			}
+
+			// The δ axis: grad-input ≡ its column form, serial and pooled.
+			weight := New(sh.out, sh.c, sh.kh, sh.kh)
+			deltaWeight(weight, 5)
+			for _, df := range deltaFills {
+				dout := New(sh.n, sh.out, oh, ow)
+				df.fill(dout, 11)
+				label := fmt.Sprintf("[N%d C%d->%d %dx%d k%d s%d p%d %s]@%d lanes",
+					sh.n, sh.c, sh.out, sh.h, sh.w, sh.kh, sh.s, sh.pd, df.name, lanes)
+				ref := New(sh.n, sh.c, sh.h, sh.w)
+				conv2DGradInputColumns(nil, ref, dout, weight, spec, NewScratch())
+				for _, p := range []*parallel.Pool{nil, pool} {
+					dx := New(sh.n, sh.c, sh.h, sh.w)
+					equivFill(dx.Data, 23) // fully overwritten
+					Conv2DGradInput(p, dx, dout, weight, spec, NewScratch())
+					requireBitEqual(t, "Conv2DGradInput≡columns"+label, ref, dx)
+				}
+			}
 		}
+	}
+}
+
+// deltaFills are the δ operands of the grad-input check. Every value is
+// scaled by roughScale, so a kernel that sums a row's terms in another
+// order, or adds the last term early, shows. The sparse ones zero 40 % of
+// the δ planes, some of them with −0 entries, put −0 among live entries,
+// and zero one image entirely (a plane or image of −0 is all zero too).
+var deltaFills = []struct {
+	name string
+	fill func(d *Tensor, seed uint64)
+}{
+	{"dense δ", func(d *Tensor, seed uint64) { roughFill(d.Data, seed) }},
+	{"zero planes δ", func(d *Tensor, seed uint64) { sparseDelta(d, seed, -1) }},
+	{"zero planes+image δ", func(d *Tensor, seed uint64) { sparseDelta(d, seed, d.Dim(0)/2) }},
+	{"all-zero δ", func(d *Tensor, seed uint64) { sparseDelta(d, seed, -2) }},
+}
+
+// roughFill is equivFill scaled by roughScale.
+func roughFill(d []float32, seed uint64) {
+	equivFill(d, seed)
+	for i := range d {
+		d[i] *= roughScale
+	}
+}
+
+// sparseDelta fills δ [N,Cout,OH,OW] with rough values, then zeroes about
+// 40 % of its planes (every third entry of a zeroed plane −0), every plane
+// of image zeroImg, or every plane when zeroImg is −2, and writes −0 over
+// every seventh entry of the planes it keeps.
+func sparseDelta(d *Tensor, seed uint64, zeroImg int) {
+	roughFill(d.Data, seed)
+	negZero := float32(math.Copysign(0, -1))
+	n, cout := d.Dim(0), d.Dim(1)
+	plane := len(d.Data) / (n * cout)
+	s := seed
+	for img := 0; img < n; img++ {
+		for co := 0; co < cout; co++ {
+			s = s*6364136223846793005 + 1442695040888963407
+			zero := zeroImg == -2 || img == zeroImg || (s>>33)%5 < 2
+			p := d.Data[(img*cout+co)*plane : (img*cout+co+1)*plane]
+			for i := range p {
+				switch {
+				case zero && i%3 == 0:
+					p[i] = negZero
+				case zero:
+					p[i] = 0
+				case i%7 == 0:
+					p[i] = negZero
+				}
+			}
+		}
+	}
+}
+
+// deltaWeight fills the grad-input check's weight [Cout,Cin,KH,KW] with
+// rough values and exact zeros (about one in five), then zeroes one im2col
+// column for every output channel and all but the first output channel of
+// another, so rows with no term and with a single term both occur.
+func deltaWeight(w *Tensor, seed uint64) {
+	roughFill(w.Data, seed)
+	cout := w.Dim(0)
+	k := len(w.Data) / cout
+	for co := 0; co < cout; co++ {
+		w.Data[co*k+k/2] = 0
+		if co > 0 {
+			w.Data[co*k+k-1] = 0
+		}
+	}
+	if w.Data[k-1] == 0 {
+		w.Data[k-1] = roughScale
 	}
 }
 

@@ -13,6 +13,12 @@ tree_before=$(tree_state)
 
 go build ./...
 go vet ./...
+# The tensor kernels' assembly leaves have portable Go twins, the only
+# implementation off amd64; they must keep compiling there.
+GOARCH=arm64 go vet ./internal/tensor/
+# The assembly leaves round every product before adding it, as their Go
+# twins do; a fused multiply-add would change the bits.
+test -z "$(grep -rlE 'VFMADD|VFMSUB|VFNMADD|VFNMSUB' --include='*.s' internal/)"
 # Bit-packed spike compute was deleted; no root-module Go file may bring its
 # surface back. benchmark/surface_test.go forbids the same names in the
 # benchmark module, together with the ones CompressSpikes still uses here.
