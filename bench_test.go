@@ -203,5 +203,3 @@ func BenchmarkStrategyTBPTT(b *testing.B) {
 }
 
 func BenchmarkAblationPlacement(b *testing.B) { runExperiment(b, "ablate-placement") }
-
-func BenchmarkAblationSpikeCompression(b *testing.B) { runExperiment(b, "ablate-compress") }

@@ -45,13 +45,12 @@ func Run(net *layers.Network, input []*tensor.Tensor, metric core.SAMMetric) *Tr
 		tr.Scores[t] = metric.Score(net, states)
 		rates := make([]float64, len(states))
 		for i, st := range states {
-			if st.O == nil || st.O.Len() == 0 {
-				continue
-			}
 			if lin, ok := net.Layers[i].(*layers.SpikingLinear); ok && lin.Readout {
 				continue // membrane, not spikes
 			}
-			rates[i] = st.SpikeSum() / float64(st.O.Len())
+			if sum, size := net.Spikes(i, st); size > 0 {
+				rates[i] = sum / float64(size)
+			}
 		}
 		tr.LayerRates[t] = rates
 	}

@@ -108,7 +108,7 @@ func Energy(net *layers.Network, input []*tensor.Tensor, model EnergyModel) Ener
 				rep.DenseMacs += dense
 			}
 			// The next layer consumes this layer's output spikes.
-			inSpikes = float64(tensor.CountNonZero(states[i].O))
+			inSpikes = float64(tensor.CountNonZero(net.Output(i, states[i])))
 		}
 	}
 	rep.SNNJoules = rep.Synops * model.synop()

@@ -170,36 +170,3 @@ func init() {
 		},
 	})
 }
-
-func init() {
-	register(Experiment{
-		ID:    "ablate-compress",
-		Title: "Extension: bit-packed spike storage for checkpoint records (memory vs compute)",
-		Run: func(cfg RunConfig, out io.Writer) error {
-			bud := budgetFor(cfg.Scale)
-			for _, model := range []string{"vgg5", "resnet20"} {
-				w, err := WorkloadFor(model, cfg.Scale)
-				if err != nil {
-					return err
-				}
-				B := w.Batches[len(w.Batches)-1]
-				header(out, "ablate-compress", "spike compression — "+model, w)
-				fmt.Fprintf(out, "%-12s %16s %14s\n", "records", "activations", "time/batch")
-				for _, compress := range []bool{false, true} {
-					m, err := w.measureCompressed(core.Checkpoint{C: w.C}, B,
-						measureOpts{batches: bud.measureBatches, seed: cfg.seed()}, compress)
-					if err != nil {
-						return err
-					}
-					label := "float32"
-					if compress {
-						label = "bit-packed"
-					}
-					fmt.Fprintf(out, "%-12s %16s %14s\n", label,
-						gib(m.PeakByCat[memActivationsCat]), m.TimePerBatch.Round(time.Millisecond))
-				}
-			}
-			return nil
-		},
-	})
-}

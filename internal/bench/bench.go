@@ -251,11 +251,6 @@ const memActivationsCat = mem.Activations
 // reporting time per batch and peak memory "after warm start" (peaks are
 // reset after the first batch, as the paper does).
 func (w Workload) measure(strat core.Strategy, B int, o measureOpts) (Measurement, error) {
-	return w.measureCompressed(strat, B, o, false)
-}
-
-// measureCompressed is measure with the spike-compression extension toggled.
-func (w Workload) measureCompressed(strat core.Strategy, B int, o measureOpts, compress bool) (Measurement, error) {
 	m := Measurement{Strategy: strat.Name(), T: w.T, B: B}
 	net, err := w.buildNet()
 	if err != nil {
@@ -266,7 +261,7 @@ func (w Workload) measureCompressed(strat core.Strategy, B int, o measureOpts, c
 		return m, err
 	}
 	dev := mem.NewDevice(o.devCfg)
-	cfg := core.Config{T: w.T, Batch: B, Seed: o.seed, Device: dev, CompressSpikes: compress}
+	cfg := core.Config{T: w.T, Batch: B, Seed: o.seed, Device: dev}
 	tr, err := core.NewTrainer(net, data, strat, cfg)
 	if err != nil {
 		return m, err

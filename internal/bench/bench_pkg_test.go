@@ -29,7 +29,7 @@ func TestRegistryComplete(t *testing.T) {
 		"fig3ab", "fig3cd", "fig3ef", "fig4a", "fig4b", "fig7",
 		"table1", "fig8", "fig9", "fig10", "fig11", "fig12", "fig13",
 		"fig14", "fig15", "table2", "fig16",
-		"ablate-sam", "ablate-p", "ablate-surrogate", "ablate-placement", "ablate-compress",
+		"ablate-sam", "ablate-p", "ablate-surrogate", "ablate-placement",
 	}
 	for _, id := range want {
 		if _, err := Get(id); err != nil {

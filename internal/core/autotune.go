@@ -102,13 +102,14 @@ func AutoTune(net *layers.Network, inputShape []int, cfg Config, budget int64) (
 }
 
 // estimator predicts peak footprints from the same quantities the engine
-// charges: per-timestep record bytes, parameter bytes, input train bytes,
-// and workspace. A safety factor absorbs allocator-bin rounding.
+// charges: per-timestep record and walk-spike bytes, parameter bytes, input
+// train bytes, and workspace. A safety factor absorbs allocator-bin
+// rounding.
 type estimator struct {
-	cfg    Config
-	rec    int64
-	fixed  int64
-	safety float64
+	cfg        Config
+	rec, spike int64
+	fixed      int64
+	safety     float64
 }
 
 func newEstimator(net *layers.Network, inputShape []int, cfg Config) *estimator {
@@ -120,21 +121,22 @@ func newEstimator(net *layers.Network, inputShape []int, cfg Config) *estimator 
 	}
 	fixed := pb /*weights*/ + pb /*grads*/ + 2*pb /*adam moments*/ +
 		int64(cfg.T)*inVol /*input train*/ +
-		net.WorkspaceBytes(cfg.Batch) + rec/2 /*delta scratch*/
-	return &estimator{cfg: cfg, rec: rec, fixed: fixed, safety: 1.15}
+		net.WorkspaceBytes(cfg.Batch) + net.DeltaBytes(cfg.Batch) /*delta scratch*/
+	return &estimator{cfg: cfg, rec: rec, spike: net.SpikeBytes(cfg.Batch), fixed: fixed, safety: 1.15}
 }
 
+// bpttPeak is T records and the backward walk's spikes over all T steps.
 func (e *estimator) bpttPeak() int64 {
-	return int64(float64(int64(e.cfg.T)*e.rec+e.fixed) * e.safety)
+	return int64(float64(int64(e.cfg.T)*(e.rec+e.spike)+e.fixed) * e.safety)
 }
 
 // ckptPeak follows Eq. 3 / Eq. 6: C boundary records plus the (possibly
 // skip-thinned) live segment, plus one transient record for the rolling
-// forward state.
+// forward state, and the spikes of the segment's backward walk.
 func (e *estimator) ckptPeak(c int, p float64) int64 {
 	seg := (e.cfg.T + c - 1) / c
 	live := int64(math.Ceil((1 - p/100) * float64(seg)))
-	act := (int64(c) + live + 1) * e.rec
+	act := (int64(c)+live+1)*e.rec + (live+1)*e.spike
 	return int64(float64(act+e.fixed) * e.safety)
 }
 

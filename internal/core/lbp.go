@@ -35,6 +35,8 @@ type TBPTTLBP struct {
 
 type auxClassifier struct {
 	w, g *tensor.Tensor
+	// shape is the site's output shape.
+	shape []int
 }
 
 // Name implements Strategy.
@@ -75,11 +77,11 @@ func (lb *TBPTTLBP) ensureAux(tr *Trainer, states []*layers.LayerState, classes 
 	rng := tensor.NewRNG(tensor.DeriveSeed(tr.Cfg.Seed, 0xA0C))
 	var bytes int64
 	for _, site := range lb.LocalAt {
-		b := states[site].O.Dim(0)
-		features := states[site].O.Len() / b
+		o := tr.Net.Output(site, states[site])
+		features := o.Len() / o.Dim(0)
 		w := tensor.New(classes, features)
 		rng.KaimingLinear(w)
-		lb.aux[site] = &auxClassifier{w: w, g: tensor.New(classes, features)}
+		lb.aux[site] = &auxClassifier{w: w, g: tensor.New(classes, features), shape: o.Shape()}
 		bytes += 2 * w.Bytes()
 	}
 	blk, err := tr.Dev.Alloc(mem.Weights, bytes)
@@ -137,11 +139,17 @@ func (lb *TBPTTLBP) TrainBatch(tr *Trainer, input []*tensor.Tensor, labels []int
 		if err := lb.ensureAux(tr, states, classes); err != nil {
 			return st, err
 		}
+		// The classifiers read a site's spikes off its records a step at a
+		// time.
+		spikes, err := p.chargeSpikes(1)
+		if err != nil {
+			return st, fmt.Errorf("core: tbptt-lbp spikes %w", err)
+		}
 		auxU := map[int]*tensor.Tensor{}
 		for site, ac := range lb.aux {
 			auxU[site] = tensor.New(len(labels), classes)
 			for _, t := range window {
-				o := p.rs.get(t)[site].O
+				o := tr.Net.Output(site, p.rs.get(t)[site])
 				flat := o.Reshape(o.Dim(0), o.Len()/o.Dim(0))
 				tmp := tensor.New(len(labels), classes)
 				tensor.MatMulTransB(tr.Net.Pool(), tmp, flat, ac.w)
@@ -160,24 +168,24 @@ func (lb *TBPTTLBP) TrainBatch(tr *Trainer, input []*tensor.Tensor, labels []int
 			auxLoss, _, daux := lossGrad(auxU[site], labels, tr.lossDenom)
 			loss += auxLoss
 			// ∂L/∂o_t at the site is dauxW for every t in the window.
-			o := states[site].O
-			inj := tensor.New(len(labels), o.Len()/o.Dim(0))
+			inj := tensor.New(len(labels), ac.w.Dim(1))
 			tensor.MatMul(tr.Net.Pool(), inj, daux, ac.w)
-			injections[site] = inj.Reshape(o.Shape()...)
+			injections[site] = inj.Reshape(ac.shape...)
 			// ∂W_aux += Σ_t dauxᵀ·o_t.
 			for _, t := range window {
-				ot := p.rs.get(t)[site].O
+				ot := tr.Net.Output(site, p.rs.get(t)[site])
 				flat := ot.Reshape(ot.Dim(0), ot.Len()/ot.Dim(0))
 				tensor.MatMulTransAAcc(tr.Net.Pool(), ac.g, daux, flat)
 			}
 		}
+		spikes()
 		st.Loss += loss / float64(numWindows)
 
 		// Backward within the window only: every step takes the local
 		// injections, the window's last step also the network loss.
 		bwd := time.Now()
 		p.deltas = nil
-		p.backward(window, w1-1, func(t int) map[int]*tensor.Tensor {
+		if err := p.backward(window, w1-1, func(t int) map[int]*tensor.Tensor {
 			if t != w1-1 {
 				return injections
 			}
@@ -186,7 +194,9 @@ func (lb *TBPTTLBP) TrainBatch(tr *Trainer, input []*tensor.Tensor, labels []int
 				top[site] = inj
 			}
 			return top
-		})
+		}); err != nil {
+			return st, fmt.Errorf("core: tbptt-lbp backward %w", err)
+		}
 		carry = states
 		p.rs.drop(w0 - 1)
 		tr.phaseDone(&st.BackwardTime, "backward", bwd)

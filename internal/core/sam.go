@@ -42,10 +42,9 @@ func (WeightedSpikeSum) Score(net *layers.Network, states []*layers.LayerState) 
 		if lin, ok := net.Layers[i].(*layers.SpikingLinear); ok && lin.Readout {
 			continue
 		}
-		if st.O == nil || st.O.Len() == 0 {
-			continue
+		if sum, size := net.Spikes(i, st); size > 0 {
+			s += sum / float64(size)
 		}
-		s += st.SpikeSum() / float64(st.O.Len())
 	}
 	return s
 }

@@ -11,7 +11,7 @@ import (
 )
 
 // segmentPlan is what BPTT, Checkpoint, Skipper and AdaptiveSkipper declare
-// for a batch: which (U_t, o_t) records the first pass keeps (Sec. V) and
+// for a batch: which records the first pass keeps (Sec. V) and
 // which timesteps the second pass replays (Sec. VI, Eq. 4–7). trainSegments
 // is the one loop that runs it.
 type segmentPlan struct {
@@ -22,8 +22,7 @@ type segmentPlan struct {
 	// [bounds[i], bounds[i+1]) and the last one runs to T.
 	bounds []int
 	// keepAll also keeps every step between the bounds (BPTT): nothing is
-	// left to replay, and the records stay unpacked (each is read exactly
-	// once).
+	// left to replay.
 	keepAll bool
 	// sam, when non-nil, receives the activity score s_t (Eq. 4) of every
 	// first-pass timestep.
@@ -134,7 +133,9 @@ func (tr *Trainer) trainSegments(input []*tensor.Tensor, labels []int, plan segm
 		// Step 5: backward over the segment's records, layer by layer,
 		// consuming and freeing them.
 		bwd := time.Now()
-		p.backward(walk, -1, inject)
+		if err := p.backward(walk, -1, inject); err != nil {
+			return st, fmt.Errorf("core: %s backward %w", plan.name, err)
+		}
 		tr.phaseDone(&st.BackwardTime, "backward", bwd, segAttr)
 		end = start
 	}
@@ -195,12 +196,13 @@ func stepRange(a, b int) []int {
 var forwardRun = (*layers.Network).Forward
 
 // firstPass is the storing forward pass over all T timesteps, one
-// layer-major walk per run (segmentPlan.runs). After a run's walk its records
-// are read in time order — SAM score, loss — and charged in time order:
-// stored at the plan's timesteps (bit-packed under CompressSpikes), charged
-// as rolling records elsewhere. Then the previous run's carry is released,
-// and every rolling record but the run's last, which carries the state into
-// the next run. So the device sees every record that is live at once.
+// layer-major walk per run (segmentPlan.runs), with the run's spikes charged
+// while it runs. After a run's walk its records are read in time order — SAM
+// score, loss — and charged in time order: stored at the plan's timesteps,
+// charged as rolling records elsewhere. Then the run's spikes and the
+// previous run's carry are released, and every rolling record but the run's
+// last, which carries the state into the next run. So the device sees
+// every record that is live at once.
 //
 // A two-pass plan keeps a record, not the run it came from: a stored boundary
 // and the carry are copied out of the run's per-layer blocks (tensor.Slots
@@ -212,7 +214,6 @@ func (p *pass) firstPass(plan segmentPlan, la *lossAccumulator) error {
 	for _, t := range plan.bounds {
 		isBound[t] = true
 	}
-	packed := tr.Cfg.CompressSpikes && !plan.keepAll
 	fwd, quiet := time.Now(), p.st.QuietSteps
 	var carry []*layers.LayerState
 	var carryBlock *mem.Block
@@ -221,6 +222,11 @@ func (p *pass) firstPass(plan segmentPlan, la *lossAccumulator) error {
 		xs := make([]*tensor.Tensor, len(steps))
 		for i, t := range steps {
 			xs[i] = p.input[t]
+		}
+		spikes, err := p.chargeSpikes(len(steps))
+		if err != nil {
+			carryBlock.Release()
+			return fmt.Errorf("core: %s forward t=%d: %w", plan.name, r[0], err)
 		}
 		recs := forwardRun(tr.Net, xs, carry)
 		rolling := make([]*mem.Block, len(steps))
@@ -236,14 +242,15 @@ func (p *pass) firstPass(plan segmentPlan, la *lossAccumulator) error {
 			var err error
 			switch {
 			case plan.keepAll:
-				err = p.rs.put(t, recs[i], false)
+				err = p.rs.put(t, recs[i])
 			case isBound[t]:
 				recs[i] = detach(recs[i])
-				err = p.rs.put(t, recs[i], packed)
+				err = p.rs.put(t, recs[i])
 			default:
 				rolling[i], err = tr.Dev.Alloc(mem.Activations, stateBytes(recs[i]))
 			}
 			if err != nil {
+				spikes()
 				carryBlock.Release()
 				for _, b := range rolling {
 					b.Release()
@@ -251,6 +258,7 @@ func (p *pass) firstPass(plan segmentPlan, la *lossAccumulator) error {
 				return fmt.Errorf("core: %s forward t=%d: %w", plan.name, t, err)
 			}
 		}
+		spikes()
 		carryBlock.Release()
 		last := len(steps) - 1
 		for _, b := range rolling[:last] {
@@ -291,8 +299,8 @@ func detach(states []*layers.LayerState) []*layers.LayerState {
 // forward advances the network from states over the given timesteps (hopping
 // directly from one listed step to the next) in one layer-major walk, stores
 // every record, and returns the last step's state. The records are charged
-// in time order once the walk is done; nothing else is charged meanwhile, so
-// the device sees the same sequence of allocations as a step-at-a-time walk.
+// in time order once the walk is done, and the walk's spikes, charged before
+// it, released after them; nothing else is charged meanwhile.
 // A quiet step is counted as in the first pass; the walk's kernels give its
 // all-zero images a bias add (tensor.Conv2D).
 func (p *pass) forward(steps []int, states []*layers.LayerState) ([]*layers.LayerState, error) {
@@ -306,23 +314,34 @@ func (p *pass) forward(steps []int, states []*layers.LayerState) ([]*layers.Laye
 			p.st.QuietSteps++
 		}
 	}
+	spikes, err := p.chargeSpikes(len(steps))
+	if err != nil {
+		return nil, fmt.Errorf("t=%d: %w", steps[0], err)
+	}
+	defer spikes()
 	recs := p.tr.Net.Forward(xs, states)
 	for i, t := range steps {
-		if err := p.rs.put(t, recs[i], false); err != nil {
+		if err := p.rs.put(t, recs[i]); err != nil {
 			return nil, fmt.Errorf("t=%d: %w", t, err)
 		}
 	}
 	return recs[len(recs)-1], nil
 }
 
+// chargeSpikes charges the spikes a walk of k steps of the pass holds
+// (Trainer.chargeSpikes).
+func (p *pass) chargeSpikes(k int) (release func(), err error) {
+	return p.tr.chargeSpikes(p.input[0].Dim(0), k)
+}
+
 // backward walks δ back over the stored records of the given timesteps in
 // one layer-major walk, then drops them — except keep's (-1: none), which a
 // windowed caller still needs as the next window's start state and the walk
 // leaves intact. inject returns the loss gradients entering at timestep t,
-// by layer index. Nothing is charged during the walk, so dropping the
-// records at its end leaves the device where dropping each as it was
-// consumed did.
-func (p *pass) backward(steps []int, keep int, inject func(t int) map[int]*tensor.Tensor) {
+// by layer index. The walk's spikes and gradients of them are charged while
+// it runs; nothing else is, so dropping the records at its end leaves the
+// device where dropping each as it was consumed did.
+func (p *pass) backward(steps []int, keep int, inject func(t int) map[int]*tensor.Tensor) error {
 	xs := make([]*tensor.Tensor, len(steps))
 	recs := make([][]*layers.LayerState, len(steps))
 	injs := make([]map[int]*tensor.Tensor, len(steps))
@@ -333,11 +352,17 @@ func (p *pass) backward(steps []int, keep int, inject func(t int) map[int]*tenso
 			kept = i
 		}
 	}
+	spikes, err := p.chargeSpikes(len(steps))
+	if err != nil {
+		return fmt.Errorf("t=%d: %w", steps[0], err)
+	}
 	p.deltas = p.tr.Net.Backward(xs, recs, injs, p.deltas, p.cut, kept)
+	spikes()
 	for _, t := range steps {
 		if t != keep {
 			p.rs.drop(t)
 		}
 	}
 	p.st.BackwardSteps += len(steps)
+	return nil
 }

@@ -47,10 +47,9 @@ type goldenRow struct {
 }
 
 type goldenCase struct {
-	name     string
-	strat    func() Strategy
-	compress bool
-	want     goldenRow
+	name  string
+	strat func() Strategy
+	want  goldenRow
 }
 
 // goldenFixture is the network, dataset and T a golden row runs on.
@@ -68,11 +67,11 @@ func eventFixture(woken bool) goldenFixture {
 	}
 }
 
-func goldenRun(t *testing.T, fix goldenFixture, strat Strategy, compress bool) goldenRow {
+func goldenRun(t *testing.T, fix goldenFixture, strat Strategy) goldenRow {
 	t.Helper()
 	net, data, T := fix(t)
 	dev := mem.Unlimited()
-	tr := newTestTrainer(t, net, data, strat, Config{T: T, Batch: 2, Device: dev, CompressSpikes: compress})
+	tr := newTestTrainer(t, net, data, strat, Config{T: T, Batch: 2, Device: dev})
 	var st StepStats
 	for _, idx := range [][]int{{0, 1}, {2, 3}} {
 		s, err := tr.TrainBatchIndices(dataset.Train, idx)
@@ -91,28 +90,26 @@ func goldenRun(t *testing.T, fix goldenFixture, strat Strategy, compress bool) g
 // The accounting contract of the segment engine, captured from the four
 // hand-written TrainBatch loops it replaced (commit 833653c): peak
 // activation and reserved bytes pin the allocate-before-release order of the
-// rolling record, put-vs-putPacked, and records dropped as the backward walk
-// consumes them; the counters pin what was replayed and skipped; the weight
-// hash pins the gradient bits through two Adam steps.
+// rolling record, the records dropped as the backward walk consumes them and
+// each walk's spikes in Workspace; the counters pin what was replayed and
+// skipped; the weight hash pins the gradient bits through two Adam steps.
+// Each peakAct is a whole number of records: 17 616 bytes a record on the
+// tiny fixture, 29 912 on events (a LIF layer's record is its U alone).
 func TestSegmentEngineGoldenAccounting(t *testing.T) {
 	cases := []goldenCase{
-		{"bptt", func() Strategy { return BPTT{} }, false, goldenRow{576576, 764416, 36, 0, 0, 36, 0xf637b30bfdb9792}},
-		{"bptt/compress", func() Strategy { return BPTT{} }, true, goldenRow{576576, 764416, 36, 0, 0, 36, 0xf637b30bfdb9792}},
-		{"ckpt", func() Strategy { return Checkpoint{C: 3} }, false, goldenRow{256256, 441856, 36, 30, 0, 36, 0xf637b30bfdb9792}},
-		{"ckpt/compress", func() Strategy { return Checkpoint{C: 3} }, true, goldenRow{214472, 400384, 36, 30, 0, 36, 0xf637b30bfdb9792}},
-		{"skipper", func() Strategy { return Skipper{C: 3, P: 30} }, false, goldenRow{224224, 409600, 36, 19, 11, 25, 0xf4d4d1789a93fe48}},
-		{"skipper/compress", func() Strategy { return Skipper{C: 3, P: 30} }, true, goldenRow{182368, 368128, 36, 19, 11, 25, 0xf4d4d1789a93fe48}},
-		{"adaptive", func() Strategy { return &AdaptiveSkipper{C: 3, P: 30} }, false, goldenRow{224224, 409600, 36, 20, 10, 26, 0xbc7f8e117a5ea197}},
-		{"adaptive/compress", func() Strategy { return &AdaptiveSkipper{C: 3, P: 30} }, true, goldenRow{182368, 368128, 36, 20, 10, 26, 0xbc7f8e117a5ea197}},
+		{"bptt", func() Strategy { return BPTT{} }, goldenRow{317088, 652288, 36, 0, 0, 36, 0xf637b30bfdb9792}},
+		{"ckpt", func() Strategy { return Checkpoint{C: 3} }, goldenRow{140928, 374784, 36, 30, 0, 36, 0xf637b30bfdb9792}},
+		{"skipper", func() Strategy { return Skipper{C: 3, P: 30} }, goldenRow{123312, 348672, 36, 19, 11, 25, 0xf4d4d1789a93fe48}},
+		{"adaptive", func() Strategy { return &AdaptiveSkipper{C: 3, P: 30} }, goldenRow{123312, 348672, 36, 20, 10, 26, 0xbc7f8e117a5ea197}},
 		// The window strategies keep their own loops but run on the engine's
 		// per-segment helpers; the carry record stays charged across a window.
-		{"tbptt", func() Strategy { return TBPTT{Window: 7} }, false, goldenRow{256256, 441856, 36, 0, 0, 36, 0xf2ffea10ad0ed65a}},
-		{"tbptt-lbp", func() Strategy { return &TBPTTLBP{Window: 7, LocalAt: []int{1}} }, false, goldenRow{256256, 462336, 36, 0, 0, 36, 0x1b4e3250f135ca8a}},
+		{"tbptt", func() Strategy { return TBPTT{Window: 7} }, goldenRow{140928, 382976, 36, 0, 0, 36, 0xf2ffea10ad0ed65a}},
+		{"tbptt-lbp", func() Strategy { return &TBPTTLBP{Window: 7, LocalAt: []int{1}} }, goldenRow{140928, 403456, 36, 0, 0, 36, 0x1b4e3250f135ca8a}},
 	}
 	check := func(fix goldenFixture, cases []goldenCase) {
 		for _, tc := range cases {
 			t.Run(tc.name, func(t *testing.T) {
-				got := goldenRun(t, fix, tc.strat(), tc.compress)
+				got := goldenRun(t, fix, tc.strat())
 				if got != tc.want {
 					t.Errorf("got %+v\nwant %+v", got, tc.want)
 				}
@@ -122,9 +119,9 @@ func TestSegmentEngineGoldenAccounting(t *testing.T) {
 	check(tinyFixture, cases)
 
 	// The same contract on event data (eventSetup, T=120, B=2, C=6, P=59),
-	// where about 74 of each batch's 120 timesteps have an all-zero input and go
-	// through the leak-only quiet step; the second optimizer step is there
-	// so that a quiet-step cache outliving the first would show in the
+	// where about 74 of each batch's 120 timesteps have an all-zero input,
+	// which each layer's kernels turn into a bias add; the second optimizer
+	// step is there so that state outliving the first would show in the
 	// weights. The first six rows run the woken network and were all
 	// captured at commit 0e0f6f0, before the quiet step, the zero-image skip
 	// in Conv2DGradWeight and the input layer's dropped ∂L/∂x existed: all
@@ -142,16 +139,15 @@ func TestSegmentEngineGoldenAccounting(t *testing.T) {
 	// both batches its weights now equal BPTT's; the woken rows are the ones
 	// that pin gradient bits.)
 	check(eventFixture(true), []goldenCase{
-		{"events/bptt", func() Strategy { return BPTT{} }, false, goldenRow{6794880, 7417856, 240, 0, 0, 240, 0x4c1f4d98943e7aba}},
-		{"events/ckpt", func() Strategy { return Checkpoint{C: 6} }, false, goldenRow{1415600, 2018816, 240, 228, 0, 240, 0x4c1f4d98943e7aba}},
-		{"events/ckpt/compress", func() Strategy { return Checkpoint{C: 6} }, true, goldenRow{1257752, 1862144, 240, 228, 0, 240, 0x4c1f4d98943e7aba}},
-		{"events/tbptt", func() Strategy { return TBPTT{Window: 20} }, false, goldenRow{1189104, 1791488, 240, 0, 0, 240, 0xaa8058f8bfca99f0}},
-		{"events/skipper", func() Strategy { return Skipper{C: 6, P: 59} }, false, goldenRow{849360, 1450496, 240, 98, 130, 110, 0xbd3d2569482ddb9e}},
-		{"events/adaptive", func() Strategy { return &AdaptiveSkipper{C: 6, P: 59} }, false, goldenRow{849360, 1450496, 240, 97, 131, 109, 0x79f1cd763b2a62dd}},
+		{"events/bptt", func() Strategy { return BPTT{} }, goldenRow{3589440, 6187520, 240, 0, 0, 240, 0x4c1f4d98943e7aba}},
+		{"events/ckpt", func() Strategy { return Checkpoint{C: 6} }, goldenRow{747800, 1679360, 240, 228, 0, 240, 0x4c1f4d98943e7aba}},
+		{"events/tbptt", func() Strategy { return TBPTT{Window: 20} }, goldenRow{628152, 1558528, 240, 0, 0, 240, 0xaa8058f8bfca99f0}},
+		{"events/skipper", func() Strategy { return Skipper{C: 6, P: 59} }, goldenRow{448680, 1213440, 240, 98, 130, 110, 0xbd3d2569482ddb9e}},
+		{"events/adaptive", func() Strategy { return &AdaptiveSkipper{C: 6, P: 59} }, goldenRow{448680, 1262592, 240, 97, 131, 109, 0x79f1cd763b2a62dd}},
 	})
 	check(eventFixture(false), []goldenCase{
-		{"events/built/skipper", func() Strategy { return Skipper{C: 6, P: 59} }, false, goldenRow{849360, 1450496, 240, 98, 130, 110, 0x29aa4f931e3e8b3b}},
-		{"events/built/adaptive", func() Strategy { return &AdaptiveSkipper{C: 6, P: 59} }, false, goldenRow{849360, 1450496, 240, 98, 130, 110, 0x29aa4f931e3e8b3b}},
+		{"events/built/skipper", func() Strategy { return Skipper{C: 6, P: 59} }, goldenRow{448680, 1213440, 240, 98, 130, 110, 0x29aa4f931e3e8b3b}},
+		{"events/built/adaptive", func() Strategy { return &AdaptiveSkipper{C: 6, P: 59} }, goldenRow{448680, 1295360, 240, 98, 130, 110, 0x29aa4f931e3e8b3b}},
 	})
 }
 

@@ -56,7 +56,7 @@ func (s *StreamState) StepQuiet() {
 }
 
 func (s *StreamState) step(x *tensor.Tensor) {
-	s.states = s.net.ForwardStep(x, s.states)
+	s.states = s.net.Forward([]*tensor.Tensor{x}, s.states)[0]
 	s.steps++
 }
 
@@ -71,10 +71,9 @@ func (s *StreamState) Logits() *tensor.Tensor {
 
 // Capture snapshots the stream's membrane state as named tensors, cloned so
 // the record stays stable while the stream keeps advancing. Stateful layers
-// contribute "layerNN.u" and "layerNN.o" (both sides of the LIF recurrence
-// — the reset term needs o_{t−1} too); composite layers recurse into
-// "layerNN.subK.*". Stateless layers contribute nothing and are rebuilt as
-// nil states on restore.
+// contribute "layerNN.u", their whole record: the next step reads o_{t−1}
+// back off U; composite layers recurse into "layerNN.subK.u". Stateless
+// layers contribute nothing and are rebuilt as nil states on restore.
 func (s *StreamState) Capture() []tensor.Named {
 	var out []tensor.Named
 	for i, st := range s.states {
@@ -90,12 +89,7 @@ func captureState(prefix string, st *layers.LayerState, out *[]tensor.Named) {
 	if st == nil {
 		return
 	}
-	if st.U != nil {
-		*out = append(*out, tensor.Named{Name: prefix + ".u", T: st.U.Clone()})
-	}
-	if st.O != nil {
-		*out = append(*out, tensor.Named{Name: prefix + ".o", T: st.O.Clone()})
-	}
+	*out = append(*out, tensor.Named{Name: prefix + ".u", T: st.U.Clone()})
 	for k, sub := range st.Sub {
 		captureState(fmt.Sprintf("%s.sub%d", prefix, k), sub, out)
 	}
@@ -141,25 +135,16 @@ func (s *StreamState) Restore(named []tensor.Named, steps int) error {
 // want, the tree a step produces: every tensor of want must be in the
 // record under prefix with want's shape. used counts the entries taken.
 func restoreLike(prefix string, want *layers.LayerState, byName map[string]*tensor.Tensor, used *int) (*layers.LayerState, error) {
-	st := &layers.LayerState{}
-	for _, f := range []struct {
-		name string
-		want *tensor.Tensor
-		dst  **tensor.Tensor
-	}{{prefix + ".u", want.U, &st.U}, {prefix + ".o", want.O, &st.O}} {
-		if f.want == nil {
-			continue
-		}
-		got, ok := byName[f.name]
-		if !ok {
-			return nil, fmt.Errorf("missing %s", f.name)
-		}
-		if !shapeEq(got.Shape(), f.want.Shape()) {
-			return nil, fmt.Errorf("%s shape %v, want %v", f.name, got.Shape(), f.want.Shape())
-		}
-		*f.dst = got.Clone()
-		*used++
+	name := prefix + ".u"
+	got, ok := byName[name]
+	if !ok {
+		return nil, fmt.Errorf("missing %s", name)
 	}
+	if !shapeEq(got.Shape(), want.U.Shape()) {
+		return nil, fmt.Errorf("%s shape %v, want %v", name, got.Shape(), want.U.Shape())
+	}
+	*used++
+	st := &layers.LayerState{U: got.Clone()}
 	for k, sub := range want.Sub {
 		r, err := restoreLike(fmt.Sprintf("%s.sub%d", prefix, k), sub, byName, used)
 		if err != nil {

@@ -76,12 +76,14 @@ func (tb TBPTT) TrainBatch(tr *Trainer, input []*tensor.Tensor, labels []int) (S
 		// is discarded afterwards and δ is NOT carried across the boundary.
 		bwd := time.Now()
 		p.deltas = nil
-		p.backward(window, w1-1, func(t int) map[int]*tensor.Tensor {
+		if err := p.backward(window, w1-1, func(t int) map[int]*tensor.Tensor {
 			if t == w1-1 {
 				return map[int]*tensor.Tensor{outIdx: dlogits}
 			}
 			return nil
-		})
+		}); err != nil {
+			return st, fmt.Errorf("core: tbptt backward %w", err)
+		}
 		// The boundary record stays alive only to seed the next window's state
 		// carry (detached: no gradient flows back into it); the previous
 		// window's, if there was one, goes.

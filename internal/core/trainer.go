@@ -471,10 +471,11 @@ func (tr *Trainer) EvaluateConfusion(maxBatches int) (*stats.Confusion, error) {
 
 // evalBatches is the forward-only loop over the test split (capped at
 // maxBatches when > 0): each batch steps a StreamState, with the batch's
-// input charged to the device while it runs and only the rolling state
-// charged as activations (each step's record before the previous one is
-// released, so two are live at once). Its final-step logits and labels are
-// handed to visit. It returns the number of batches visited.
+// input and one step's spikes charged to the device while it runs and only
+// the rolling state charged as activations (each step's record before the
+// previous one is released, so two are live at once). Its final-step
+// logits and labels are handed to visit. It returns the number of batches
+// visited.
 func (tr *Trainer) evalBatches(maxBatches int, visit func(logits *tensor.Tensor, labels []int)) (int, error) {
 	idx := dataset.Indices(tr.Data, dataset.Test, tr.Cfg.Seed, 0, false)
 	batches := dataset.Batches(idx, tr.Cfg.Batch)
@@ -487,6 +488,11 @@ func (tr *Trainer) evalBatches(maxBatches int, visit func(logits *tensor.Tensor,
 		if err != nil {
 			return 0, fmt.Errorf("core: charging eval input: %w", err)
 		}
+		release, err := tr.chargeSpikes(len(labels), 1)
+		if err != nil {
+			inBlock.Release()
+			return 0, fmt.Errorf("core: charging eval spikes: %w", err)
+		}
 		s := NewStreamState(tr.Net, len(labels))
 		var rec *mem.Block
 		for t, x := range input {
@@ -494,6 +500,7 @@ func (tr *Trainer) evalBatches(maxBatches int, visit func(logits *tensor.Tensor,
 			next, err := tr.Dev.Alloc(mem.Activations, stateBytes(s.states))
 			rec.Release()
 			if err != nil {
+				release()
 				inBlock.Release()
 				return 0, fmt.Errorf("core: eval forward t=%d: %w", t, err)
 			}
@@ -501,6 +508,7 @@ func (tr *Trainer) evalBatches(maxBatches int, visit func(logits *tensor.Tensor,
 		}
 		visit(s.Logits(), labels)
 		rec.Release()
+		release()
 		inBlock.Release()
 	}
 	return len(batches), nil
@@ -515,20 +523,16 @@ func stateBytes(states []*layers.LayerState) int64 {
 	return n
 }
 
-// recordStore charges and tracks stored timestep records. Records put
-// packed hold bit-packed spike tensors and materialise lazily on the first
-// get.
+// recordStore charges and tracks stored timestep records.
 type recordStore struct {
 	dev     *mem.Device
 	records map[int]*record
 }
 
-// record is one stored timestep: its device charge and its states, which a
-// record put packed only materialises from the packed copy when first read.
+// record is one stored timestep: its device charge and its states.
 type record struct {
 	block  *mem.Block
 	states []*layers.LayerState
-	packed []*packedState
 }
 
 // newRecordStore returns the trainer's record store.
@@ -536,34 +540,22 @@ func (tr *Trainer) newRecordStore() *recordStore {
 	return &recordStore{dev: tr.Dev, records: map[int]*record{}}
 }
 
-// put charges and retains the record for timestep t — as given, or as a
-// spike-compressed copy when packed.
-func (rs *recordStore) put(t int, states []*layers.LayerState, packed bool) error {
-	r := &record{states: states}
-	bytes := stateBytes(states)
-	if packed {
-		r.states = nil
-		r.packed, bytes = packStates(states)
-	}
-	var err error
-	if r.block, err = rs.dev.Alloc(mem.Activations, bytes); err != nil {
+// put charges and retains the record for timestep t.
+func (rs *recordStore) put(t int, states []*layers.LayerState) error {
+	b, err := rs.dev.Alloc(mem.Activations, stateBytes(states))
+	if err != nil {
 		return err
 	}
-	rs.records[t] = r
+	rs.records[t] = &record{block: b, states: states}
 	return nil
 }
 
-// get returns the record for timestep t (nil if absent), materialising a
-// packed record on first access.
+// get returns the record for timestep t (nil if absent).
 func (rs *recordStore) get(t int) []*layers.LayerState {
-	r := rs.records[t]
-	if r == nil {
-		return nil
+	if r := rs.records[t]; r != nil {
+		return r.states
 	}
-	if r.states == nil {
-		r.states = unpackStates(r.packed)
-	}
-	return r.states
+	return nil
 }
 
 // drop releases the record for timestep t.
@@ -628,8 +620,30 @@ func (la *lossAccumulator) observe(t int, logits *tensor.Tensor) {
 // at returns the loss gradient to inject at timestep t (nil if none).
 func (la *lossAccumulator) at(t int) *tensor.Tensor { return la.inject[t] }
 
-// deltaScratch charges the transient backward-pass footprint (one record's
-// worth of δ tensors) for the duration of a backward walk.
+// deltaScratch charges the transient backward-pass footprint (one
+// timestep's δ, the carry between walks) for the duration of the backward.
 func (tr *Trainer) deltaScratch(batch int) (*mem.Block, error) {
-	return tr.Dev.Alloc(mem.Workspace, tr.Net.RecordBytes(batch)/2)
+	return tr.Dev.Alloc(mem.Workspace, tr.Net.DeltaBytes(batch))
+}
+
+// chargeSpikes charges to Workspace the spikes a walk of k steps holds at
+// the given batch, one block per step, and returns their release. A record
+// holds a LIF layer's U alone, so a walk reads the spikes it passes up off U
+// and, going back, writes ∂L/∂o over them (layers.Network.SpikeBytes).
+// Blocks of one size let each walk reuse what the walks before it freed.
+func (tr *Trainer) chargeSpikes(batch, k int) (release func(), err error) {
+	n := tr.Net.SpikeBytes(batch)
+	blocks := make([]*mem.Block, k)
+	release = func() {
+		for _, b := range blocks {
+			b.Release()
+		}
+	}
+	for i := range blocks {
+		if blocks[i], err = tr.Dev.Alloc(mem.Workspace, n); err != nil {
+			release()
+			return nil, err
+		}
+	}
+	return release, nil
 }

@@ -20,10 +20,11 @@ func (lb *TBPTTLBP) backwardStepBlocked(net *layers.Network, x *tensor.Tensor, s
 // included.
 func statesBits(ts []*tensor.Tensor, states []*layers.LayerState) []*tensor.Tensor {
 	for _, st := range states {
-		if st.U != nil {
-			ts = append(ts, st.U)
+		for _, x := range []*tensor.Tensor{st.U, st.O} {
+			if x != nil {
+				ts = append(ts, x)
+			}
 		}
-		ts = append(ts, st.O)
 		ts = statesBits(ts, st.Sub)
 	}
 	return ts
@@ -55,10 +56,13 @@ type walkResult struct {
 // the lists have gaps.
 func walkRun(t *testing.T, fix goldenFixture, threads int, mode string, each bool) walkResult {
 	t.Helper()
+	if mode == "compress" {
+		withForwardRun(t, compressedSteps)
+	}
 	net, data, T := fix(t)
 	rt := NewRuntime(WithThreads(threads))
 	t.Cleanup(rt.Close)
-	cfg := Config{T: T, Batch: 2, Device: mem.Unlimited(), CompressSpikes: mode == "compress"}
+	cfg := Config{T: T, Batch: 2, Device: mem.Unlimited()}
 	tr, err := rt.NewTrainer(net, data, Checkpoint{C: 3}, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -132,9 +136,10 @@ func walkRun(t *testing.T, fix goldenFixture, threads int, mode string, each boo
 // layer-major walk per replay and per backward — produce exactly what they
 // produce one step per call: every record (the readout's membrane among
 // them, so the logits), the δ carried between segments, every gradient and
-// the step counters, quiet steps included. On 1, 2 and 4 threads, with the
-// boundary records plain and bit-packed, on frame input and on event input
-// whose steps are mostly quiet.
+// the step counters, quiet steps included. On 1, 2 and 4 threads, on frame
+// input and on event input whose steps are mostly quiet, with the first
+// pass walked ("plain") or taken through ForwardStep with its records
+// compressed to the engine's ("compress").
 func TestPassWalkManyStepsEqualsOneStepPerCall(t *testing.T) {
 	fixtures := []struct {
 		name string

@@ -87,7 +87,7 @@ func TestStridedConvBackwardAdjoint(t *testing.T) {
 	x := tensor.New(2, 3, 8, 8)
 	r.FillUniform(x, 0, 1.5)
 	st := l.Forward(x, nil)
-	g := tensor.New(st.O.Shape()...)
+	g := tensor.New(outShape(st)...)
 	r.FillNorm(g, 0, 1)
 	dx := tensor.New(x.Shape()...)
 	r.FillNorm(dx, 0, 1)
@@ -96,7 +96,7 @@ func TestStridedConvBackwardAdjoint(t *testing.T) {
 	l.gradB.Zero()
 	gradIn, _ := l.Backward(x, st, g, nil)
 
-	lin := tensor.New(st.O.Shape()...)
+	lin := tensor.New(outShape(st)...)
 	tensor.Conv2D(nil, lin, dx, l.weight, nil, l.Spec, nil)
 	for i := range lin.Data {
 		lin.Data[i] *= l.Surrogate.Grad(st.U.Data[i], nrn.Threshold)

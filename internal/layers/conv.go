@@ -97,18 +97,12 @@ func (l *SpikingConv2D) Forward(x *tensor.Tensor, prev *LayerState) *LayerState 
 // forwardSteps implements stepLayer: the synaptic current of every step is
 // computed directly into the records' U block by one convolution per run of
 // contiguous inputs, then the leak/reset recurrence is scanned in time order.
-func (l *SpikingConv2D) forwardSteps(xs []*tensor.Tensor, prev *LayerState, out []*LayerState) {
+func (l *SpikingConv2D) forwardSteps(xs []*tensor.Tensor, prev *LayerState, out []*LayerState) []*tensor.Tensor {
 	us := newSteps(len(xs), xs[0].Dim(0), l.outShape)
 	eachRun(xs, us, func(x, u *tensor.Tensor) {
 		tensor.Conv2D(l.pool, u, x, l.weight, l.bias, l.Spec, l.scratch)
 	})
-	scan(us, newSteps(len(xs), xs[0].Dim(0), l.outShape), prev, l.fire, out)
-}
-
-// fire folds the leak/reset recurrence into st.U, which holds the step's
-// synaptic current, and fires st.O.
-func (l *SpikingConv2D) fire(st, prev *LayerState) {
-	stepLIFPrev(l.pool, st.U, st.O, prev, l.Neuron)
+	return scan(l.pool, us, prev, l.Neuron, out)
 }
 
 // Backward implements Layer: backwardSteps on one step.
@@ -137,9 +131,9 @@ func (l *SpikingConv2D) backwardSteps(g *stepGrads, deltaIn *Delta) *Delta {
 	return &Delta{D: last}
 }
 
-// StateBytes implements Layer: U and O per stored timestep.
+// StateBytes implements Layer: U per stored timestep.
 func (l *SpikingConv2D) StateBytes(batch int) int64 {
-	return 2 * 4 * int64(batch) * int64(shapeVolume(l.outShape))
+	return 4 * int64(batch) * int64(shapeVolume(l.outShape))
 }
 
 // WorkspaceBytes implements Layer: the im2col buffer. Charged at one column

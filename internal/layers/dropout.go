@@ -91,10 +91,10 @@ func (l *Dropout) Forward(x *tensor.Tensor, _ *LayerState) *LayerState {
 }
 
 // forwardSteps implements stepLayer.
-func (l *Dropout) forwardSteps(xs []*tensor.Tensor, _ *LayerState, out []*LayerState) {
+func (l *Dropout) forwardSteps(xs []*tensor.Tensor, _ *LayerState, out []*LayerState) []*tensor.Tensor {
 	os := newSteps(len(xs), xs[0].Dim(0), xs[0].Shape()[1:])
 	eachRun(xs, os, l.apply)
-	outputs(os, out)
+	return outputs(os, out)
 }
 
 // Backward implements Layer: backwardSteps on one step.

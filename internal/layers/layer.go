@@ -1,9 +1,11 @@
 // Package layers implements the spiking network layers and their analytic
 // BPTT backward passes (paper Eq. 2). A network is a sequence of layers;
-// each timestep's forward produces a per-layer state record (U_t, o_t) — the
+// each timestep's forward produces a per-layer state record — the
 // "activations" whose storage the paper's checkpointing and time-skipping
 // techniques manipulate — and the backward pass consumes those records while
-// carrying the per-layer error signal δ_t backward through time.
+// carrying the per-layer error signal δ_t backward through time. A LIF
+// layer's record is its membrane U_t alone: snn.StepLIF stores U before the
+// reset, so its output o_t = 1[U_t > θ] is read back from U (Network.Output).
 package layers
 
 import (
@@ -13,24 +15,17 @@ import (
 )
 
 // LayerState is the temporal record a layer produces at one timestep: the
-// membrane potential U_t (nil for stateless layers), the output o_t, and the
-// sub-states of composite layers (residual blocks).
+// membrane potential U_t of a LIF layer, the output O of a stateless layer
+// (with, for max pooling and batch norm, what its backward needs in U), and
+// the sub-states of composite layers (residual blocks). A LIF record holds
+// no O; Network.ForwardStep attaches its output there for callers that read
+// a step's outputs directly, and no walk reads it.
 type LayerState struct {
 	U *tensor.Tensor
 	O *tensor.Tensor
 	// Sub holds internal states of composite layers, e.g. the first LIF of a
 	// residual block.
 	Sub []*LayerState
-}
-
-// stepLIFPrev advances one LIF timestep from prev, the layer's state at t−1
-// (nil at t = 0).
-func stepLIFPrev(pool *parallel.Pool, u, o *tensor.Tensor, prev *LayerState, p snn.Params) {
-	if prev == nil {
-		snn.StepLIF(pool, u, o, nil, nil, u, p)
-		return
-	}
-	snn.StepLIF(pool, u, o, prev.U, prev.O, u, p)
 }
 
 // Bytes returns the storage footprint of the record in bytes; this is what
@@ -52,22 +47,70 @@ func (s *LayerState) Bytes() int64 {
 	return n
 }
 
-// SpikeSum returns the total number of spikes in the record including
-// sub-states — the per-layer contribution to the SAM metric s_t (Eq. 4).
-func (s *LayerState) SpikeSum() float64 {
-	if s == nil {
-		return 0
+// firing reports whether l is a LIF layer, whose output is 1[U > θ] read off
+// its record's U, and its θ. A readout integrates without firing; its output
+// is its membrane.
+func firing(l Layer) (theta float32, ok bool) {
+	switch v := l.(type) {
+	case *SpikingConv2D:
+		return v.Neuron.Threshold, true
+	case *SpikingLinear:
+		return v.Neuron.Threshold, !v.Readout
+	case *RecurrentSpikingLinear:
+		return v.Neuron.Threshold, true
+	case *ResidualBlock:
+		return v.Neuron.Threshold, true
 	}
-	var sum float64
-	if s.O != nil {
-		for _, v := range s.O.Data {
+	return 0, false
+}
+
+// output is the one place a record becomes an output: layer l's output at
+// the step whose record is st. A LIF layer's is Fire(U, θ), written into dst
+// (a new tensor when dst is nil); a readout's is its membrane U; a stateless
+// layer's is its O.
+func output(pool *parallel.Pool, l Layer, st *LayerState, dst *tensor.Tensor) *tensor.Tensor {
+	if theta, ok := firing(l); ok {
+		if dst == nil {
+			dst = tensor.New(st.U.Shape()...)
+		}
+		snn.Fire(pool, dst, st.U, theta)
+		return dst
+	}
+	if lin, ok := l.(*SpikingLinear); ok && lin.Readout {
+		return st.U
+	}
+	return st.O
+}
+
+// spikes is the sum of layer l's output at the step whose record is st,
+// sub-states included, and the size of the output: a LIF layer's spikes are
+// counted off U without being written.
+func spikes(l Layer, st *LayerState) (sum float64, size int) {
+	theta, ok := firing(l)
+	if !ok {
+		o := output(nil, l, st, nil)
+		for _, v := range o.Data {
 			sum += float64(v)
 		}
+		return sum, o.Len()
 	}
-	for _, sub := range s.Sub {
-		sum += sub.SpikeSum()
+	var count func(st *LayerState) int
+	count = func(st *LayerState) int {
+		n := snn.FireCount(st.U, theta)
+		for _, sub := range st.Sub {
+			n += count(sub)
+		}
+		return n
 	}
-	return sum
+	return float64(count(st)), st.U.Len()
+}
+
+// outShape is the shape of the output a record stands for.
+func outShape(st *LayerState) []int {
+	if st.O != nil {
+		return st.O.Shape()
+	}
+	return st.U.Shape()
 }
 
 // Delta carries the backward-through-time error signal δ_t = ∂L/∂U_t for a
@@ -105,8 +148,9 @@ type Layer interface {
 	Stateful() bool
 
 	// Forward advances one timestep: x is the input [B, inShape...], prev is
-	// this layer's state at t−1 (nil at t = 0). The returned state always
-	// has O set.
+	// this layer's state at t−1 (nil at t = 0). The returned record holds U
+	// for a LIF layer and O for a stateless one; Network.Output reads the
+	// layer's output off it.
 	Forward(x *tensor.Tensor, prev *LayerState) *LayerState
 
 	// Backward consumes ∂L/∂o_t (gradOut), the stored state st, the layer
@@ -116,7 +160,7 @@ type Layer interface {
 	Backward(x *tensor.Tensor, st *LayerState, gradOut *tensor.Tensor, deltaIn *Delta) (gradIn *tensor.Tensor, deltaOut *Delta)
 
 	// StateBytes returns the per-timestep record footprint for a batch of
-	// the given size, used for device-memory accounting.
+	// the given size, used for device-memory accounting: a LIF layer's U.
 	StateBytes(batch int) int64
 
 	// WorkspaceBytes returns the transient scratch footprint (im2col

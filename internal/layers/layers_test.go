@@ -53,10 +53,10 @@ func TestSpikingConvForwardSpikesBinary(t *testing.T) {
 	x := tensor.New(2, 2, 8, 8)
 	r.FillUniform(x, 0, 1)
 	st := l.Forward(x, nil)
-	if st.U == nil || st.O == nil {
-		t.Fatal("state missing U or O")
+	if st.U == nil || st.O != nil {
+		t.Fatal("a LIF record holds U alone")
 	}
-	for _, v := range st.O.Data {
+	for _, v := range output(nil, l, st, nil).Data {
 		if v != 0 && v != 1 {
 			t.Fatalf("spike value %v not binary", v)
 		}
@@ -77,7 +77,7 @@ func TestSpikingConvForwardDeterministic(t *testing.T) {
 	a := l.Forward(x, nil)
 	b := l.Forward(x, nil)
 	for i := range a.U.Data {
-		if a.U.Data[i] != b.U.Data[i] || a.O.Data[i] != b.O.Data[i] {
+		if a.U.Data[i] != b.U.Data[i] {
 			t.Fatal("Forward is not a pure function of (x, prev)")
 		}
 	}
@@ -94,7 +94,7 @@ func TestSpikingConvBackwardAdjoint(t *testing.T) {
 	r.FillUniform(x, 0, 1.5)
 	st := l.Forward(x, nil)
 
-	g := tensor.New(st.O.Shape()...)
+	g := tensor.New(outShape(st)...)
 	r.FillNorm(g, 0, 1)
 	dx := tensor.New(x.Shape()...)
 	r.FillNorm(dx, 0, 1)
@@ -107,7 +107,7 @@ func TestSpikingConvBackwardAdjoint(t *testing.T) {
 	}
 
 	// Linearised forward applied to dx.
-	lin := tensor.New(st.O.Shape()...)
+	lin := tensor.New(outShape(st)...)
 	tensor.Conv2D(nil, lin, dx, l.weight, nil, l.Spec, nil)
 	for i := range lin.Data {
 		lin.Data[i] *= l.Surrogate.Grad(st.U.Data[i], l.Neuron.Threshold)
@@ -127,7 +127,7 @@ func TestSpikingConvWeightGradAdjoint(t *testing.T) {
 	x := tensor.New(2, 2, 5, 5)
 	r.FillUniform(x, 0, 1.5)
 	st := l.Forward(x, nil)
-	g := tensor.New(st.O.Shape()...)
+	g := tensor.New(outShape(st)...)
 	r.FillNorm(g, 0, 1)
 	l.gradW.Zero()
 	l.gradB.Zero()
@@ -135,7 +135,7 @@ func TestSpikingConvWeightGradAdjoint(t *testing.T) {
 
 	dW := tensor.New(l.weight.Shape()...)
 	r.FillNorm(dW, 0, 1)
-	lin := tensor.New(st.O.Shape()...)
+	lin := tensor.New(outShape(st)...)
 	tensor.Conv2D(nil, lin, x, dW, nil, l.Spec, nil)
 	for i := range lin.Data {
 		lin.Data[i] *= l.Surrogate.Grad(st.U.Data[i], l.Neuron.Threshold)
@@ -155,7 +155,7 @@ func TestSpikingConvDeltaRecursion(t *testing.T) {
 	x := tensor.New(1, 1, 4, 4)
 	r.FillUniform(x, 0, 1.5)
 	st := l.Forward(x, nil)
-	g := tensor.New(st.O.Shape()...)
+	g := tensor.New(outShape(st)...)
 	r.FillNorm(g, 0, 1)
 
 	l.gradW.Zero()
@@ -183,8 +183,8 @@ func TestSpikingLinearShapes(t *testing.T) {
 	}
 	x := tensor.New(3, 4, 2, 2)
 	st := l.Forward(x, nil)
-	if st.O.Dim(0) != 3 || st.O.Dim(1) != 10 {
-		t.Fatalf("forward shape %v", st.O.Shape())
+	if o := outShape(st); o[0] != 3 || o[1] != 10 {
+		t.Fatalf("forward shape %v", o)
 	}
 	g := tensor.New(3, 10)
 	gradIn, _ := l.Backward(x, st, g, nil)
@@ -213,11 +213,9 @@ func TestReadoutIntegratesWithoutSpiking(t *testing.T) {
 			t.Fatalf("readout integration wrong: %v want %v", st2.U.Data[i], want)
 		}
 	}
-	// O is the membrane, not spikes.
-	for i := range st2.O.Data {
-		if st2.O.Data[i] != st2.U.Data[i] {
-			t.Fatal("readout O must equal U")
-		}
+	// The output is the membrane, not spikes, and the record keeps it once.
+	if output(nil, l, st2, nil) != st2.U || st2.O != nil {
+		t.Fatal("a readout's output must be its record's U")
 	}
 }
 
@@ -455,7 +453,7 @@ func TestResidualBlockForwardBackwardShapes(t *testing.T) {
 			t.Fatal("block state must carry the first stage")
 		}
 		st2 := l.Forward(x, st)
-		g := tensor.New(st2.O.Shape()...)
+		g := tensor.New(outShape(st2)...)
 		r.FillNorm(g, 0, 1)
 		gradIn, d := l.Backward(x, st2, g, nil)
 		if !gradIn.SameShape(x) {

@@ -11,8 +11,9 @@ import (
 // SpikingLinear is a fully-connected layer of LIF neurons. With Readout set
 // it becomes the network's output integrator: the neurons accumulate
 // membrane potential without firing or resetting (the standard readout for
-// the hybrid-training recipe), and O is the membrane itself, so the loss can
-// be applied to the accumulated potential at the final timestep.
+// the hybrid-training recipe), and its output is the membrane U itself, so
+// the loss can be applied to the accumulated potential at the final
+// timestep.
 //
 // Rank-4 inputs [B,C,H,W] are flattened to [B,C·H·W] internally, so an
 // explicit flatten layer is unnecessary.
@@ -93,29 +94,28 @@ func (l *SpikingLinear) Forward(x *tensor.Tensor, prev *LayerState) *LayerState 
 }
 
 // forwardSteps implements stepLayer: one matrix product per run of
-// contiguous inputs, then the recurrence scanned in time order.
-func (l *SpikingLinear) forwardSteps(xs []*tensor.Tensor, prev *LayerState, out []*LayerState) {
-	shape := []int{l.Out}
-	us := newSteps(len(xs), xs[0].Dim(0), shape)
+// contiguous inputs, then the recurrence scanned in time order. A readout
+// integrates, U_t = λ·U_{t−1} + I_t with no spike and no reset, and its
+// outputs are its records' U.
+func (l *SpikingLinear) forwardSteps(xs []*tensor.Tensor, prev *LayerState, out []*LayerState) []*tensor.Tensor {
+	us := newSteps(len(xs), xs[0].Dim(0), []int{l.Out})
 	eachRun(xs, us, func(x, u *tensor.Tensor) {
 		tensor.MatMulTransB(l.pool, u, l.flatten(x), l.weight) // current = x·Wᵀ
 		tensor.AddRowBias(u, l.bias)
 	})
-	scan(us, newSteps(len(xs), xs[0].Dim(0), shape), prev, l.fire, out)
-}
-
-// fire folds the leak/reset recurrence into st.U, which holds the step's
-// synaptic current, and fires st.O.
-func (l *SpikingLinear) fire(st, prev *LayerState) {
-	if l.Readout {
-		// Pure integrator: U_t = λ·U_{t−1} + I_t, no spike, no reset.
-		if prev != nil {
-			tensor.AXPY(st.U, l.Neuron.Leak, prev.U)
-		}
-		copy(st.O.Data, st.U.Data)
-		return
+	if !l.Readout {
+		return scan(l.pool, us, prev, l.Neuron, out)
 	}
-	stepLIFPrev(l.pool, st.U, st.O, prev, l.Neuron)
+	cells := make([]LayerState, len(us))
+	for j := len(us) - 1; j >= 0; j-- {
+		if prev != nil {
+			tensor.AXPY(us[j], l.Neuron.Leak, prev.U)
+		}
+		cells[j].U = us[j]
+		out[j] = &cells[j]
+		prev = out[j]
+	}
+	return us
 }
 
 // Backward implements Layer: backwardSteps on one step.
@@ -160,9 +160,9 @@ func (l *SpikingLinear) scanDeltas(g *stepGrads, deltaIn *Delta) *tensor.Tensor 
 	return last
 }
 
-// StateBytes implements Layer: U and O per stored timestep.
+// StateBytes implements Layer: U per stored timestep.
 func (l *SpikingLinear) StateBytes(batch int) int64 {
-	return 2 * 4 * int64(batch) * int64(l.Out)
+	return 4 * int64(batch) * int64(l.Out)
 }
 
 // WorkspaceBytes implements Layer.

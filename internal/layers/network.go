@@ -20,6 +20,11 @@ type Network struct {
 	outShape []int
 	built    bool
 	pool     *parallel.Pool
+	// spikes are the two blocks a backward walk writes a layer's input
+	// spikes, and then ∂L/∂x over them, into (spikeSteps): layer l uses
+	// spikes[l%2], so the block it reads from the layer above is never the
+	// one it writes.
+	spikes [2][]float32
 }
 
 // PoolAware is implemented by layers whose kernels run on the parallel
@@ -191,15 +196,33 @@ func (n *Network) setRecompute(on bool) {
 
 // ForwardStep advances the whole stack one timestep: Forward on one step. x
 // is the input spikes [B, InShape...]; prev is the per-layer state at t−1
-// (nil at t = 0). The returned slice has one state per layer.
+// (nil at t = 0). The returned slice has one state per layer, each holding
+// the layer's output at the step in O — a LIF layer's spikes, the readout's
+// U, a stateless layer's own output — for callers that read a step's
+// outputs directly. No walk reads a LIF record's O, so such a record resumes
+// a walk exactly as its U alone does.
 func (n *Network) ForwardStep(x *tensor.Tensor, prev []*LayerState) []*LayerState {
-	return n.Forward([]*tensor.Tensor{x}, prev)[0]
+	return n.forward([]*tensor.Tensor{x}, prev, true)[0]
+}
+
+// Output returns layer l's output at the step whose record is st, read the
+// one way every reader reads it: a LIF layer's spikes 1[U > θ] in a new
+// tensor, a readout's membrane U, a stateless layer's O.
+func (n *Network) Output(l int, st *LayerState) *tensor.Tensor {
+	return output(n.pool, n.Layers[l], st, nil)
+}
+
+// Spikes returns the sum of layer l's output at the step whose record is st,
+// sub-states included, and the size of that output. A LIF layer's spikes are
+// counted off U without being written.
+func (n *Network) Spikes(l int, st *LayerState) (sum float64, size int) {
+	return spikes(n.Layers[l], st)
 }
 
 // Logits returns the readout output of the final layer for a timestep's
 // states.
 func (n *Network) Logits(states []*LayerState) *tensor.Tensor {
-	return states[len(states)-1].O
+	return n.Output(len(states)-1, states[len(states)-1])
 }
 
 // SpikeSum returns s_t = Σ_l sum(o_t^l) over all layers for one timestep's
@@ -211,7 +234,8 @@ func (n *Network) SpikeSum(states []*LayerState) float64 {
 		if lin, ok := n.Layers[i].(*SpikingLinear); ok && lin.Readout {
 			continue
 		}
-		s += st.SpikeSum()
+		sum, _ := n.Spikes(i, st)
+		s += sum
 	}
 	return s
 }
@@ -234,6 +258,36 @@ func (n *Network) RecordBytes(batch int) int64 {
 		b += l.StateBytes(batch)
 	}
 	return b
+}
+
+// DeltaBytes returns the bytes of one timestep's δ for a batch of the given
+// size: a stateful layer's δ has the shape of its record's U.
+func (n *Network) DeltaBytes(batch int) int64 {
+	var b int64
+	for _, l := range n.Layers {
+		if l.Stateful() {
+			b += l.StateBytes(batch)
+		}
+	}
+	return b
+}
+
+// SpikeBytes returns the most spikes a walk holds at once, per step it walks,
+// for a batch of the given size. A LIF layer's output is in no record: a
+// walk reads it off U as the layer above's input, writes ∂L/∂o over it on
+// the way back, and drops it once that layer is done, so at most the spikes
+// entering and leaving one layer are live.
+func (n *Network) SpikeBytes(batch int) int64 {
+	var most, below int64
+	for _, l := range n.Layers {
+		var b int64
+		if _, ok := firing(l); ok {
+			b = l.StateBytes(batch)
+		}
+		most = max(most, below+b)
+		below = b
+	}
+	return most
 }
 
 // WorkspaceBytes returns the peak transient scratch requirement.

@@ -50,10 +50,10 @@ func (l *AvgPool2D) Forward(x *tensor.Tensor, _ *LayerState) *LayerState {
 }
 
 // forwardSteps implements stepLayer.
-func (l *AvgPool2D) forwardSteps(xs []*tensor.Tensor, _ *LayerState, out []*LayerState) {
+func (l *AvgPool2D) forwardSteps(xs []*tensor.Tensor, _ *LayerState, out []*LayerState) []*tensor.Tensor {
 	os := newSteps(len(xs), xs[0].Dim(0), l.outShape)
 	eachRun(xs, os, func(x, o *tensor.Tensor) { tensor.AvgPool2D(o, x, l.K) })
-	outputs(os, out)
+	return outputs(os, out)
 }
 
 // Backward implements Layer: backwardSteps on one step.
@@ -110,10 +110,10 @@ func (l *GlobalAvgPool) Forward(x *tensor.Tensor, _ *LayerState) *LayerState {
 }
 
 // forwardSteps implements stepLayer.
-func (l *GlobalAvgPool) forwardSteps(xs []*tensor.Tensor, _ *LayerState, out []*LayerState) {
+func (l *GlobalAvgPool) forwardSteps(xs []*tensor.Tensor, _ *LayerState, out []*LayerState) []*tensor.Tensor {
 	os := newSteps(len(xs), xs[0].Dim(0), l.inShape[:1])
 	eachRun(xs, os, func(x, o *tensor.Tensor) { tensor.GlobalAvgPool2D(o, x) })
-	outputs(os, out)
+	return outputs(os, out)
 }
 
 // Backward implements Layer: backwardSteps on one step.

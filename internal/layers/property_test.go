@@ -91,7 +91,7 @@ func TestBackwardLinearityProperty(t *testing.T) {
 		x := tensor.New(1, 2, 6, 6)
 		r.FillUniform(x, 0, 1.5)
 		st := l.Forward(x, nil)
-		g := tensor.New(st.O.Shape()...)
+		g := tensor.New(outShape(st)...)
 		r.FillNorm(g, 0, 1)
 
 		l.gradW.Zero()

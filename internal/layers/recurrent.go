@@ -16,7 +16,8 @@ import (
 // — the general recurrent-SNN case the paper's Eq. 1 specialises (its reset
 // term is a diagonal self-recurrence). The temporal checkpointing and
 // skipping machinery applies unchanged because the layer's state record is
-// still (U_t, o_t) and its forward is a pure function of (x_t, state_{t-1}).
+// still U_t, from which o_t = 1[U_t > θ] is read, and its forward is a pure
+// function of (x_t, state_{t-1}).
 //
 // The backward pass extends the δ recursion of Eq. 2 with the recurrent
 // credit path: o_t influences U_{t+1} through W_rec, so
@@ -91,21 +92,23 @@ func (l *RecurrentSpikingLinear) flatten(x *tensor.Tensor) *tensor.Tensor {
 }
 
 // Forward implements Layer. The lateral recurrence W_rec·o_{t-1} is folded
-// into the synaptic current before the leak/reset step.
+// into the synaptic current before the leak/reset step; o_{t−1} is read
+// back off prev's U.
 func (l *RecurrentSpikingLinear) Forward(x *tensor.Tensor, prev *LayerState) *LayerState {
 	xf := l.flatten(x)
 	b := xf.Dim(0)
-	u := tensor.New(b, l.Out)
+	u, o := tensor.New(b, l.Out), tensor.New(b, l.Out)
 	tensor.MatMulTransB(l.pool, u, xf, l.weight)
 	tensor.AddRowBias(u, l.bias)
+	var uPrev, oPrev *tensor.Tensor
 	if prev != nil {
+		uPrev, oPrev = prev.U, output(l.pool, l, prev, o)
 		rec := tensor.New(b, l.Out)
-		tensor.MatMulTransB(l.pool, rec, prev.O, l.recWeight)
+		tensor.MatMulTransB(l.pool, rec, oPrev, l.recWeight)
 		tensor.AXPY(u, 1, rec)
 	}
-	o := tensor.New(b, l.Out)
-	stepLIFPrev(l.pool, u, o, prev, l.Neuron)
-	return &LayerState{U: u, O: o}
+	snn.StepLIF(l.pool, u, o, uPrev, oPrev, u, l.Neuron)
+	return &LayerState{U: u}
 }
 
 // Backward implements Layer. δ_t folds in the lateral credit from t+1 and
@@ -122,7 +125,7 @@ func (l *RecurrentSpikingLinear) Backward(x *tensor.Tensor, st *LayerState, grad
 		lat := tensor.New(b, l.Out)
 		tensor.MatMul(l.pool, lat, next, l.recWeight)
 		tensor.AXPY(gradO, 1, lat)
-		tensor.MatMulTransAAcc(l.pool, l.gradRec, next, st.O) // ∂W_rec += δ_{t+1}ᵀ · o_t
+		tensor.MatMulTransAAcc(l.pool, l.gradRec, next, output(l.pool, l, st, nil)) // ∂W_rec += δ_{t+1}ᵀ · o_t
 	}
 	delta := tensor.New(b, l.Out)
 	snn.SurrogateDelta(l.pool, delta, st.U, gradO, next, l.Neuron.Threshold, l.Neuron.Leak, l.Surrogate)
@@ -135,7 +138,7 @@ func (l *RecurrentSpikingLinear) Backward(x *tensor.Tensor, st *LayerState, grad
 
 // StateBytes implements Layer.
 func (l *RecurrentSpikingLinear) StateBytes(batch int) int64 {
-	return 2 * 4 * int64(batch) * int64(l.Out)
+	return 4 * int64(batch) * int64(l.Out)
 }
 
 // WorkspaceBytes implements Layer.

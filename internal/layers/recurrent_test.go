@@ -38,11 +38,10 @@ func TestRecurrentForwardUsesLateralInput(t *testing.T) {
 	x := tensor.New(2, 7)
 	r.FillUniform(x, 0, 2)
 	st1 := l.Forward(x, nil)
-	// Force a distinctive previous spike pattern and confirm the membrane
-	// responds to it through W_rec.
-	st1.O.Fill(1)
+	// Force a distinctive previous spike pattern (every membrane above θ)
+	// and confirm the membrane responds to it through W_rec.
+	st1.U.Fill(2)
 	withRec := l.Forward(x, st1)
-	st1.O.Zero()
 	st1.U.Zero()
 	withoutRec := l.Forward(x, st1)
 	same := true
@@ -65,7 +64,7 @@ func TestRecurrentLateralGradient(t *testing.T) {
 	x := tensor.New(2, 7)
 	r.FillUniform(x, 0, 2)
 	st := l.Forward(x, nil)
-	st.O.Fill(1) // make the outer product easy to verify
+	st.U.Fill(2) // every neuron fired: makes the outer product easy to verify
 
 	din := &Delta{D: tensor.New(2, 5)}
 	r.FillNorm(din.D, 0, 1)

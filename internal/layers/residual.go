@@ -109,19 +109,19 @@ func (l *ResidualBlock) Params() []Param {
 	return ps
 }
 
-// Forward implements Layer. State layout: top-level (U,O) is the second LIF
-// stage; Sub[0] is the first LIF stage.
+// Forward implements Layer. Record layout: U is the second LIF stage's
+// membrane; Sub[0] holds the first stage's. Each stage reads o_{t−1} back off
+// prev's U.
 func (l *ResidualBlock) Forward(x *tensor.Tensor, prev *LayerState) *LayerState {
 	b := x.Dim(0)
-	var p1, p2 *LayerState
+	var u1Prev, u2Prev *tensor.Tensor
 	if prev != nil {
-		p1 = prev.Sub[0]
-		p2 = prev
+		u1Prev, u2Prev = prev.Sub[0].U, prev.U
 	}
 	u1 := tensor.New(b, l.midShape[0], l.midShape[1], l.midShape[2])
 	o1 := tensor.New(b, l.midShape[0], l.midShape[1], l.midShape[2])
 	tensor.Conv2D(l.pool, u1, x, l.w1, l.b1, l.spec1, l.scratch)
-	stepLIFPrev(l.pool, u1, o1, p1, l.Neuron)
+	snn.StepLIF(l.pool, u1, o1, u1Prev, nil, u1, l.Neuron)
 
 	u2 := tensor.New(b, l.outShape[0], l.outShape[1], l.outShape[2])
 	o2 := tensor.New(b, l.outShape[0], l.outShape[1], l.outShape[2])
@@ -134,8 +134,8 @@ func (l *ResidualBlock) Forward(x *tensor.Tensor, prev *LayerState) *LayerState 
 		tensor.Conv2D(l.pool, sc, x, l.wsc, nil, l.specSC, l.scratch)
 		tensor.AXPY(u2, 1, sc)
 	}
-	stepLIFPrev(l.pool, u2, o2, p2, l.Neuron)
-	return &LayerState{U: u2, O: o2, Sub: []*LayerState{{U: u1, O: o1}}}
+	snn.StepLIF(l.pool, u2, o2, u2Prev, nil, u2, l.Neuron)
+	return &LayerState{U: u2, Sub: []*LayerState{{U: u1}}}
 }
 
 // Backward implements Layer, unwinding the two LIF stages and the shortcut.
@@ -149,10 +149,12 @@ func (l *ResidualBlock) Backward(x *tensor.Tensor, st *LayerState, gradOut *tens
 	}
 	snn.SurrogateDelta(l.pool, delta2, st.U, gradOut, next2, theta, l.Neuron.Leak, l.Surrogate)
 	st1 := st.Sub[0]
-	// Main path through conv2 to the first stage's output.
-	gradO1 := tensor.New(st1.O.Shape()...)
+	// Main path through conv2 to the first stage's output: its spikes, read
+	// back off U1, feed conv2's weight gradient, then ∂L/∂o1 overwrites them.
+	o1 := output(l.pool, l, st1, nil)
+	tensor.Conv2DGradWeight(l.pool, l.gw2, l.gb2, delta2, o1, l.spec2, l.scratch)
+	gradO1 := o1
 	tensor.Conv2DGradInput(l.pool, gradO1, delta2, l.w2, l.spec2, l.scratch)
-	tensor.Conv2DGradWeight(l.pool, l.gw2, l.gb2, delta2, st1.O, l.spec2, l.scratch)
 	// Shortcut path straight to the block input.
 	gradIn := tensor.New(x.Shape()...)
 	if l.identity {
@@ -175,9 +177,9 @@ func (l *ResidualBlock) Backward(x *tensor.Tensor, st *LayerState, gradOut *tens
 	return gradIn, &Delta{D: delta2, Sub: []*Delta{{D: delta1}}}
 }
 
-// StateBytes implements Layer: both stages' (U,O) per stored timestep.
+// StateBytes implements Layer: both stages' U per stored timestep.
 func (l *ResidualBlock) StateBytes(batch int) int64 {
-	return 2 * 4 * int64(batch) * int64(shapeVolume(l.midShape)+shapeVolume(l.outShape))
+	return 4 * int64(batch) * int64(shapeVolume(l.midShape)+shapeVolume(l.outShape))
 }
 
 // WorkspaceBytes implements Layer. One column regardless of pool width; see

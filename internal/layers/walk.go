@@ -32,8 +32,10 @@ type stepLayer interface {
 	Layer
 	// forwardSteps writes into out the records of the steps whose inputs are
 	// xs (both latest first), advancing from prev, the state before the
-	// earliest.
-	forwardSteps(xs []*tensor.Tensor, prev *LayerState, out []*LayerState)
+	// earliest, and returns the steps' outputs, latest first. A LIF layer's
+	// outputs are the walk's transient: the layer above reads them, and no
+	// record keeps them.
+	forwardSteps(xs []*tensor.Tensor, prev *LayerState, out []*LayerState) []*tensor.Tensor
 	// backwardSteps accumulates the parameter gradients of the steps in g and
 	// writes their δ and ∂L/∂x where g says. deltaIn carries δ from the step
 	// after the latest; the returned Delta carries the earliest step's δ on
@@ -44,7 +46,7 @@ type stepLayer interface {
 // stepGrads is one layer's share of a backward walk: per step, latest first,
 // what the layer reads and where it writes.
 type stepGrads struct {
-	x       []*tensor.Tensor // the layer's input o_t^{l−1}
+	x       []*tensor.Tensor // the layer's input o_t^{l−1}; nil for a stateless layer
 	st      []*LayerState    // its record
 	gradOut []*tensor.Tensor // ∂L/∂o_t, read only
 	delta   []*tensor.Tensor // where δ_t goes (stateful layers)
@@ -119,27 +121,36 @@ func eachRun(a, b []*tensor.Tensor, fn func(a, b *tensor.Tensor)) {
 }
 
 // scan runs a LIF layer's recurrence across the steps in time order from
-// prev: us hold each step's synaptic current and os receive its spikes, and
-// fire advances one step in place. It writes the records into out; every
-// list runs latest first.
-func scan(us, os []*tensor.Tensor, prev *LayerState, fire func(st, prev *LayerState), out []*LayerState) {
-	cells := make([]LayerState, len(us))
-	for j := len(us) - 1; j >= 0; j-- {
-		st := &cells[j]
-		st.U, st.O = us[j], os[j]
-		fire(st, prev)
-		out[j] = st
-		prev = st
+// prev: us hold each step's synaptic current and become its membrane, the
+// step's whole record in out. It returns the steps' spikes, latest first, in
+// one new block: the walk's transient. The earliest step reads o_{t−1} back
+// off prev's U.
+func scan(pool *parallel.Pool, us []*tensor.Tensor, prev *LayerState, p snn.Params, out []*LayerState) []*tensor.Tensor {
+	k := len(us)
+	os := newSteps(k, us[0].Dim(0), us[0].Shape()[1:])
+	cells := make([]LayerState, k)
+	var uPrev, oPrev *tensor.Tensor
+	if prev != nil {
+		uPrev = prev.U
 	}
+	for j := k - 1; j >= 0; j-- {
+		snn.StepLIF(pool, us[j], os[j], uPrev, oPrev, us[j], p)
+		cells[j].U = us[j]
+		out[j] = &cells[j]
+		uPrev, oPrev = us[j], os[j]
+	}
+	return os
 }
 
-// outputs writes a stateless layer's per-step outputs into out as records.
-func outputs(os []*tensor.Tensor, out []*LayerState) {
+// outputs writes a stateless layer's per-step outputs into out as records
+// and returns them.
+func outputs(os []*tensor.Tensor, out []*LayerState) []*tensor.Tensor {
 	cells := make([]LayerState, len(os))
 	for j, o := range os {
 		cells[j].O = o
 		out[j] = &cells[j]
 	}
+	return os
 }
 
 // Forward advances the stack over a run of listed timesteps, one layer at a
@@ -151,8 +162,15 @@ func outputs(os []*tensor.Tensor, out []*LayerState) {
 // zero state at t = 0). It returns each step's records, oldest first,
 // bit-identical to ForwardStep over the same steps: every kernel computes an
 // image exactly as it would alone, and an image with an all-zero input costs
-// its layer a bias add.
+// its layer a bias add. A LIF layer's spikes exist only while the layer
+// above reads them (Network.SpikeBytes); its records keep U alone.
 func (n *Network) Forward(xs []*tensor.Tensor, prev []*LayerState) [][]*LayerState {
+	return n.forward(xs, prev, false)
+}
+
+// forward is Forward; with attach set, each record also carries the layer's
+// output at its step in O.
+func (n *Network) forward(xs []*tensor.Tensor, prev []*LayerState, attach bool) [][]*LayerState {
 	n.mustBuilt()
 	k, L := len(xs), len(n.Layers)
 	recs := make([][]*LayerState, k)
@@ -175,16 +193,19 @@ func (n *Network) Forward(xs []*tensor.Tensor, prev []*LayerState) [][]*LayerSta
 			p = prev[l]
 		}
 		if sl, ok := layer.(stepLayer); ok {
-			sl.forwardSteps(in, p, out)
+			copy(in, sl.forwardSteps(in, p, out))
 		} else {
 			for j := k - 1; j >= 0; j-- {
 				out[j] = layer.Forward(in[j], p)
 				p = out[j]
+				in[j] = output(n.pool, layer, out[j], nil)
 			}
 		}
 		for j, st := range out {
 			recs[k-1-j][l] = st
-			in[j] = st.O
+			if attach {
+				st.O = in[j]
+			}
 		}
 	}
 	return recs
@@ -209,11 +230,15 @@ func (n *Network) Forward(xs []*tensor.Tensor, prev []*LayerState) [][]*LayerSta
 // from the layer above (TBPTT-LBP's local supervision); nil cuts none.
 //
 // The walk consumes the records: once a layer has taken σ'(U_t), δ_t
-// overwrites U_t, and once layer l has read o_t^{l−1} for its weight
-// gradient, ∂L/∂o_t^{l−1} overwrites it where layer l−1's backward does not
-// read its own output. A walk therefore needs no storage beyond the records,
-// the injected gradients and one δ carry. keep is the index of a record that
-// must come through intact (a windowed caller's next start state), or -1.
+// overwrites U_t. A weight layer above a LIF layer reads the spikes it takes
+// as input back off the records' U into the network's spike block, and once
+// its weight gradient has read them ∂L/∂o_t^{l−1} overwrites them; above a
+// stateless layer whose backward does not read its own output,
+// ∂L/∂o_t^{l−1} overwrites that output in the record. A walk therefore
+// needs no storage beyond the records, the injected gradients, one δ carry
+// and two spike blocks, the one a layer reads and the one it writes
+// (Network.SpikeBytes). keep is the index of a record that must come
+// through intact (a windowed caller's next start state), or -1.
 func (n *Network) Backward(xs []*tensor.Tensor, recs [][]*LayerState, inject []map[int]*tensor.Tensor, deltas []*Delta, cut map[int]bool, keep int) []*Delta {
 	n.mustBuilt()
 	k, L := len(xs), len(n.Layers)
@@ -259,7 +284,7 @@ func (n *Network) Backward(xs []*tensor.Tensor, recs [][]*LayerState, inject []m
 				out = inj
 			case out == nil:
 				if zero == nil {
-					zero = tensor.New(g.st[j].O.Shape()...)
+					zero = tensor.New(outShape(g.st[j])...)
 				}
 				out = zero
 			}
@@ -271,17 +296,15 @@ func (n *Network) Backward(xs []*tensor.Tensor, recs [][]*LayerState, inject []m
 			din = deltas[l]
 		}
 		sl, batched := layer.(stepLayer)
-		if !batched {
-			newDeltas[l], flow = n.backwardEachStep(l, xs, recs, g.gradOut, din, wantIn)
-			continue
+		// A stateless batched layer does not read its input.
+		var fresh bool
+		g.x = nil
+		if !batched || layer.Stateful() {
+			g.x, fresh = n.inputs(l, xs, recs)
 		}
-		g.x = make([]*tensor.Tensor, k)
-		for j := range g.x {
-			if l == 0 {
-				g.x[j] = xs[k-1-j]
-			} else {
-				g.x[j] = recs[k-1-j][l-1].O
-			}
+		if !batched {
+			newDeltas[l], flow = n.backwardEachStep(l, g.x, g.st, g.gradOut, din, wantIn)
+			continue
 		}
 		g.delta = nil
 		if layer.Stateful() {
@@ -295,19 +318,12 @@ func (n *Network) Backward(xs []*tensor.Tensor, recs [][]*LayerState, inject []m
 			}
 		}
 		g.gradIn = nil
-		if wantIn {
-			g.gradIn = make([]*tensor.Tensor, k)
-			if _, below := n.Layers[l-1].(stepLayer); below {
-				for j, x := range g.x {
-					if j == keep {
-						g.gradIn[j] = tensor.New(x.Shape()...)
-					} else {
-						g.gradIn[j] = x
-					}
-				}
-			} else {
-				copy(g.gradIn, newSteps(k, g.x[0].Dim(0), g.x[0].Shape()[1:]))
-			}
+		switch {
+		case !wantIn:
+		case fresh:
+			g.gradIn = g.x
+		default:
+			g.gradIn = n.gradInputs(l, recs, keep)
 		}
 		newDeltas[l] = sl.backwardSteps(g, din)
 		flow = g.gradIn
@@ -315,23 +331,77 @@ func (n *Network) Backward(xs []*tensor.Tensor, recs [][]*LayerState, inject []m
 	return newDeltas
 }
 
-// backwardEachStep is the walk's step-by-step form of layer l, latest step
-// first, through the layer's own Backward. It returns the earliest step's δ
-// carry and, when wanted, each step's ∂L/∂x.
-func (n *Network) backwardEachStep(l int, xs []*tensor.Tensor, recs [][]*LayerState, gradOut []*tensor.Tensor, din *Delta, wantIn bool) (*Delta, []*tensor.Tensor) {
+// inputs lists layer l's input at each step, latest first: the network
+// input, or the output of the layer below read off its record. A LIF layer's
+// spikes go into layer l's spike block, which fresh reports: the walk may
+// write over them once the layer has read them.
+func (n *Network) inputs(l int, xs []*tensor.Tensor, recs [][]*LayerState) (in []*tensor.Tensor, fresh bool) {
 	k := len(xs)
+	in = make([]*tensor.Tensor, k)
+	if l == 0 {
+		for j := range in {
+			in[j] = xs[k-1-j]
+		}
+		return in, false
+	}
+	below := n.Layers[l-1]
+	if _, fresh = firing(below); fresh {
+		in = n.spikeSteps(l, k, recs[0][l-1].U.Shape())
+	}
+	for j := range in {
+		in[j] = output(n.pool, below, recs[k-1-j][l-1], in[j])
+	}
+	return in, fresh
+}
+
+// gradInputs lists where layer l's ∂L/∂x goes at each step, latest first,
+// when the layer's input is not a block the walk may write over: over the
+// output a stateless batched layer below keeps in its record — its backward
+// does not read it — unless that record must come through intact (keep),
+// and otherwise into layer l's spike block.
+func (n *Network) gradInputs(l int, recs [][]*LayerState, keep int) []*tensor.Tensor {
+	k := len(recs)
+	below := n.Layers[l-1]
+	_, lif := firing(below)
+	if _, batched := below.(stepLayer); batched && !lif {
+		gi := make([]*tensor.Tensor, k)
+		for j := range gi {
+			o := recs[k-1-j][l-1].O
+			if j == keep {
+				o = tensor.New(o.Shape()...)
+			}
+			gi[j] = o
+		}
+		return gi
+	}
+	return n.spikeSteps(l, k, outShape(recs[0][l-1]))
+}
+
+// spikeSteps returns k steps of a tensor of one step's shape, latest first,
+// over layer l's spike block, grown as needed. What the block held is
+// stale: the caller writes every element.
+func (n *Network) spikeSteps(l, k int, shape []int) []*tensor.Tensor {
+	buf := &n.spikes[l%2]
+	size := k * tensor.Volume(shape)
+	if cap(*buf) < size {
+		*buf = make([]float32, size)
+	}
+	dims := append([]int{k * shape[0]}, shape[1:]...)
+	return tensor.FromSlice((*buf)[:size:size], dims...).Slots(k)
+}
+
+// backwardEachStep is the walk's step-by-step form of layer l, latest step
+// first, through the layer's own Backward. x, st and gradOut are the layer's
+// input, record and ∂L/∂o at each step, latest first. It returns the
+// earliest step's δ carry and, when wanted, each step's ∂L/∂x.
+func (n *Network) backwardEachStep(l int, x []*tensor.Tensor, st []*LayerState, gradOut []*tensor.Tensor, din *Delta, wantIn bool) (*Delta, []*tensor.Tensor) {
 	var ins []*tensor.Tensor
 	if wantIn {
-		ins = make([]*tensor.Tensor, k)
+		ins = make([]*tensor.Tensor, len(x))
 	}
 	for j := range gradOut {
-		i := k - 1 - j
-		x := xs[i]
-		if l > 0 {
-			x = recs[i][l-1].O
-		}
 		var gradIn *tensor.Tensor
-		gradIn, din = n.Layers[l].Backward(x, recs[i][l], gradOut[j], din)
+		gradIn, din = n.Layers[l].Backward(x[j], st[j], gradOut[j], din)
 		if wantIn {
 			ins[j] = gradIn
 		}

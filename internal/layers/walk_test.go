@@ -110,11 +110,11 @@ func (p pair) firstPass(xs []*tensor.Tensor, end int) (ref, walk [][]*layers.Lay
 func gradsAt(net *layers.Network, t int, rec []*layers.LayerState) map[int]*tensor.Tensor {
 	rng := tensor.NewRNG(uint64(100 + t))
 	top := len(net.Layers) - 1
-	g := tensor.New(rec[top].O.Shape()...)
+	g := tensor.New(net.Output(top, rec[top]).Shape()...)
 	rng.FillNorm(g, 0, 0.1)
 	inj := map[int]*tensor.Tensor{top: g}
 	if t == 6 {
-		g1 := tensor.New(rec[1].O.Shape()...)
+		g1 := tensor.New(net.Output(1, rec[1]).Shape()...)
 		rng.FillNorm(g1, 0, 0.1)
 		inj[1] = g1
 	}
@@ -151,6 +151,16 @@ func sameState(a, b *layers.LayerState) bool {
 	return true
 }
 
+// sameRecord reports whether layer l's records a (of ref) and b (of walk)
+// are the same record — the same tensors bit for bit, bar the output
+// ForwardStep attaches to a LIF record — with the same output read off them.
+func (p pair) sameRecord(l int, a, b *layers.LayerState) bool {
+	if p.ref.Layers[l].Stateful() {
+		a, b = &layers.LayerState{U: a.U, Sub: a.Sub}, &layers.LayerState{U: b.U, Sub: b.Sub}
+	}
+	return sameState(a, b) && bitsEqual(p.ref.Output(l, a), p.walk.Output(l, b))
+}
+
 func sameDeltas(a, b []*layers.Delta) bool {
 	if len(a) != len(b) {
 		return false
@@ -170,7 +180,10 @@ func sameDeltas(a, b []*layers.Delta) bool {
 }
 
 func cloneState(s *layers.LayerState) *layers.LayerState {
-	c := &layers.LayerState{O: s.O.Clone()}
+	c := &layers.LayerState{}
+	if s.O != nil {
+		c.O = s.O.Clone()
+	}
 	if s.U != nil {
 		c.U = s.U.Clone()
 	}
@@ -198,9 +211,10 @@ func requireSameGrads(t *testing.T, p pair) {
 // step per call on the serial path (ForwardStep/BackwardStep): every record,
 // the δ carried between two segments, every parameter gradient and the
 // logits — on stacks with and without a batched form, over survivor lists
-// with gaps, quiet steps and quiet images. With pack=true the walk resumes
-// each segment from a boundary record that went through bit-packed storage
-// and back, as Config.CompressSpikes keeps its checkpoints.
+// with gaps, quiet steps and quiet images. The boundary record a segment
+// resumes from is ForwardStep's, outputs attached; with pack=true it is
+// packed as the engine stores a boundary instead: detached from its step's
+// tensors, a LIF layer's record its membrane alone.
 func TestWalkManyStepsEqualsOneStepPerCall(t *testing.T) {
 	const T = 9
 	// Two segments of a T=9 batch, walked last first: [5, 9) keeping steps
@@ -233,12 +247,12 @@ func TestWalkManyStepsEqualsOneStepPerCall(t *testing.T) {
 						}
 						boundary := walkFirst[seg.start]
 						if pack {
-							boundary = packRoundTrip(t, boundary)
+							boundary = packBoundary(t, p.walk, boundary)
 						}
 						walkRecs := append([][]*layers.LayerState{boundary}, p.walk.Forward(sx, boundary)...)
 						for i := range steps {
 							for l := range refRecs[i] {
-								if !sameState(refRecs[i][l], walkRecs[i][l]) {
+								if !p.sameRecord(l, refRecs[i][l], walkRecs[i][l]) {
 									t.Fatalf("step %d layer %d (%s): records differ", steps[i], l, p.ref.Layers[l].Name())
 								}
 							}
@@ -268,32 +282,24 @@ func TestWalkManyStepsEqualsOneStepPerCall(t *testing.T) {
 	}
 }
 
-// packRoundTrip returns a record set whose binary outputs went through
-// tensor.PackSpikes and back to floats, the storage Config.CompressSpikes
-// gives a checkpoint; non-binary outputs and membranes are kept as they are.
-// It fails the test if no output was packed, which would leave pack=true
+// packBoundary returns a boundary record as the engine stores one: every
+// tensor copied out of the step's blocks, and a LIF layer's output, which
+// ForwardStep attached, dropped, so that the walk must read o_{t−1} back off
+// U. It fails the test if no output was dropped, which would leave pack=true
 // pinning nothing.
-func packRoundTrip(t *testing.T, recs []*layers.LayerState) []*layers.LayerState {
+func packBoundary(t *testing.T, net *layers.Network, recs []*layers.LayerState) []*layers.LayerState {
 	t.Helper()
-	packed := 0
-	var trip func(s *layers.LayerState) *layers.LayerState
-	trip = func(s *layers.LayerState) *layers.LayerState {
-		c := &layers.LayerState{U: s.U, O: s.O}
-		if p, ok := tensor.PackSpikes(s.O); ok {
-			c.O = p.Unpack()
-			packed++
-		}
-		for _, sub := range s.Sub {
-			c.Sub = append(c.Sub, trip(sub))
-		}
-		return c
-	}
+	dropped := 0
 	out := make([]*layers.LayerState, len(recs))
-	for i, s := range recs {
-		out[i] = trip(s)
+	for l, s := range recs {
+		out[l] = cloneState(s)
+		if net.Layers[l].Stateful() && out[l].O != nil {
+			out[l].O = nil
+			dropped++
+		}
 	}
-	if packed == 0 {
-		t.Fatal("no boundary output is binary: pack=true pins nothing")
+	if dropped == 0 {
+		t.Fatal("no boundary output to drop: pack=true pins nothing")
 	}
 	return out
 }
@@ -332,5 +338,51 @@ func TestWalkLeavesKeptRecordIntact(t *testing.T) {
 			}
 			requireSameGrads(t, p)
 		})
+	}
+}
+
+// A LIF layer's record is its membrane: walked from the zero state and on
+// from a stored record, every conv, linear, readout, recurrent and residual
+// record holds U alone, sub-states included, so its Bytes() are its U's and
+// its StateBytes; a stateless layer's record keeps its output.
+func TestLIFRecordIsItsMembrane(t *testing.T) {
+	var uBytes func(s *layers.LayerState) int64
+	uBytes = func(s *layers.LayerState) int64 {
+		n := s.U.Bytes()
+		for _, sub := range s.Sub {
+			n += uBytes(sub)
+		}
+		return n
+	}
+	seen := map[string]bool{}
+	for _, nc := range walkNets {
+		net, err := nc.build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		xs := walkInput(nc.in, 4)
+		recs := net.Forward(xs[:2], nil)
+		recs = append(recs, net.Forward(xs[2:], recs[1])...)
+		for i, rec := range recs {
+			for l, st := range rec {
+				layer := net.Layers[l]
+				if !layer.Stateful() {
+					if st.O == nil {
+						t.Fatalf("%s step %d layer %s: a stateless record lost its output", nc.name, i, layer.Name())
+					}
+					continue
+				}
+				seen[fmt.Sprintf("%T", layer)] = true
+				if st.O != nil || st.Bytes() != uBytes(st) || st.Bytes() != layer.StateBytes(3) {
+					t.Fatalf("%s step %d layer %s: record holds %d bytes, U %d, StateBytes %d, O set %v",
+						nc.name, i, layer.Name(), st.Bytes(), uBytes(st), layer.StateBytes(3), st.O != nil)
+				}
+			}
+		}
+	}
+	for _, kind := range []string{"*layers.SpikingConv2D", "*layers.SpikingLinear", "*layers.RecurrentSpikingLinear", "*layers.ResidualBlock"} {
+		if !seen[kind] {
+			t.Errorf("no %s record was checked", kind)
+		}
 	}
 }

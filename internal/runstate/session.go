@@ -18,8 +18,11 @@ import (
 )
 
 const (
-	sessionMagic   = "SKPS"
-	sessionVersion = 1
+	sessionMagic = "SKPS"
+	// sessionVersion 2 holds a LIF layer's membrane "layerNN.u" alone; version
+	// 1 also held its spikes "layerNN.o", which the next step now reads back
+	// off U, and is refused.
+	sessionVersion = 2
 
 	// SessionSuffix is the filename suffix of a durable session record.
 	SessionSuffix = ".skps"
@@ -53,7 +56,7 @@ type SessionMeta struct {
 // SessionRecord is one durable snapshot of a streaming session:
 //
 //	magic "SKPS" | version u32 |
-//	meta len u32 | meta JSON |
+//	meta len u32 | meta JSON, as Encode writes it |
 //	states len u32 | membrane tensors ("SKPT" container) |
 //	crc32 (IEEE) of everything before it
 //
@@ -148,6 +151,11 @@ func DecodeSession(raw []byte) (*SessionRecord, error) {
 	r := &SessionRecord{states: sections[1]}
 	if err := json.Unmarshal(sections[0], &r.Meta); err != nil {
 		return nil, fmt.Errorf("runstate: decoding session meta: %w", err)
+	}
+	// Only the meta Encode writes is accepted, so a record decodes to
+	// exactly the bytes it re-encodes to.
+	if canon, err := json.Marshal(r.Meta); err != nil || !bytes.Equal(canon, sections[0]) {
+		return nil, fmt.Errorf("runstate: session meta is not in canonical form")
 	}
 	return r, nil
 }

@@ -6,6 +6,7 @@ package snn
 
 import (
 	"fmt"
+	"math"
 
 	"skipper/internal/parallel"
 	"skipper/internal/tensor"
@@ -64,10 +65,15 @@ func (p Params) Validate() error {
 //
 // where I_t is the layer's synaptic input current (W·o_t^{l-1}, already
 // computed by the layer). u and o receive the new state; uPrev/oPrev are the
-// previous state (pass nil for t = 0, meaning zero initial state). u may
-// alias current; o must not alias u. The neuron range partitions across pool
-// lanes (nil pool = serial); each neuron's update is self-contained, so
-// results are bit-identical for every pool size.
+// previous state (pass nil for t = 0, meaning zero initial state). U is
+// stored before the reset, so o is exactly Fire(u, θ): a caller may keep u
+// alone and pass oPrev nil with uPrev set, and the step reads o_{t−1} back as
+// uPrev > θ, bit for bit what it would read from the o it produced. u may
+// alias current and o may alias oPrev; o must not alias u. Each product is
+// rounded on its own, so u has the same bits on every architecture. The
+// neuron range partitions across pool lanes (nil pool = serial); each
+// neuron's update is self-contained, so results are bit-identical for every
+// pool size.
 func StepLIF(pool *parallel.Pool, u, o, uPrev, oPrev, current *tensor.Tensor, p Params) {
 	n := u.Len()
 	if o.Len() != n || current.Len() != n {
@@ -81,47 +87,59 @@ func StepLIF(pool *parallel.Pool, u, o, uPrev, oPrev, current *tensor.Tensor, p 
 			for i := lo; i < hi; i++ {
 				v := cd[i]
 				ud[i] = v
-				if v > theta {
-					od[i] = 1
-				} else {
-					od[i] = 0
-				}
+				od[i] = spike(v, theta)
 			}
 		})
 		return
 	}
-	if uPrev.Len() != n || oPrev == nil || oPrev.Len() != n {
+	if uPrev.Len() != n || oPrev != nil && oPrev.Len() != n {
 		panic("snn: StepLIF previous-state size mismatch")
 	}
-	upd, opd := uPrev.Data, oPrev.Data
+	upd := uPrev.Data
+	var opd []float32
+	if oPrev != nil {
+		opd = oPrev.Data
+	}
 	if p.Reset == ResetZero {
 		pool.RunGrain(n, elemGrain, func(_, lo, hi int) {
 			for i := lo; i < hi; i++ {
-				v := lam*upd[i]*(1-opd[i]) + cd[i]
+				v := float32(lam*upd[i]*(1-spikeAt(opd, upd, i, theta))) + cd[i]
 				ud[i] = v
-				if v > theta {
-					od[i] = 1
-				} else {
-					od[i] = 0
-				}
+				od[i] = spike(v, theta)
 			}
 		})
 		return
 	}
 	pool.RunGrain(n, elemGrain, func(_, lo, hi int) {
 		for i := lo; i < hi; i++ {
-			v := lam*upd[i] + cd[i] - theta*opd[i]
+			v := float32(lam*upd[i]) + cd[i] - float32(theta*spikeAt(opd, upd, i, theta))
 			ud[i] = v
-			if v > theta {
-				od[i] = 1
-			} else {
-				od[i] = 0
-			}
+			od[i] = spike(v, theta)
 		}
 	})
 }
 
-// Fire computes o = 1[u > θ] elementwise without touching membrane state.
+// spikeAt is o_{t−1}[i]: opd's, or with opd nil read back off upd.
+func spikeAt(opd, upd []float32, i int, theta float32) float32 {
+	if opd != nil {
+		return opd[i]
+	}
+	return spike(upd[i], theta)
+}
+
+// spike is 1 if v > θ and 0 otherwise (NaN included), computed as a
+// select rather than a branch: spikes follow no pattern a branch predictor
+// could learn.
+func spike(v, theta float32) float32 {
+	var bits uint32
+	if v > theta {
+		bits = 0x3f800000 // 1.0
+	}
+	return math.Float32frombits(bits)
+}
+
+// Fire computes o = 1[u > θ] elementwise without touching membrane state:
+// the spikes StepLIF fired when it stored u.
 func Fire(pool *parallel.Pool, o, u *tensor.Tensor, theta float32) {
 	if o.Len() != u.Len() {
 		panic("snn: Fire size mismatch")
@@ -129,13 +147,23 @@ func Fire(pool *parallel.Pool, o, u *tensor.Tensor, theta float32) {
 	od, ud := o.Data, u.Data
 	pool.RunGrain(len(ud), elemGrain, func(_, lo, hi int) {
 		for i := lo; i < hi; i++ {
-			if ud[i] > theta {
-				od[i] = 1
-			} else {
-				od[i] = 0
-			}
+			od[i] = spike(ud[i], theta)
 		}
 	})
+}
+
+// FireCount returns the number of spikes Fire(u, θ) would write, without
+// writing them.
+func FireCount(u *tensor.Tensor, theta float32) int {
+	n := 0
+	for _, v := range u.Data {
+		var c int
+		if v > theta {
+			c = 1
+		}
+		n += c
+	}
+	return n
 }
 
 // SpikeCount returns the number of spikes in o (sum of a binary tensor).

@@ -63,7 +63,7 @@ func (s FastSigmoid) Grad(u, theta float32) float32 {
 	if d < 0 {
 		d = -d
 	}
-	den := 1 + k*d
+	den := 1 + float32(k*d)
 	return 1 / (den * den)
 }
 
@@ -83,7 +83,7 @@ func (s ATan) Grad(u, theta float32) float32 {
 		a = 2
 	}
 	x := float64(math.Pi) / 2 * float64(a) * float64(u-theta)
-	return float32(float64(a) / 2 / (1 + x*x))
+	return float32(float64(a) / 2 / (1 + float64(x*x)))
 }
 
 // Name implements Surrogate.
@@ -174,7 +174,7 @@ func SurrogateDelta(pool *parallel.Pool, delta, u, gradOut, deltaNext *tensor.Te
 	nd := deltaNext.Data
 	pool.RunGrain(n, elemGrain, func(_, lo, hi int) {
 		for i := lo; i < hi; i++ {
-			dd[i] = s.Grad(ud[i], theta)*gd[i] + leak*nd[i]
+			dd[i] = float32(s.Grad(ud[i], theta)*gd[i]) + float32(leak*nd[i])
 		}
 	})
 }

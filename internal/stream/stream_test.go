@@ -260,8 +260,9 @@ func TestStreamImportRejectsMismatchedModel(t *testing.T) {
 }
 
 // TestStreamSkipLossless proves the default activity gate is exact: with
-// threshold 0 only event-free windows take the leak-only fast path, and the
-// resulting logits match a skip-disabled session bitwise on every window.
+// threshold 0 only event-free windows take the skip path (StepQuiet, the
+// same forward on an all-zero input), and the resulting logits match a
+// skip-disabled session bitwise on every window.
 func TestStreamSkipLossless(t *testing.T) {
 	const total = 12
 	disabled := -1

@@ -1,9 +1,9 @@
 #!/bin/sh
 # verify.sh — the repo's full verification gate:
 #   build, vet, gofmt, race-test the concurrency-sensitive subsystems, full test
-#   suite, the benchmark module's own tests, the SIGKILL+resume,
-#   distributed-training, serving-fleet, and streaming-session smoke tests,
-#   and a final check that none of it wrote into the work tree.
+#   suite, the decoders' fuzz targets, the benchmark module's own tests, the
+#   SIGKILL+resume, distributed-training, serving-fleet, and streaming-session
+#   smoke tests, and a final check that none of it wrote into the work tree.
 set -eux
 
 cd "$(dirname "$0")"
@@ -19,10 +19,15 @@ GOARCH=arm64 go vet ./internal/tensor/
 # The assembly leaves round every product before adding it, as their Go
 # twins do; a fused multiply-add would change the bits.
 test -z "$(grep -rlE 'VFMADD|VFMSUB|VFNMADD|VFNMSUB' --include='*.s' internal/)"
-# Bit-packed spike compute was deleted; no root-module Go file may bring its
-# surface back. benchmark/surface_test.go forbids the same names in the
-# benchmark module, together with the ones CompressSpikes still uses here.
-test -z "$(grep -rlE 'SpikePack|SetSpikePack|OPacked|PackedForward|ForwardPacked|PackedBackward|BackwardPacked|StepLIFPacked|Conv2DPacked|Conv2DGradWeightPacked|MatMulPacked|MatMulTransBPacked|MatMulTransAPacked|PackedKernelStats|spike-pack' --include='*.go' --exclude-dir=benchmark .)"
+# The neuron substrate rounds every product on its own too: a LIF record is
+# its membrane U and o is read back as U > θ, so U must have the same bits on
+# every architecture. arm64 fuses x*y + z unless the product is rounded; the
+# check is a static read of the compiler's output (this gate runs no arm64).
+test -z "$(GOARCH=arm64 go build -gcflags=-S ./internal/snn/ 2>&1 | grep -E 'FMADD|FMSUB|FNMADD|FNMSUB')"
+# Bit-packed spike compute and the bit-packed record format were deleted; no
+# root-module Go file may bring their surface back. benchmark/surface_test.go
+# forbids the same names in the benchmark module.
+test -z "$(grep -rlE 'SpikePack|SetSpikePack|OPacked|PackedForward|ForwardPacked|PackedBackward|BackwardPacked|StepLIFPacked|Conv2DPacked|Conv2DGradWeightPacked|MatMulPacked|MatMulTransBPacked|MatMulTransAPacked|PackedKernelStats|spike-pack|CompressSpikes|PackSpikes|PackedSpikes|packedState|measureCompressed|ablate-compress' --include='*.go' --exclude-dir=benchmark .)"
 # The leak-only quiet step was deleted: a quiet timestep runs the same
 # forward as any other, through core.StreamState. QuietSteps and StepQuiet
 # stay.
@@ -34,6 +39,10 @@ go test -race ./internal/parallel/... ./internal/tensor/... ./internal/layers/..
 # first pass, replay and backward.
 go test -race -run 'TestPassWalk|TestFirstPass|TestSegmentEngineGoldenAccounting' ./internal/core/
 go test ./...
+# The decoders' fuzz targets for a fixed budget each (go test ./... above
+# runs their seeds).
+go test -run '^$' -fuzz=FuzzDecodeSession -fuzztime=10s -parallel=2 ./internal/runstate/
+go test -run '^$' -fuzz=FuzzLoadTensors -fuzztime=10s -parallel=2 ./internal/serialize/
 
 # The benchmark is its own module, so the root `go test ./...` does not reach
 # it; its surface_test.go pins the names the benchmark links against.
