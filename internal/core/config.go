@@ -13,7 +13,6 @@ package core
 
 import (
 	"fmt"
-	"io"
 
 	"skipper/internal/mem"
 	"skipper/internal/opt"
@@ -62,14 +61,6 @@ type Config struct {
 	// quality matches the full batch — the batch-axis counterpart of the
 	// paper's time-axis techniques. 0 disables (one pass per step).
 	MicroBatch int
-	// Metrics, when non-nil, receives one JSON line per epoch (loss,
-	// accuracy, step counts, durations, peak memory) — machine-readable
-	// training telemetry for dashboards and regression tracking.
-	//
-	// Deprecated alias: prefer NewRuntime(WithMetrics(...)) and leave
-	// Metrics nil — it then inherits the runtime's sink. A non-nil Metrics
-	// still wins, preserving the old per-config behaviour.
-	Metrics io.Writer
 	// SnapshotEvery marks a restorable good state every K optimizer steps
 	// within an epoch, in addition to the mark at every epoch boundary.
 	// Good states feed the divergence guard's rollback and the OnSnapshot
@@ -109,9 +100,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Seed == 0 {
 		c.Seed = 0x5EED
-	}
-	if c.Metrics == nil {
-		c.Metrics = c.Runtime.Metrics()
 	}
 	return c
 }

@@ -508,9 +508,11 @@ func TestMicroBatchValidation(t *testing.T) {
 func TestMetricsJSONL(t *testing.T) {
 	const T = 12
 	var buf bytes.Buffer
+	rt := NewRuntime(WithMetrics(&buf))
+	defer rt.Close()
 	net, data, _, _ := tinySetup(t, T)
 	tr := newTestTrainer(t, net, data, Skipper{C: 2, P: 20},
-		Config{T: T, Batch: 2, MaxBatchesPerEpoch: 2, Metrics: &buf})
+		Config{Runtime: rt, T: T, Batch: 2, MaxBatchesPerEpoch: 2})
 	if _, err := tr.TrainEpoch(); err != nil {
 		t.Fatal(err)
 	}

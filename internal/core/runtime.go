@@ -39,8 +39,9 @@ func WithThreads(n int) RuntimeOption {
 	return func(r *Runtime) { r.threads = n }
 }
 
-// WithMetrics sets the default epoch-metrics sink trainers inherit when
-// their Config leaves Metrics nil.
+// WithMetrics sets the epoch-metrics sink: every trainer on the runtime
+// writes one JSON line per epoch to it (loss, accuracy, step counts,
+// durations, peak memory).
 func WithMetrics(w io.Writer) RuntimeOption {
 	return func(r *Runtime) { r.metrics = w }
 }
@@ -127,7 +128,7 @@ func (r *Runtime) Tracer() *trace.Tracer {
 	return r.tracer
 }
 
-// Metrics returns the runtime's default metrics sink (nil when unset).
+// Metrics returns the runtime's epoch-metrics sink (nil when unset).
 // Nil-safe.
 func (r *Runtime) Metrics() io.Writer {
 	if r == nil {
@@ -146,8 +147,8 @@ func (r *Runtime) Close() {
 }
 
 // NewTrainer is the runtime-scoped trainer constructor: cfg runs on this
-// runtime's pool and inherits its seed and metrics sink where cfg leaves
-// them unset.
+// runtime's pool and metrics sink and inherits its seed where cfg leaves
+// it unset.
 func (r *Runtime) NewTrainer(net *layers.Network, data dataset.Source, strat Strategy, cfg Config) (*Trainer, error) {
 	cfg.Runtime = r
 	return NewTrainer(net, data, strat, cfg)

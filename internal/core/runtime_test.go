@@ -51,24 +51,19 @@ func TestDefaultRuntimeIsSingleton(t *testing.T) {
 	}
 }
 
-// Deprecated Config fields keep working: an explicit Seed or Metrics on the
-// Config wins over the Runtime's defaults, and a nil Runtime resolves to
-// DefaultRuntime.
+// The deprecated Config.Seed keeps working: an explicit Seed wins over the
+// Runtime's, and a nil Runtime resolves to DefaultRuntime.
 func TestConfigRuntimeDefaulting(t *testing.T) {
-	var rtSink, cfgSink bytes.Buffer
-	rt := NewRuntime(WithThreads(1), WithSeed(7), WithMetrics(&rtSink))
+	rt := NewRuntime(WithThreads(1), WithSeed(7))
 
 	cfg := (Config{T: 4, Batch: 1, Runtime: rt}).withDefaults()
 	if cfg.Seed != 7 {
 		t.Fatalf("Seed = %d, want the runtime's 7", cfg.Seed)
 	}
-	if cfg.Metrics != &rtSink {
-		t.Fatal("Metrics should inherit the runtime's sink")
-	}
 
-	cfg = (Config{T: 4, Batch: 1, Runtime: rt, Seed: 99, Metrics: &cfgSink}).withDefaults()
-	if cfg.Seed != 99 || cfg.Metrics != &cfgSink {
-		t.Fatal("explicit Config fields must win over the runtime's defaults")
+	cfg = (Config{T: 4, Batch: 1, Runtime: rt, Seed: 99}).withDefaults()
+	if cfg.Seed != 99 {
+		t.Fatal("an explicit Config.Seed must win over the runtime's")
 	}
 
 	cfg = (Config{T: 4, Batch: 1}).withDefaults()

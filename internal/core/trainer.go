@@ -379,7 +379,7 @@ func (tr *Trainer) trainEpochFrom(startBatch int, partial EpochStats) (EpochStat
 	if err := tr.markEpochDone(ep); err != nil {
 		return ep, err
 	}
-	if tr.Cfg.Metrics != nil {
+	if tr.Cfg.Runtime.Metrics() != nil {
 		if err := tr.emitMetrics(ep); err != nil {
 			return ep, err
 		}
@@ -408,7 +408,8 @@ type epochMetrics struct {
 	Threads         int     `json:"threads"`
 }
 
-// emitMetrics writes one JSON line describing the epoch to Cfg.Metrics.
+// emitMetrics writes one JSON line describing the epoch to the Runtime's
+// metrics sink.
 func (tr *Trainer) emitMetrics(ep EpochStats) error {
 	m := epochMetrics{
 		Epoch:           tr.epoch,
@@ -429,7 +430,7 @@ func (tr *Trainer) emitMetrics(ep EpochStats) error {
 		LRScale:         float64(tr.lrScale),
 		Threads:         tr.Cfg.Runtime.Threads(),
 	}
-	enc := json.NewEncoder(tr.Cfg.Metrics)
+	enc := json.NewEncoder(tr.Cfg.Runtime.Metrics())
 	if err := enc.Encode(m); err != nil {
 		return fmt.Errorf("core: writing metrics: %w", err)
 	}

@@ -196,7 +196,7 @@ func (s *starCollective) fold(r *round, ups []*starUpload) {
 			r.out.SlowestReplica = d
 		}
 		if c.cfg.Straggler > 0 && up.arrivedAt.After(r.computeDone.Add(c.cfg.Straggler)) {
-			c.cfg.Metrics.observeStraggler()
+			c.cfg.Metrics.stragglers.Inc()
 			c.cfg.Tracer.Event(trace.TrackDist, "straggler",
 				trace.Attr{Key: "rank", Val: int64(rank)},
 				trace.Attr{Key: "round", Val: int64(r.num)})

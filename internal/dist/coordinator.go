@@ -37,7 +37,9 @@ type Config struct {
 	// faults before the coordinator gives up. Default 3.
 	MaxReplays int
 
-	Tracer  *trace.Tracer
+	Tracer *trace.Tracer
+	// Metrics is the page the coordinator counts into; nil counts into a
+	// private one that nothing renders.
 	Metrics *Metrics
 }
 
@@ -50,6 +52,9 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxReplays <= 0 {
 		c.MaxReplays = 3
+	}
+	if c.Metrics == nil {
+		c.Metrics = NewMetrics(c.World)
 	}
 	c.Options = c.Options.withDefaults()
 	return c
@@ -169,7 +174,7 @@ func (c *Coordinator) vacate(r int, why string) {
 	c.conns[r].Close()
 	c.conns[r] = nil
 	c.ringDirty = true
-	c.cfg.Metrics.setConnected(c.connected())
+	c.cfg.Metrics.connected.Store(int64(c.connected()))
 	c.cfg.Tracer.Event(trace.TrackDist, "rank_vacated:"+why,
 		trace.Attr{Key: "rank", Val: int64(r)})
 }
@@ -298,7 +303,7 @@ func (c *Coordinator) fillRanks() error {
 				c.cfg.Tracer.Event(trace.TrackDist, "join_rejected:"+err.Error())
 				continue
 			}
-			c.cfg.Metrics.setConnected(c.connected())
+			c.cfg.Metrics.connected.Store(int64(c.connected()))
 		case <-time.After(remaining):
 			return fmt.Errorf("dist: timed out waiting for %d worker(s) to join", c.vacancies())
 		}
@@ -345,7 +350,7 @@ func (c *Coordinator) TrainRound(split dataset.Split, indices []int) (core.DPSte
 			return core.DPStepStats{}, err
 		}
 		c.abortRound(rf)
-		c.cfg.Metrics.observeAbort()
+		c.cfg.Metrics.aborts.Inc()
 	}
 	return core.DPStepStats{}, fmt.Errorf("dist: round %d failed after %d replays: %w", c.round, c.cfg.MaxReplays, lastErr)
 }
@@ -469,7 +474,9 @@ func (c *Coordinator) tryRound(split dataset.Split, indices []int, attempt int) 
 	if r.out.AllReduce < 0 {
 		r.out.AllReduce = 0
 	}
-	c.cfg.Metrics.observeRound(r.out.Wall.Seconds(), r.wireBytes)
+	c.cfg.Metrics.rounds.Inc()
+	c.cfg.Metrics.reduceBytes.Add(r.wireBytes)
+	c.cfg.Metrics.roundLatency.Observe(r.out.Wall.Seconds())
 	return r.out, nil
 }
 
@@ -524,7 +531,7 @@ func (c *Coordinator) Finish(reason string) {
 		c.conns[r] = nil
 	}
 	c.coll.Close()
-	c.cfg.Metrics.setConnected(0)
+	c.cfg.Metrics.connected.Store(0)
 }
 
 // Round reports the number of committed rounds.

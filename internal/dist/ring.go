@@ -413,7 +413,7 @@ func (g *ringCollective) Exchange(r *round) error {
 			r.out.SlowestReplica = d
 		}
 		if c.cfg.Straggler > 0 && arrive[rank].After(r.computeDone.Add(c.cfg.Straggler)) {
-			c.cfg.Metrics.observeStraggler()
+			c.cfg.Metrics.stragglers.Inc()
 			c.cfg.Tracer.Event(trace.TrackDist, "straggler",
 				trace.Attr{Key: "rank", Val: int64(rank)},
 				trace.Attr{Key: "round", Val: int64(r.num)})

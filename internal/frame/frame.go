@@ -64,8 +64,8 @@ func Read(r io.Reader) (byte, []byte, error) {
 	if n > MaxPayload {
 		return 0, nil, fmt.Errorf("%w: payload length %d", ErrBad, n)
 	}
-	rest := make([]byte, int(n)+4)
-	if _, err := io.ReadFull(r, rest); err != nil {
+	rest, err := readN(r, int(n)+4)
+	if err != nil {
 		return 0, nil, fmt.Errorf("frame: reading payload: %w", err)
 	}
 	payload, tail := rest[:n], rest[n:]
@@ -75,4 +75,33 @@ func Read(r io.Reader) (byte, []byte, error) {
 		return 0, nil, fmt.Errorf("%w: checksum mismatch", ErrBad)
 	}
 	return typ, payload, nil
+}
+
+// exactRead is the largest read readN sizes from the length header alone:
+// it covers the serving fleet's request frames, and leaves a lying header's
+// cost, with Read's own header and error allocations, well inside 64 KiB.
+const exactRead = 32 << 10
+
+// readN reads exactly size bytes, with io.ReadFull's errors. Up to exactRead
+// it allocates them at once; beyond that the buffer doubles as the bytes
+// arrive, so a header that claims more than the stream holds costs what
+// was sent, not what was claimed.
+func readN(r io.Reader, size int) ([]byte, error) {
+	buf := make([]byte, min(size, exactRead))
+	for got := 0; ; {
+		n, err := io.ReadFull(r, buf[got:])
+		got += n
+		if err == io.EOF && got > 0 {
+			err = io.ErrUnexpectedEOF
+		}
+		if err != nil {
+			return nil, err
+		}
+		if got == size {
+			return buf, nil
+		}
+		next := make([]byte, got+min(got, size-got))
+		copy(next, buf)
+		buf = next
+	}
 }

@@ -2,6 +2,8 @@ package frame
 
 import (
 	"bytes"
+	"errors"
+	"io"
 	"net"
 	"testing"
 
@@ -80,5 +82,29 @@ func TestEmptyPayload(t *testing.T) {
 	}
 	if typ != 1 || len(p) != 0 {
 		t.Fatalf("round-trip mismatch: type %d payload %q", typ, p)
+	}
+}
+
+// TestLargePayloadReadsInGrowingBuffer round-trips a payload several times
+// larger than Read sizes from the header alone, and cuts it at points on
+// either side of each buffer growth: every cut is an unexpected EOF.
+func TestLargePayloadReadsInGrowingBuffer(t *testing.T) {
+	payload := make([]byte, 5*exactRead+123)
+	for i := range payload {
+		payload[i] = byte(i * 7)
+	}
+	var buf bytes.Buffer
+	if err := Write(&buf, 3, payload); err != nil {
+		t.Fatal(err)
+	}
+	full := buf.Bytes()
+	typ, p, err := Read(bytes.NewReader(full))
+	if err != nil || typ != 3 || !bytes.Equal(p, payload) {
+		t.Fatalf("round-trip: type %d, %d bytes, err %v", typ, len(p), err)
+	}
+	for _, cut := range []int{10, 9 + exactRead, 10 + exactRead, 9 + 2*exactRead, 10 + 4*exactRead, len(full) - 1} {
+		if _, _, err := Read(bytes.NewReader(full[:cut])); !errors.Is(err, io.ErrUnexpectedEOF) {
+			t.Fatalf("cut at %d of %d: err %v, want unexpected EOF", cut, len(full), err)
+		}
 	}
 }

@@ -92,7 +92,7 @@ func (rt *Router) mergePeerState(st peerState) {
 	// re-rings the healthy ex-canary).
 	if canaryID, _ := rt.registry.active(); canaryID != "" && rt.ring.Has(canaryID) {
 		rt.ring.Remove(canaryID)
-		rt.metrics.observeRemap()
+		rt.metrics.remaps.Inc()
 	}
 }
 
@@ -113,9 +113,9 @@ func (rt *Router) gossipLoop(link *peerLink) {
 		}
 		if err := rt.syncPeer(link); err != nil {
 			link.fail(err)
-			rt.metrics.observePeerSync(false)
+			rt.metrics.peerSyncFailures.Inc()
 		} else {
-			rt.metrics.observePeerSync(true)
+			rt.metrics.peerSyncs.Inc()
 		}
 	}
 }

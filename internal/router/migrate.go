@@ -39,9 +39,9 @@ func (rt *Router) migrateSessions(b *backend) {
 		default:
 		}
 		if rt.migrateOne(b, id) {
-			rt.metrics.observeMigration(true)
+			rt.metrics.sessionsMigrated.Inc()
 		} else {
-			rt.metrics.observeMigration(false)
+			rt.metrics.migrationFailures.Inc()
 		}
 	}
 }

@@ -173,13 +173,9 @@ func TestRouterMigratesSessionsOnDrain(t *testing.T) {
 	if acked := serve.AnnounceDrain([]string{peerLn.Addr().String()}, pl.URL, 2*time.Second); acked != 1 {
 		t.Fatalf("drain announce acked by %d routers, want 1", acked)
 	}
-	for rt.Metrics().SessionsMigrated() == 0 {
+	for rt.metrics.sessionsMigrated.Value() == 0 {
 		if time.Now().After(deadline) {
-			t.Fatalf("session never migrated (failures=%d)", func() int64 {
-				rt.metrics.mu.Lock()
-				defer rt.metrics.mu.Unlock()
-				return rt.metrics.migrationFailures
-			}())
+			t.Fatalf("session never migrated (failures=%d)", rt.metrics.migrationFailures.Value())
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
@@ -217,7 +213,7 @@ func TestRouterMigratesSessionsOnDrain(t *testing.T) {
 			}
 		}
 	}
-	if n := rt.Metrics().SessionsMigrated(); n != 1 {
+	if n := rt.metrics.sessionsMigrated.Value(); n != 1 {
 		t.Fatalf("migrated %d sessions, want 1", n)
 	}
 }

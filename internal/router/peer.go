@@ -241,7 +241,7 @@ func (rt *Router) handleDrainAnnounce(url string) {
 	// Count every direct announcement, even when a gossip relay from another
 	// router latched the drain first — the metric tracks frames accepted on
 	// this peer channel, not which path won the race.
-	rt.metrics.observeDrainAnnounce()
+	rt.metrics.drainAnnounces.Inc()
 	if first {
 		rt.tracer.Event(trace.TrackRouter, "drain_announced")
 	}

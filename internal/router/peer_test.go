@@ -138,7 +138,7 @@ func TestFlapDampingBoundsChurn(t *testing.T) {
 		return ringHas(rt, stable.url()) && ringHas(rt, flapper.url())
 	})
 
-	base := rt.Metrics().Remaps()
+	base := rt.metrics.remaps.Value()
 	// Flap hard: the replica toggles health every 1.5 heartbeats for 90
 	// intervals. Undamped, nearly every down-phase is a death and every
 	// up-phase a re-admission — ~60 remaps. The exponential hold-down
@@ -148,7 +148,7 @@ func TestFlapDampingBoundsChurn(t *testing.T) {
 		time.Sleep(hb * 3 / 2)
 	}
 	flapper.down.Store(false)
-	churn := rt.Metrics().Remaps() - base
+	churn := rt.metrics.remaps.Value() - base
 	if churn > 24 {
 		t.Fatalf("ring remapped %d times across the flap storm; damping should bound churn well under the ~60 undamped remaps", churn)
 	}
@@ -506,7 +506,7 @@ func TestDrainAnnounceVacatesImmediately(t *testing.T) {
 	if ringHas(a, victim) {
 		t.Fatal("announced replica still owns ring arcs on the announced router after the ack")
 	}
-	if got := a.metrics.DrainAnnounces(); got != 1 {
+	if got := a.metrics.drainAnnounces.Value(); got != 1 {
 		t.Fatalf("drain announce counter = %d, want 1", got)
 	}
 	// The peer router learns through gossip, not through its own heartbeat.

@@ -175,7 +175,6 @@ func New(cfg Config) (*Router, error) {
 		transport: newTransport(cfg.Client, cfg.RequestTimeout),
 		admission: newAdmission(cfg.Classes, cfg.DefaultClass, nil),
 		registry:  newRegistry(cfg.CanaryMinRequests, cfg.PeerID),
-		metrics:   newMetrics(),
 		tracer:    cfg.Tracer,
 		susp:      newSuspicion(1+len(cfg.Peers), cfg.SuspicionStale, nil),
 		ring:      NewRing(cfg.VNodes),
@@ -197,14 +196,11 @@ func New(cfg Config) (*Router, error) {
 	for _, addr := range cfg.Peers {
 		rt.peers = append(rt.peers, newPeerLink(addr))
 	}
-	rt.metrics.backendStates = rt.backendStateCounts
-	rt.metrics.ringSize = func() int {
+	rt.metrics = newMetrics(rt.backendStateCounts, func() int {
 		rt.mu.RLock()
 		defer rt.mu.RUnlock()
 		return rt.ring.Len()
-	}
-	rt.metrics.canary = rt.registry.status
-	rt.metrics.classGauges = rt.classGauges
+	}, rt.registry.status, rt.classGauges)
 	rt.heartbeatPass(time.Now(), true)
 	rt.wg.Add(1)
 	go rt.heartbeatLoop()
@@ -230,9 +226,6 @@ func (rt *Router) Close() {
 	rt.wg.Wait()
 	rt.transport.closeAll()
 }
-
-// Metrics exposes the router's registry (tests, embedding).
-func (rt *Router) Metrics() *Metrics { return rt.metrics }
 
 // ---- heartbeats ----
 
@@ -365,7 +358,7 @@ func (rt *Router) reconcileProbeLocked(p probeResult, canaryID string, now time.
 	// hash fraction.
 	if b.id != canaryID && !rt.ring.Has(b.id) {
 		rt.ring.Add(b.id)
-		rt.metrics.observeRemap()
+		rt.metrics.remaps.Inc()
 	}
 }
 
@@ -395,7 +388,7 @@ func (rt *Router) killBackendLocked(b *backend, now time.Time) {
 	b.setState(StateDead)
 	b.misses = rt.cfg.DeadAfter
 	b.drainAnnounced.Store(false)
-	rt.metrics.observeDeath()
+	rt.metrics.deaths.Inc()
 	if planned {
 		b.readmitAt = now
 	} else {
@@ -422,7 +415,7 @@ func (rt *Router) killBackendLocked(b *backend, now time.Time) {
 	}
 	if rt.ring.Has(b.id) {
 		rt.ring.Remove(b.id)
-		rt.metrics.observeRemap()
+		rt.metrics.remaps.Inc()
 		rt.tracer.Event(trace.TrackRouter, "backend_dead")
 	}
 }
@@ -438,7 +431,7 @@ func (rt *Router) setDrainingLocked(b *backend) {
 	}
 	if rt.ring.Has(b.id) {
 		rt.ring.Remove(b.id)
-		rt.metrics.observeRemap()
+		rt.metrics.remaps.Inc()
 		rt.tracer.Event(trace.TrackRouter, "backend_draining")
 	}
 	if first {
@@ -541,14 +534,14 @@ func (rt *Router) StartCanary(path string, fraction float64) error {
 		return fmt.Errorf("router: backend %s serves a fresh-init model with no checkpoint to roll back to", pick.id)
 	}
 	rt.ring.Remove(pick.id)
-	rt.metrics.observeRemap()
+	rt.metrics.remaps.Inc()
 	rt.mu.Unlock()
 
 	if err := rt.transport.reload(pick, path); err != nil {
 		rt.mu.Lock()
 		if pick.State() == StateAlive && !rt.ring.Has(pick.id) {
 			rt.ring.Add(pick.id)
-			rt.metrics.observeRemap()
+			rt.metrics.remaps.Inc()
 		}
 		rt.mu.Unlock()
 		return err
@@ -600,7 +593,7 @@ func (rt *Router) Promote(reason string) error {
 	rt.mu.Lock()
 	if cb := rt.backends[run.BackendID]; cb != nil && cb.State() == StateAlive && !rt.ring.Has(run.BackendID) {
 		rt.ring.Add(run.BackendID)
-		rt.metrics.observeRemap()
+		rt.metrics.remaps.Inc()
 	}
 	rt.mu.Unlock()
 	rt.registry.finish("promoted", reason)
@@ -626,7 +619,7 @@ func (rt *Router) Rollback(reason string) error {
 		rt.mu.Lock()
 		if cb.State() == StateAlive && !rt.ring.Has(run.BackendID) {
 			rt.ring.Add(run.BackendID)
-			rt.metrics.observeRemap()
+			rt.metrics.remaps.Inc()
 		}
 		rt.mu.Unlock()
 	}
@@ -661,7 +654,8 @@ func (rt *Router) handleInfer(w http.ResponseWriter, r *http.Request) {
 	}
 	start := time.Now()
 	code := rt.route(r.Context(), w, req)
-	rt.metrics.observeRequest(code, time.Since(start).Seconds())
+	rt.metrics.requests.With(strconv.Itoa(code)).Inc()
+	rt.metrics.latency.Observe(time.Since(start).Seconds())
 }
 
 // route admits, places, and forwards one request, writing the response. It
@@ -672,7 +666,7 @@ func (rt *Router) route(ctx context.Context, w http.ResponseWriter, req wireRequ
 	cs := rt.admission.resolve(req.Class)
 	className := cs.cfg.Name
 	if reason := rt.admission.admit(cs, rt.loadFactor()); reason != "" {
-		rt.metrics.observeShed(className, reason)
+		rt.metrics.shed.With(className, reason).Inc()
 		w.Header().Set("Retry-After", "1")
 		httpError(w, http.StatusTooManyRequests, "shed: "+reason+" (class "+className+")")
 		span.End()
@@ -702,7 +696,7 @@ func (rt *Router) route(ctx context.Context, w http.ResponseWriter, req wireRequ
 
 	candidates := rt.candidates(session)
 	if len(candidates) == 0 {
-		rt.metrics.observeShed(className, shedReasonNoFleet)
+		rt.metrics.shed.With(className, shedReasonNoFleet).Inc()
 		w.Header().Set("Retry-After", "1")
 		httpError(w, http.StatusServiceUnavailable, "no alive backends")
 		span.End()
@@ -726,7 +720,7 @@ func (rt *Router) route(ctx context.Context, w http.ResponseWriter, req wireRequ
 		default:
 		}
 		if attempt > 0 {
-			rt.metrics.observeFailover()
+			rt.metrics.failovers.Inc()
 			fspan := rt.tracer.Begin(trace.TrackRouter, "failover")
 			fspan.End(trace.Attr{Key: "attempt", Val: int64(attempt)})
 		}
@@ -742,7 +736,7 @@ func (rt *Router) route(ctx context.Context, w http.ResponseWriter, req wireRequ
 			rt.noteTransportFailure(b)
 			continue
 		}
-		rt.metrics.observeRTT(rtt.Seconds())
+		rt.metrics.rtt.Observe(rtt.Seconds())
 		latencyMS := rtt.Seconds() * 1000
 		cs.slo.observe(latencyMS)
 		rt.registry.observe(b.id, resp.Code, latencyMS)
@@ -753,14 +747,14 @@ func (rt *Router) route(ctx context.Context, w http.ResponseWriter, req wireRequ
 			// it. The drain handoff leans on this: a request already in
 			// flight toward an announced-draining replica fails over here
 			// instead of erroring at the client.
-			rt.metrics.observeShed(className, shedReasonCapacity)
+			rt.metrics.shed.With(className, shedReasonCapacity).Inc()
 			if attempt < len(candidates)-1 {
 				lastErr = fmt.Errorf("backend %s unavailable (503)", b.id)
 				continue
 			}
 		} else if resp.Code == http.StatusTooManyRequests {
 			// The backend's class admission shed; surface its Retry-After.
-			rt.metrics.observeShed(className, shedReasonCapacity)
+			rt.metrics.shed.With(className, shedReasonCapacity).Inc()
 		}
 		if resp.RetryAfter > 0 {
 			w.Header().Set("Retry-After", strconv.Itoa(resp.RetryAfter))
@@ -976,10 +970,7 @@ func (rt *Router) Handler() http.Handler {
 			httpError(w, http.StatusMethodNotAllowed, "GET or POST required")
 		}
 	})
-	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-		rt.metrics.Render(w)
-	})
+	mux.Handle("/metrics", rt.metrics)
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusOK)
 		fmt.Fprintln(w, "ok")

@@ -310,7 +310,7 @@ func TestRouterKillReplicaMidSoak(t *testing.T) {
 			t.Fatalf("session %s still routed to the dead replica", s)
 		}
 	}
-	if rt.Metrics().RequestCount(http.StatusOK) == 0 {
+	if rt.metrics.requests.With("200").Value() == 0 {
 		t.Fatal("metrics recorded no 200s")
 	}
 }
@@ -473,8 +473,8 @@ func TestRouterShedsByClass(t *testing.T) {
 	if resp.Header.Get("Retry-After") == "" {
 		t.Fatal("shed 429 carries no Retry-After header")
 	}
-	if got := rt.Metrics().ShedCount("bulk", shedReasonRate); got != 1 {
-		t.Fatalf("ShedCount(bulk, rate_limit) = %d, want 1", got)
+	if got := rt.metrics.shed.With("bulk", shedReasonRate).Value(); got != 1 {
+		t.Fatalf("shed{bulk, rate_limit} = %d, want 1", got)
 	}
 	// Interactive traffic is unaffected.
 	for i := 0; i < 4; i++ {
@@ -482,7 +482,7 @@ func TestRouterShedsByClass(t *testing.T) {
 			t.Fatalf("interactive request %d: code %d", i, code)
 		}
 	}
-	if got := rt.Metrics().ShedCount("interactive", shedReasonRate); got != 0 {
+	if got := rt.metrics.shed.With("interactive", shedReasonRate).Value(); got != 0 {
 		t.Fatalf("interactive was rate-shed %d times", got)
 	}
 }

@@ -126,7 +126,7 @@ func TestFleetTransport(t *testing.T) {
 	if out := fleetInfer(t, conn2, InferRequest{Input: input}); out.Code != http.StatusServiceUnavailable || out.RetryAfter < 1 {
 		t.Fatalf("drained server answered %+v, want 503 with retry hint", out)
 	}
-	if got := s.Metrics().ShedCount("draining"); got != 1 {
+	if got := s.metrics.shed.With(shedDraining).Value(); got != 1 {
 		t.Fatalf("draining shed count = %d, want 1", got)
 	}
 }

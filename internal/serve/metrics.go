@@ -1,60 +1,32 @@
 package serve
 
 import (
-	"fmt"
-	"io"
-	"sort"
-	"sync"
+	"strconv"
 
+	"skipper/internal/metrics"
 	"skipper/internal/parallel"
 	"skipper/internal/stats"
 )
 
-// Metrics is the server's hand-rolled metrics registry, rendered in
-// Prometheus text exposition format. All mutators are safe for concurrent
-// use.
+// Metrics is the server's /metrics page: the families below, in this
+// order, then the stream manager's.
 type Metrics struct {
-	mu sync.Mutex
+	*metrics.Registry
 
-	requests map[string]int64 // by HTTP status code label
-	latency  *stats.Histogram // end-to-end request seconds
-	queueing *stats.Histogram // queue-wait seconds
-	batches  *stats.Histogram // micro-batch sizes
-	execute  *stats.Histogram // batch-execute (inference) seconds
-
-	samples        int64 // samples that completed inference
-	batchSteps     int64 // batch-timesteps executed
-	batchStepsMax  int64 // batch-timesteps that would run without early exit
-	earlyExits     int64 // samples frozen before the final timestep
-	reloadOK       int64
-	reloadFailed   int64
-	reloadRetries  int64            // transient load failures retried with backoff
-	shed           map[string]int64 // requests shed before execution, by reason
-	deadlineMissed int64            // requests abandoned on their latency budget
-	drainDropped   int64            // queued jobs dropped unexecuted at shutdown
-
-	// gauges, read at render time
-	queueDepth   func() int
-	modelVersion func() uint64
-	poolStats    func() parallel.PoolStats
-	threads      int // compute-pool width, fixed at construction
-}
-
-func newMetrics(maxBatch, threads int, queueDepth func() int, modelVersion func() uint64, poolStats func() parallel.PoolStats) *Metrics {
-	return &Metrics{
-		requests: map[string]int64{},
-		shed:     map[string]int64{},
-		// 0.5ms .. ~16s
-		latency:  stats.NewHistogram(stats.ExponentialBounds(0.0005, 2, 15)...),
-		queueing: stats.NewHistogram(stats.ExponentialBounds(0.0001, 2, 15)...),
-		batches:  stats.NewHistogram(stats.LinearBounds(1, 1, maxBatch)...),
-		execute:  stats.NewHistogram(stats.ExponentialBounds(0.0005, 2, 15)...),
-
-		queueDepth:   queueDepth,
-		modelVersion: modelVersion,
-		poolStats:    poolStats,
-		threads:      threads,
-	}
+	requests       *metrics.CounterVec // by HTTP status code
+	latency        *metrics.Histogram  // end-to-end request seconds
+	queueing       *metrics.Histogram  // queue-wait seconds
+	batches        *metrics.Histogram  // micro-batch sizes
+	execute        *metrics.Histogram  // batch-execute (inference) seconds
+	samples        *metrics.Counter    // samples that completed inference
+	batchSteps     *metrics.Counter    // batch-timesteps executed
+	batchSaved     *metrics.Counter    // batch-timesteps early exit avoided
+	earlyExits     *metrics.Counter    // samples frozen before the final timestep
+	shed           *metrics.CounterVec // requests shed before execution, by reason
+	deadlineMissed *metrics.Counter    // requests abandoned on their latency budget
+	drainDropped   *metrics.Counter    // queued jobs dropped unexecuted at shutdown
+	reloads        *metrics.CounterVec // by result
+	reloadRetries  *metrics.Counter    // transient load failures retried with backoff
 }
 
 // Shed reasons for skipper_serve_queue_rejected_total. The counter carries a
@@ -65,152 +37,60 @@ const (
 	shedDraining  = "draining"
 )
 
+// newMetrics registers the server's families; the gauges are read at render.
+func newMetrics(maxBatch, threads int, queueDepth func() int, modelVersion func() uint64, poolStats func() parallel.PoolStats) *Metrics {
+	r := metrics.New()
+	// Struct fields register in the order written, which is the page order.
+	m := &Metrics{
+		Registry: r,
+		requests: r.CounterVec("skipper_serve_requests_total", "Requests answered, by HTTP status code.", []string{"code"}),
+		// 0.5ms .. ~16s
+		latency:    r.Histogram("skipper_serve_request_latency_seconds", "End-to-end request latency.", stats.ExponentialBounds(0.0005, 2, 15)),
+		queueing:   r.Histogram("skipper_serve_queue_wait_seconds", "Time spent waiting in the batching queue.", stats.ExponentialBounds(0.0001, 2, 15)),
+		batches:    r.Histogram("skipper_serve_batch_size", "Coalesced micro-batch sizes.", stats.LinearBounds(1, 1, maxBatch)),
+		execute:    r.Histogram("skipper_serve_batch_execute_seconds", "Inference time per coalesced micro-batch.", stats.ExponentialBounds(0.0005, 2, 15)),
+		samples:    r.Counter("skipper_serve_samples_total", "Samples that completed inference."),
+		batchSteps: r.Counter("skipper_serve_batch_timesteps_total", "Batch-timesteps executed."),
+		batchSaved: r.Counter("skipper_serve_batch_timesteps_saved_total",
+			"Batch-timesteps avoided by early exit (configured horizon minus executed)."),
+		earlyExits: r.Counter("skipper_serve_early_exits_total", "Samples whose decision froze before the final timestep."),
+		shed: r.CounterVec("skipper_serve_queue_rejected_total", "Requests shed before execution, by reason.",
+			[]string{"reason"}, shedQueueFull, shedDraining),
+		deadlineMissed: r.Counter("skipper_serve_deadline_missed_total", "Requests abandoned on their latency budget."),
+		drainDropped:   r.Counter("skipper_serve_drain_dropped_total", "Queued jobs dropped unexecuted when shutdown exceeded its drain budget."),
+		reloads:        r.CounterVec("skipper_serve_reloads_total", "Checkpoint reload attempts, by result.", []string{"result"}, "ok", "error"),
+		reloadRetries: r.Counter("skipper_serve_reload_retries_total",
+			"Transient checkpoint-read failures retried with backoff during reloads."),
+	}
+	metrics.GaugeFunc(r, "skipper_serve_queue_depth", "Requests currently waiting in the batching queue.",
+		func() float64 { return float64(queueDepth()) })
+	metrics.GaugeFunc(r, "skipper_serve_model_version", "Generation number of the serving checkpoint.",
+		func() float64 { return float64(modelVersion()) })
+	metrics.GaugeFunc(r, "skipper_runtime_threads", "Width of the shared parallel compute pool.",
+		func() float64 { return float64(threads) })
+	r.CounterFunc("skipper_pool_runs_total", "Kernel fan-outs submitted to the shared compute pool.",
+		func() int64 { return poolStats().Runs })
+	metrics.GaugeFunc(r, "skipper_pool_mean_lanes", "Average lanes occupied per pool run (utilization against skipper_runtime_threads).",
+		func() float64 { return poolStats().MeanLanes() })
+	return m
+}
+
 func (m *Metrics) observeRequest(code int, seconds float64) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.requests[fmt.Sprintf("%d", code)]++
+	m.requests.With(strconv.Itoa(code)).Inc()
 	m.latency.Observe(seconds)
 	if code == 504 {
-		m.deadlineMissed++
+		m.deadlineMissed.Inc()
 	}
-}
-
-// observeShed counts one request shed before execution under its reason.
-func (m *Metrics) observeShed(reason string) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.shed[reason]++
-}
-
-// ShedCount returns the shed counter for one reason (tests).
-func (m *Metrics) ShedCount(reason string) int64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.shed[reason]
-}
-
-// meanExecuteSeconds returns the mean batch-execute time observed so far, 0
-// before any batch ran. The Retry-After estimate is built on it.
-func (m *Metrics) meanExecuteSeconds() float64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.execute.N() == 0 {
-		return 0
-	}
-	return m.execute.Sum() / float64(m.execute.N())
 }
 
 func (m *Metrics) observeBatch(size, stepsRun, t, exits int, execSeconds float64, queueWait []float64) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	m.batches.Observe(float64(size))
 	m.execute.Observe(execSeconds)
-	m.samples += int64(size)
-	m.batchSteps += int64(stepsRun)
-	m.batchStepsMax += int64(t)
-	m.earlyExits += int64(exits)
+	m.samples.Add(int64(size))
+	m.batchSteps.Add(int64(stepsRun))
+	m.batchSaved.Add(int64(t - stepsRun))
+	m.earlyExits.Add(int64(exits))
 	for _, w := range queueWait {
 		m.queueing.Observe(w)
 	}
 }
-
-func (m *Metrics) observeDrainDropped(n int) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.drainDropped += int64(n)
-}
-
-func (m *Metrics) observeReloadRetry() {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.reloadRetries++
-}
-
-func (m *Metrics) observeReload(ok bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if ok {
-		m.reloadOK++
-	} else {
-		m.reloadFailed++
-	}
-}
-
-// RequestCount returns the counted requests for one status code label.
-func (m *Metrics) RequestCount(code int) int64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.requests[fmt.Sprintf("%d", code)]
-}
-
-// Render writes the registry in Prometheus text exposition format.
-func (m *Metrics) Render(w io.Writer) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-
-	fmt.Fprintln(w, "# HELP skipper_serve_requests_total Requests answered, by HTTP status code.")
-	fmt.Fprintln(w, "# TYPE skipper_serve_requests_total counter")
-	codes := make([]string, 0, len(m.requests))
-	for c := range m.requests {
-		codes = append(codes, c)
-	}
-	sort.Strings(codes)
-	for _, c := range codes {
-		fmt.Fprintf(w, "skipper_serve_requests_total{code=%q} %d\n", c, m.requests[c])
-	}
-
-	renderHist(w, "skipper_serve_request_latency_seconds", "End-to-end request latency.", m.latency)
-	renderHist(w, "skipper_serve_queue_wait_seconds", "Time spent waiting in the batching queue.", m.queueing)
-	renderHist(w, "skipper_serve_batch_size", "Coalesced micro-batch sizes.", m.batches)
-	renderHist(w, "skipper_serve_batch_execute_seconds", "Inference time per coalesced micro-batch.", m.execute)
-
-	counter(w, "skipper_serve_samples_total", "Samples that completed inference.", m.samples)
-	counter(w, "skipper_serve_batch_timesteps_total", "Batch-timesteps executed.", m.batchSteps)
-	counter(w, "skipper_serve_batch_timesteps_saved_total",
-		"Batch-timesteps avoided by early exit (configured horizon minus executed).",
-		m.batchStepsMax-m.batchSteps)
-	counter(w, "skipper_serve_early_exits_total", "Samples whose decision froze before the final timestep.", m.earlyExits)
-	fmt.Fprintln(w, "# HELP skipper_serve_queue_rejected_total Requests shed before execution, by reason.")
-	fmt.Fprintln(w, "# TYPE skipper_serve_queue_rejected_total counter")
-	for _, reason := range []string{shedQueueFull, shedDraining} {
-		fmt.Fprintf(w, "skipper_serve_queue_rejected_total{reason=%q} %d\n", reason, m.shed[reason])
-	}
-	counter(w, "skipper_serve_deadline_missed_total", "Requests abandoned on their latency budget.", m.deadlineMissed)
-	counter(w, "skipper_serve_drain_dropped_total", "Queued jobs dropped unexecuted when shutdown exceeded its drain budget.", m.drainDropped)
-
-	fmt.Fprintln(w, "# HELP skipper_serve_reloads_total Checkpoint reload attempts, by result.")
-	fmt.Fprintln(w, "# TYPE skipper_serve_reloads_total counter")
-	fmt.Fprintf(w, "skipper_serve_reloads_total{result=\"ok\"} %d\n", m.reloadOK)
-	fmt.Fprintf(w, "skipper_serve_reloads_total{result=\"error\"} %d\n", m.reloadFailed)
-	counter(w, "skipper_serve_reload_retries_total",
-		"Transient checkpoint-read failures retried with backoff during reloads.", m.reloadRetries)
-
-	gauge(w, "skipper_serve_queue_depth", "Requests currently waiting in the batching queue.", float64(m.queueDepth()))
-	gauge(w, "skipper_serve_model_version", "Generation number of the serving checkpoint.", float64(m.modelVersion()))
-	gauge(w, "skipper_runtime_threads", "Width of the shared parallel compute pool.", float64(m.threads))
-
-	ps := m.poolStats()
-	counter(w, "skipper_pool_runs_total", "Kernel fan-outs submitted to the shared compute pool.", ps.Runs)
-	gauge(w, "skipper_pool_mean_lanes", "Average lanes occupied per pool run (utilization against skipper_runtime_threads).", ps.MeanLanes())
-}
-
-func counter(w io.Writer, name, help string, v int64) {
-	fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
-}
-
-func gauge(w io.Writer, name, help string, v float64) {
-	fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n%s %g\n", name, help, name, name, v)
-}
-
-func renderHist(w io.Writer, name, help string, h *stats.Histogram) {
-	fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s histogram\n", name, help, name)
-	cum := h.Cumulative()
-	for i, b := range h.Bounds() {
-		fmt.Fprintf(w, "%s_bucket{le=%q} %d\n", name, trimFloat(b), cum[i])
-	}
-	fmt.Fprintf(w, "%s_bucket{le=\"+Inf\"} %d\n", name, h.N())
-	fmt.Fprintf(w, "%s_sum %g\n", name, h.Sum())
-	fmt.Fprintf(w, "%s_count %d\n", name, h.N())
-}
-
-func trimFloat(v float64) string { return fmt.Sprintf("%g", v) }

@@ -147,7 +147,7 @@ func TestReloadRetryMetricOverHTTP(t *testing.T) {
 		t.Fatalf("made %d attempts, want %d", fl.calls, reloadAttempts)
 	}
 	var buf bytes.Buffer
-	s.Metrics().Render(&buf)
+	s.metrics.Render(&buf)
 	out := buf.String()
 	if !strings.Contains(out, "skipper_serve_reload_retries_total 2") {
 		t.Fatalf("metrics missing retry counter:\n%s", out)

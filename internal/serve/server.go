@@ -151,7 +151,7 @@ func NewServer(cfg Config, modelPath string) (*Server, error) {
 		func() int { return len(s.queue) },
 		func() uint64 { return s.model.Current().Version },
 		func() parallel.PoolStats { return cfg.Runtime.Pool().Stats() })
-	model.OnRetry = func(int, error) { s.metrics.observeReloadRetry() }
+	model.OnRetry = func(int, error) { s.metrics.reloadRetries.Inc() }
 	var store *runstate.SessionStore
 	if cfg.SessionDir != "" {
 		store, err = runstate.OpenSessions(cfg.SessionDir, nil, nil)
@@ -177,6 +177,7 @@ func NewServer(cfg Config, modelPath string) (*Server, error) {
 		close(s.stop)
 		return nil, err
 	}
+	s.streams.Register(s.metrics.Registry)
 	for i := 0; i < cfg.Workers; i++ {
 		r, err := newReplica(cfg.Build, cfg.Runtime.Pool())
 		if err != nil {
@@ -195,14 +196,15 @@ func (s *Server) Model() *Model { return s.model }
 // Streams returns the streaming-session registry.
 func (s *Server) Streams() *stream.Manager { return s.streams }
 
-// Metrics returns the server's metrics registry.
-func (s *Server) Metrics() *Metrics { return s.metrics }
-
 // Reload validates and swaps in the checkpoint at path (empty = re-read the
 // current file), recording the attempt in the metrics.
 func (s *Server) Reload(path string) (*Snapshot, error) {
 	snap, err := s.model.Reload(path)
-	s.metrics.observeReload(err == nil)
+	result := "ok"
+	if err != nil {
+		result = "error"
+	}
+	s.metrics.reloads.With(result).Inc()
 	return snap, err
 }
 
@@ -247,7 +249,7 @@ func (s *Server) Drain(ctx context.Context) error {
 				s.jobWG.Done()
 				dropped++
 			default:
-				s.metrics.observeDrainDropped(dropped)
+				s.metrics.drainDropped.Add(int64(dropped))
 				s.tracer.Event(trace.TrackTrain, "drain_dropped",
 					trace.Attr{Key: "jobs", Val: int64(dropped)})
 				s.streams.Shutdown()
@@ -270,7 +272,7 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("/v1/infer", s.handleInfer)
 	mux.HandleFunc("/v1/reload", s.handleReload)
 	mux.HandleFunc("/v1/config", s.handleConfig)
-	mux.HandleFunc("/metrics", s.handleMetrics)
+	mux.Handle("/metrics", s.metrics)
 	mux.HandleFunc("/healthz", s.handleHealthz)
 	mux.HandleFunc("/readyz", s.handleReadyz)
 	return mux
@@ -346,7 +348,7 @@ func (s *Server) execute(parent context.Context, req InferRequest) (int, any, in
 	s.mu.RLock()
 	if s.draining {
 		s.mu.RUnlock()
-		s.metrics.observeShed(shedDraining)
+		s.metrics.shed.With(shedDraining).Inc()
 		return http.StatusServiceUnavailable, errorResponse{"server is draining"}, s.retryAfterSeconds(true)
 	}
 	s.jobWG.Add(1)
@@ -356,7 +358,7 @@ func (s *Server) execute(parent context.Context, req InferRequest) (int, any, in
 	default:
 		s.jobWG.Done()
 		s.mu.RUnlock()
-		s.metrics.observeShed(shedQueueFull)
+		s.metrics.shed.With(shedQueueFull).Inc()
 		return http.StatusTooManyRequests, errorResponse{"queue full"}, s.retryAfterSeconds(false)
 	}
 
@@ -394,7 +396,7 @@ func (s *Server) retryAfterSeconds(draining bool) int {
 	if draining {
 		return 1
 	}
-	exec := s.metrics.meanExecuteSeconds()
+	exec := s.metrics.execute.Mean()
 	if exec <= 0 {
 		exec = 0.05 // no batches measured yet; assume a cheap one
 	}
@@ -443,12 +445,6 @@ func (s *Server) handleConfig(w http.ResponseWriter, r *http.Request) {
 		ModelVersion: snap.Version,
 		ModelPath:    snap.Path,
 	})
-}
-
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	s.metrics.Render(w)
-	s.streams.RenderMetrics(w)
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {

@@ -4,13 +4,13 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"io"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"skipper/internal/faults"
 	"skipper/internal/layers"
+	"skipper/internal/metrics"
 	"skipper/internal/parallel"
 	"skipper/internal/runstate"
 	"skipper/internal/trace"
@@ -545,25 +545,19 @@ func errorFrame(e *Error) (byte, []byte) {
 	return TypeError, buf
 }
 
-// RenderMetrics writes the manager's Prometheus-format counters (appended
-// to serve's /metrics page).
-func (m *Manager) RenderMetrics(w io.Writer) {
-	g := func(name, help string, v int64) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n%s %d\n", name, help, name, name, v)
-	}
-	c := func(name, help string, v int64) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
-	}
-	g("skipper_stream_sessions_active", "Live streaming sessions.", int64(m.Count()))
-	c("skipper_stream_sessions_opened_total", "Sessions created fresh.", m.opened.Load())
-	c("skipper_stream_sessions_resumed_total", "Session opens that restored prior state.", m.resumed.Load())
-	c("skipper_stream_sessions_imported_total", "Sessions imported from another replica.", m.imported.Load())
-	c("skipper_stream_sessions_exported_total", "Sessions exported for migration.", m.exported.Load())
-	c("skipper_stream_sessions_evicted_total", "Idle sessions evicted by TTL.", m.evicted.Load())
-	c("skipper_stream_windows_total", "Event windows processed.", m.windows.Load())
-	c("skipper_stream_windows_skipped_total", "Windows stepped as empty windows by the activity gate.", m.skipped.Load())
-	c("skipper_stream_steps_quiet_total", "Timesteps stepped on an all-zero input.", m.quiet.Load())
-	c("skipper_stream_steps_full_total", "Timesteps advanced by the full forward.", m.full.Load())
-	c("skipper_stream_snapshots_total", "Durable session snapshots written.", m.snapshots.Load())
-	c("skipper_stream_snapshot_failures_total", "Session snapshot attempts that failed.", m.snapFails.Load())
+// Register adds the manager's families to a /metrics page (serve's, after
+// its own).
+func (m *Manager) Register(r *metrics.Registry) {
+	metrics.GaugeFunc(r, "skipper_stream_sessions_active", "Live streaming sessions.", func() int64 { return int64(m.Count()) })
+	r.CounterFunc("skipper_stream_sessions_opened_total", "Sessions created fresh.", m.opened.Load)
+	r.CounterFunc("skipper_stream_sessions_resumed_total", "Session opens that restored prior state.", m.resumed.Load)
+	r.CounterFunc("skipper_stream_sessions_imported_total", "Sessions imported from another replica.", m.imported.Load)
+	r.CounterFunc("skipper_stream_sessions_exported_total", "Sessions exported for migration.", m.exported.Load)
+	r.CounterFunc("skipper_stream_sessions_evicted_total", "Idle sessions evicted by TTL.", m.evicted.Load)
+	r.CounterFunc("skipper_stream_windows_total", "Event windows processed.", m.windows.Load)
+	r.CounterFunc("skipper_stream_windows_skipped_total", "Windows stepped as empty windows by the activity gate.", m.skipped.Load)
+	r.CounterFunc("skipper_stream_steps_quiet_total", "Timesteps stepped on an all-zero input.", m.quiet.Load)
+	r.CounterFunc("skipper_stream_steps_full_total", "Timesteps advanced by the full forward.", m.full.Load)
+	r.CounterFunc("skipper_stream_snapshots_total", "Durable session snapshots written.", m.snapshots.Load)
+	r.CounterFunc("skipper_stream_snapshot_failures_total", "Session snapshot attempts that failed.", m.snapFails.Load)
 }

@@ -72,8 +72,8 @@ func DefaultRuntime() *Runtime { return core.DefaultRuntime() }
 // WithThreads sets the compute-pool width (<= 0 = all cores, 1 = serial).
 func WithThreads(n int) RuntimeOption { return core.WithThreads(n) }
 
-// WithMetrics sets the epoch-metrics sink trainers inherit when their
-// Config leaves Metrics nil.
+// WithMetrics sets the epoch-metrics sink every trainer on the runtime
+// writes one JSON line per epoch to.
 func WithMetrics(w io.Writer) RuntimeOption { return core.WithMetrics(w) }
 
 // WithSeed sets the root seed trainers and datasets inherit when no

@@ -32,8 +32,11 @@ test -z "$(grep -rlE 'SpikePack|SetSpikePack|OPacked|PackedForward|ForwardPacked
 # forward as any other, through core.StreamState. QuietSteps and StepQuiet
 # stay.
 test -z "$(grep -rlE 'QuietState|QuietCovered|QuietSupported|InvalidateQuietCache|QuietFallbacks' --include='*.go' --exclude-dir=benchmark .)"
+# Every /metrics page renders through internal/metrics; no other program
+# file may write the exposition format's # HELP / # TYPE lines by hand.
+test -z "$(grep -rlE '# (HELP|TYPE) ' --include='*.go' --exclude='*_test.go' --exclude-dir=benchmark . | grep -v '^\./internal/metrics/')"
 test -z "$(gofmt -l .)"
-go test -race ./internal/parallel/... ./internal/tensor/... ./internal/layers/... ./internal/serve/... ./internal/runstate/... ./internal/faults/... ./internal/trace/... ./internal/dist/... ./internal/router/... ./internal/stream/...
+go test -race ./internal/parallel/... ./internal/tensor/... ./internal/layers/... ./internal/serve/... ./internal/runstate/... ./internal/faults/... ./internal/trace/... ./internal/dist/... ./internal/router/... ./internal/stream/... ./internal/metrics/...
 # The layer-major walk fans a whole segment's steps over the pool; the line
 # above races its own tests (TestWalk*), this one races it in the engine's
 # first pass, replay and backward.
@@ -43,6 +46,8 @@ go test ./...
 # runs their seeds).
 go test -run '^$' -fuzz=FuzzDecodeSession -fuzztime=10s -parallel=2 ./internal/runstate/
 go test -run '^$' -fuzz=FuzzLoadTensors -fuzztime=10s -parallel=2 ./internal/serialize/
+go test -run '^$' -fuzz=FuzzFrameRead -fuzztime=10s -parallel=2 ./internal/frame/
+go test -run '^$' -fuzz=FuzzDecodeCorr -fuzztime=10s -parallel=2 ./internal/frame/
 
 # The benchmark is its own module, so the root `go test ./...` does not reach
 # it; its surface_test.go pins the names the benchmark links against.
