@@ -134,10 +134,11 @@ var benchWorkloads = []struct {
 // benchStrategyBatch times one whole training step (encode, train batch,
 // optimizer step) under a strategy on each benchmark workload, on batches
 // drawn from untrained weights, and reports the run's exact cost counters
-// and heap allocations beside the time and its split into the first pass,
-// the replay and the backward walk, so `go test -bench Strategy -benchtime
-// 10x -count 6` on two trees is an in-process paired comparison that shows
-// where a saving lands.
+// (skipped and quiet steps, peaks, pool dispatches and the lanes they
+// filled) and heap allocations beside the time and its split into the first
+// pass, the replay and the backward walk, so `go test -bench Strategy
+// -benchtime 10x -count 6` on two trees is an in-process paired comparison
+// that shows where a saving lands.
 func benchStrategyBatch(b *testing.B, strat func(T, C int, P float64) core.Strategy) {
 	b.Helper()
 	for _, w := range benchWorkloads {
@@ -164,6 +165,7 @@ func benchStrategyBatch(b *testing.B, strat func(T, C int, P float64) core.Strat
 			var total core.StepStats
 			b.ReportAllocs()
 			b.ResetTimer()
+			pool0 := net.Pool().Stats()
 			for i := 0; i < b.N; i++ {
 				for j := range idx {
 					idx[j] = rng.Intn(data.Len(dataset.Train))
@@ -174,6 +176,9 @@ func benchStrategyBatch(b *testing.B, strat func(T, C int, P float64) core.Strat
 				}
 				total.Add(st)
 			}
+			pool := net.Pool().Stats()
+			pool.Runs -= pool0.Runs
+			pool.LanesUsed -= pool0.LanesUsed
 			perOp := func(d time.Duration) float64 { return float64(d) / 1e6 / float64(b.N) }
 			b.ReportMetric(perOp(total.ForwardTime), "forward-ms/op")
 			b.ReportMetric(perOp(total.RecomputeTime), "recompute-ms/op")
@@ -182,6 +187,8 @@ func benchStrategyBatch(b *testing.B, strat func(T, C int, P float64) core.Strat
 			b.ReportMetric(float64(total.QuietSteps)/float64(b.N), "quiet-steps/op")
 			b.ReportMetric(float64(dev.PeakBy(mem.Activations)), "peak-act-B")
 			b.ReportMetric(float64(dev.PeakReserved()), "peak-reserved-B")
+			b.ReportMetric(float64(pool.Runs)/float64(b.N), "pool-runs/op")
+			b.ReportMetric(pool.MeanLanes(), "mean-lanes")
 		})
 	}
 }

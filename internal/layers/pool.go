@@ -3,6 +3,7 @@ package layers
 import (
 	"fmt"
 
+	"skipper/internal/parallel"
 	"skipper/internal/tensor"
 )
 
@@ -15,6 +16,7 @@ type AvgPool2D struct {
 
 	inShape  []int
 	outShape []int
+	pool     *parallel.Pool
 }
 
 // NewAvgPool2D returns an unbuilt average-pooling layer.
@@ -41,6 +43,9 @@ func (l *AvgPool2D) Build(inShape []int, _ *tensor.RNG) ([]int, error) {
 	return l.outShape, nil
 }
 
+// SetPool implements PoolAware.
+func (l *AvgPool2D) SetPool(p *parallel.Pool) { l.pool = p }
+
 // Params implements Layer.
 func (l *AvgPool2D) Params() []Param { return nil }
 
@@ -52,7 +57,7 @@ func (l *AvgPool2D) Forward(x *tensor.Tensor, _ *LayerState) *LayerState {
 // forwardSteps implements stepLayer.
 func (l *AvgPool2D) forwardSteps(xs []*tensor.Tensor, _ *LayerState, out []*LayerState) []*tensor.Tensor {
 	os := newSteps(len(xs), xs[0].Dim(0), l.outShape)
-	eachRun(xs, os, func(x, o *tensor.Tensor) { tensor.AvgPool2D(o, x, l.K) })
+	eachRun(xs, os, func(x, o *tensor.Tensor) { tensor.AvgPool2D(l.pool, o, x, l.K) })
 	return outputs(os, out)
 }
 
@@ -64,7 +69,7 @@ func (l *AvgPool2D) Backward(x *tensor.Tensor, _ *LayerState, gradOut *tensor.Te
 // backwardSteps implements stepLayer.
 func (l *AvgPool2D) backwardSteps(g *stepGrads, _ *Delta) *Delta {
 	if g.gradIn != nil {
-		eachRun(g.gradOut, g.gradIn, func(d, gi *tensor.Tensor) { tensor.AvgPool2DGrad(gi, d, l.K) })
+		eachRun(g.gradOut, g.gradIn, func(d, gi *tensor.Tensor) { tensor.AvgPool2DGrad(l.pool, gi, d, l.K) })
 	}
 	return nil
 }

@@ -9,11 +9,13 @@ import (
 )
 
 // The layer-major walk. In a feed-forward stack, layer l at timestep t
-// depends only on layer l−1 at t and on its own state at t−1, so everything
-// but the elementwise LIF and δ recurrences can run as one kernel call per
-// layer over every listed step. Network.Forward and Network.Backward walk the
-// stack one layer at a time over a run of timesteps; ForwardStep and
-// BackwardStep are their one-step case.
+// depends only on layer l−1 at t and on its own state at t−1, so every
+// kernel can run as one call per layer over every listed step: the
+// elementwise LIF and δ recurrences too, since each neuron's recurrence is
+// its own, and each lane scans its neurons through the run's steps in time
+// order. Network.Forward and Network.Backward walk the stack one layer at a
+// time over a run of timesteps; ForwardStep and BackwardStep are their
+// one-step case.
 //
 // Every per-step list in a walk runs latest step first. A layer allocates its
 // outputs for k steps as one block in that order, so the walk's operands are
@@ -85,18 +87,20 @@ func backwardOne(l stepLayer, x *tensor.Tensor, st *LayerState, gradOut *tensor.
 }
 
 // scanDeltas runs δ_t = σ'(U_t)⊙∂L/∂o_t + λ·δ_{t+1} across the steps, latest
-// first, from the carry deltaIn, writing each δ where g says. It returns the
+// first, from the carry deltaIn, writing each δ where g says: one pool
+// dispatch, each lane taking its neurons through every step. It returns the
 // earliest step's δ. The reset-path gradient is ignored, as in the paper.
 func (g *stepGrads) scanDeltas(pool *parallel.Pool, deltaIn *Delta, n snn.Params, s snn.Surrogate) *tensor.Tensor {
 	var next *tensor.Tensor
 	if deltaIn != nil {
 		next = deltaIn.D
 	}
-	for j, d := range g.delta {
-		snn.SurrogateDelta(pool, d, g.st[j].U, g.gradOut[j], next, n.Threshold, n.Leak, s)
-		next = d
+	us := make([]*tensor.Tensor, len(g.st))
+	for j, st := range g.st {
+		us[j] = st.U
 	}
-	return next
+	snn.ScanDelta(pool, g.delta, us, g.gradOut, next, n.Threshold, n.Leak, s)
+	return g.delta[len(g.delta)-1]
 }
 
 // newSteps allocates one block holding k steps of a batch-b tensor with the
@@ -121,23 +125,22 @@ func eachRun(a, b []*tensor.Tensor, fn func(a, b *tensor.Tensor)) {
 }
 
 // scan runs a LIF layer's recurrence across the steps in time order from
-// prev: us hold each step's synaptic current and become its membrane, the
-// step's whole record in out. It returns the steps' spikes, latest first, in
-// one new block: the walk's transient. The earliest step reads o_{t−1} back
-// off prev's U.
+// prev, in one pool dispatch: us hold each step's synaptic current and
+// become its membrane, the step's whole record in out. It returns the steps'
+// spikes, latest first, in one new block: the walk's transient. The earliest
+// step reads o_{t−1} back off prev's U.
 func scan(pool *parallel.Pool, us []*tensor.Tensor, prev *LayerState, p snn.Params, out []*LayerState) []*tensor.Tensor {
 	k := len(us)
 	os := newSteps(k, us[0].Dim(0), us[0].Shape()[1:])
-	cells := make([]LayerState, k)
-	var uPrev, oPrev *tensor.Tensor
+	var uPrev *tensor.Tensor
 	if prev != nil {
 		uPrev = prev.U
 	}
-	for j := k - 1; j >= 0; j-- {
-		snn.StepLIF(pool, us[j], os[j], uPrev, oPrev, us[j], p)
-		cells[j].U = us[j]
+	snn.ScanLIF(pool, us, os, uPrev, p)
+	cells := make([]LayerState, k)
+	for j, u := range us {
+		cells[j].U = u
 		out[j] = &cells[j]
-		uPrev, oPrev = us[j], os[j]
 	}
 	return os
 }
@@ -333,8 +336,9 @@ func (n *Network) Backward(xs []*tensor.Tensor, recs [][]*LayerState, inject []m
 
 // inputs lists layer l's input at each step, latest first: the network
 // input, or the output of the layer below read off its record. A LIF layer's
-// spikes go into layer l's spike block, which fresh reports: the walk may
-// write over them once the layer has read them.
+// spikes go into layer l's spike block, one Fire per run of records that lie
+// end to end, and fresh reports it: the walk may write over them once the
+// layer has read them.
 func (n *Network) inputs(l int, xs []*tensor.Tensor, recs [][]*LayerState) (in []*tensor.Tensor, fresh bool) {
 	k := len(xs)
 	in = make([]*tensor.Tensor, k)
@@ -345,13 +349,19 @@ func (n *Network) inputs(l int, xs []*tensor.Tensor, recs [][]*LayerState) (in [
 		return in, false
 	}
 	below := n.Layers[l-1]
-	if _, fresh = firing(below); fresh {
-		in = n.spikeSteps(l, k, recs[0][l-1].U.Shape())
+	theta, fresh := firing(below)
+	if !fresh {
+		for j := range in {
+			in[j] = output(n.pool, below, recs[k-1-j][l-1], nil)
+		}
+		return in, false
 	}
 	for j := range in {
-		in[j] = output(n.pool, below, recs[k-1-j][l-1], in[j])
+		in[j] = recs[k-1-j][l-1].U
 	}
-	return in, fresh
+	spikes := n.spikeSteps(l, k, in[0].Shape())
+	eachRun(in, spikes, func(u, o *tensor.Tensor) { snn.Fire(n.pool, o, u, theta) })
+	return spikes, true
 }
 
 // gradInputs lists where layer l's ∂L/∂x goes at each step, latest first,

@@ -24,6 +24,15 @@
 // serving worker replicas share a single pool this way — because lane
 // scratch is owned by the caller (see tensor.Scratch), not the pool.
 //
+// A training step submits its kernels back to back, a few microseconds
+// apart, so the hand-off is built to cost no sleep between them. The
+// submitter waits for its lanes on an atomic done-counter, yielding
+// (runtime.Gosched) between reads rather than parking. A worker that
+// finishes a lane polls the task queue for up to spinFor, yielding between
+// polls, and parks on the queue only when nothing arrived in that window.
+// So the next kernel of a step finds its workers awake, and an idle pool
+// still costs nothing once its workers have parked.
+//
 // Kernels are leaves: fn must not call back into Run on the same pool, or a
 // busy pool can deadlock waiting on itself.
 package parallel
@@ -32,6 +41,7 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"skipper/internal/trace"
 )
@@ -52,12 +62,22 @@ type Pool struct {
 	runs      atomic.Int64
 	lanesUsed atomic.Int64
 	tracer    atomic.Pointer[trace.Tracer]
+
+	// live counts the worker goroutines that have not returned, polling
+	// those that are polling the task queue rather than running a lane or
+	// parked on it.
+	live, polling atomic.Int32
 }
+
+// spinFor bounds how long an idle worker polls the task queue before it
+// parks: long enough to span the serial code between two kernels of a
+// step, short enough that an idle pool stops using the CPU at once.
+const spinFor = 50 * time.Microsecond
 
 type task struct {
 	fn           func(lane, lo, hi int)
 	lane, lo, hi int
-	wg           *sync.WaitGroup
+	done         *atomic.Int32 // the submitting Run's finished-lane count
 }
 
 // NewPool builds a pool with the given number of lanes. threads <= 0 means
@@ -71,6 +91,7 @@ func NewPool(threads int) *Pool {
 		p.tasks = make(chan task, 4*threads)
 		// Lane 0 of every Run executes on the submitting goroutine, so
 		// threads-1 workers saturate the requested width.
+		p.live.Add(int32(threads - 1))
 		for i := 0; i < threads-1; i++ {
 			go p.work()
 		}
@@ -79,10 +100,32 @@ func NewPool(threads int) *Pool {
 }
 
 func (p *Pool) work() {
-	for t := range p.tasks {
+	defer p.live.Add(-1)
+	for {
+		t, ok := p.next()
+		if !ok {
+			return
+		}
 		t.fn(t.lane, t.lo, t.hi)
-		t.wg.Done()
+		t.done.Add(1)
 	}
+}
+
+// next takes the next task, polling the queue for up to spinFor before it
+// parks on it. ok is false once the pool is closed.
+func (p *Pool) next() (t task, ok bool) {
+	p.polling.Add(1)
+	for start := time.Now(); time.Since(start) < spinFor; runtime.Gosched() {
+		select {
+		case t, ok = <-p.tasks:
+			p.polling.Add(-1)
+			return t, ok
+		default:
+		}
+	}
+	p.polling.Add(-1)
+	t, ok = <-p.tasks
+	return t, ok
 }
 
 // Lanes returns the partition width Run uses. A nil pool has one lane.
@@ -136,25 +179,21 @@ func (p *Pool) RunGrain(n, grain int, fn func(lane, lo, hi int)) {
 	if rem > 0 {
 		lane0hi++
 	}
-	wg := waitGroups.Get().(*sync.WaitGroup)
+	done := new(atomic.Int32)
 	lo := lane0hi
 	for lane := 1; lane < lanes; lane++ {
 		hi := lo + base
 		if lane < rem {
 			hi++
 		}
-		wg.Add(1)
-		p.tasks <- task{fn: fn, lane: lane, lo: lo, hi: hi, wg: wg}
+		p.tasks <- task{fn: fn, lane: lane, lo: lo, hi: hi, done: done}
 		lo = hi
 	}
 	fn(0, 0, lane0hi)
-	wg.Wait()
-	waitGroups.Put(wg)
+	for done.Load() < int32(lanes-1) {
+		runtime.Gosched()
+	}
 }
-
-// waitGroups recycles RunGrain's wait groups: kernels submit thousands of
-// runs per training step, and each would otherwise allocate one.
-var waitGroups = sync.Pool{New: func() any { return new(sync.WaitGroup) }}
 
 // observe folds one Run's lane occupancy into the utilization counters and,
 // when a tracer is attached, emits a sampled "pool_lanes" counter event

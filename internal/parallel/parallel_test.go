@@ -4,6 +4,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // TestRunCoversRangeDisjointly checks every index in [0,n) is visited exactly
@@ -219,4 +220,32 @@ func TestCloseIdempotent(t *testing.T) {
 	p := NewPool(3)
 	p.Close()
 	p.Close()
+}
+
+// TestIdlePoolParks checks the hand-off's spin is bounded: once a pool has
+// no work, every worker stops polling the queue within the spin bound and
+// parks on it, and Close still ends every worker.
+func TestIdlePoolParks(t *testing.T) {
+	p := NewPool(4)
+	for i := 0; i < 100; i++ {
+		p.Run(64, func(_, _, _ int) {})
+	}
+	time.Sleep(spinFor)
+	waitFor(t, "idle workers to park", func() bool { return p.polling.Load() == 0 })
+	if n := p.live.Load(); n != 3 {
+		t.Fatalf("%d workers alive after parking, want 3", n)
+	}
+	p.Close()
+	waitFor(t, "Close to end every worker", func() bool { return p.live.Load() == 0 })
+}
+
+// waitFor fails the test unless cond holds within a second, a bound far
+// above the spin bound that a loaded machine still meets.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(time.Second); !cond(); time.Sleep(spinFor) {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+	}
 }

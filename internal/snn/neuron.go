@@ -79,44 +79,97 @@ func StepLIF(pool *parallel.Pool, u, o, uPrev, oPrev, current *tensor.Tensor, p 
 	if o.Len() != n || current.Len() != n {
 		panic(fmt.Sprintf("snn: StepLIF size mismatch u=%d o=%d current=%d", n, o.Len(), current.Len()))
 	}
+	var upd, opd []float32
+	if uPrev != nil {
+		if uPrev.Len() != n || oPrev != nil && oPrev.Len() != n {
+			panic("snn: StepLIF previous-state size mismatch")
+		}
+		upd = uPrev.Data
+		if oPrev != nil {
+			opd = oPrev.Data
+		}
+	}
 	ud, od, cd := u.Data, o.Data, current.Data
-	theta := p.Threshold
-	lam := p.Leak
-	if uPrev == nil {
-		pool.RunGrain(n, elemGrain, func(_, lo, hi int) {
-			for i := lo; i < hi; i++ {
-				v := cd[i]
-				ud[i] = v
-				od[i] = spike(v, theta)
-			}
-		})
-		return
-	}
-	if uPrev.Len() != n || oPrev != nil && oPrev.Len() != n {
-		panic("snn: StepLIF previous-state size mismatch")
-	}
-	upd := uPrev.Data
-	var opd []float32
-	if oPrev != nil {
-		opd = oPrev.Data
-	}
-	if p.Reset == ResetZero {
-		pool.RunGrain(n, elemGrain, func(_, lo, hi int) {
-			for i := lo; i < hi; i++ {
-				v := float32(lam*upd[i]*(1-spikeAt(opd, upd, i, theta))) + cd[i]
-				ud[i] = v
-				od[i] = spike(v, theta)
-			}
-		})
-		return
-	}
 	pool.RunGrain(n, elemGrain, func(_, lo, hi int) {
-		for i := lo; i < hi; i++ {
+		stepLIF(ud[lo:hi], od[lo:hi], cut(upd, lo, hi), cut(opd, lo, hi), cd[lo:hi], p)
+	})
+}
+
+// ScanLIF is StepLIF over a run of k steps in one pool dispatch. us and os
+// list the steps latest first: us[j] holds step j's synaptic current and
+// receives its membrane, os[j] its spikes. uPrev is the membrane before the
+// earliest step (nil: the zero state at t = 0), and each later step reads
+// o_{t−1} back off the membrane before it. The neurons split across lanes
+// once, k·grain of work to a lane, and each lane walks its neurons through
+// every step in ascending t with StepLIF's expressions and roundings, so
+// every u and o is bit for bit what k StepLIF calls write, at every pool
+// size.
+func ScanLIF(pool *parallel.Pool, us, os []*tensor.Tensor, uPrev *tensor.Tensor, p Params) {
+	k := len(us)
+	if k == 0 {
+		return
+	}
+	n := us[0].Len()
+	if len(os) != k || uPrev != nil && uPrev.Len() != n {
+		panic("snn: ScanLIF size mismatch")
+	}
+	for j := range us {
+		if us[j].Len() != n || os[j].Len() != n {
+			panic("snn: ScanLIF size mismatch")
+		}
+	}
+	var upd []float32
+	if uPrev != nil {
+		upd = uPrev.Data
+	}
+	pool.RunGrain(n, runGrain(k), func(_, lo, hi int) {
+		prev := cut(upd, lo, hi)
+		for j := k - 1; j >= 0; j-- {
+			u := us[j].Data[lo:hi]
+			stepLIF(u, os[j].Data[lo:hi], prev, nil, u, p)
+			prev = u
+		}
+	})
+}
+
+// runGrain is the neuron floor per lane of a k-step scan: elemGrain neuron
+// updates to a lane, as one step has.
+func runGrain(k int) int {
+	return max(1, elemGrain/k)
+}
+
+// cut is d[lo:hi], or nil for nil d.
+func cut(d []float32, lo, hi int) []float32 {
+	if d == nil {
+		return nil
+	}
+	return d[lo:hi]
+}
+
+// stepLIF is one step of Eq. 1 over equal-length slices: the arithmetic of
+// StepLIF, which upd nil starts from the zero state and opd nil reads off
+// upd.
+func stepLIF(ud, od, upd, opd, cd []float32, p Params) {
+	theta, lam := p.Threshold, p.Leak
+	switch {
+	case upd == nil:
+		for i, v := range cd {
+			ud[i] = v
+			od[i] = spike(v, theta)
+		}
+	case p.Reset == ResetZero:
+		for i := range ud {
+			v := float32(lam*upd[i]*(1-spikeAt(opd, upd, i, theta))) + cd[i]
+			ud[i] = v
+			od[i] = spike(v, theta)
+		}
+	default:
+		for i := range ud {
 			v := float32(lam*upd[i]) + cd[i] - float32(theta*spikeAt(opd, upd, i, theta))
 			ud[i] = v
 			od[i] = spike(v, theta)
 		}
-	})
+	}
 }
 
 // spikeAt is o_{t−1}[i]: opd's, or with opd nil read back off upd.

@@ -32,6 +32,7 @@ func requireBitEqual(t *testing.T, name string, serial, pooled *tensor.Tensor) {
 }
 
 func TestNeuronKernelsBitIdenticalAcrossPoolSizes(t *testing.T) {
+	t.Run("run scans", runScansBitIdenticalToSteps)
 	sizes := []int{1, 7, 100, elemGrain - 1, elemGrain + 3, 3*elemGrain + 17}
 	for _, lanes := range []int{2, 3, 4} {
 		pool := parallel.NewPool(lanes)
@@ -77,6 +78,97 @@ func TestNeuronKernelsBitIdenticalAcrossPoolSizes(t *testing.T) {
 			SurrogateDelta(nil, dS, uPrev, gradOut, nil, 1.0, 0.95, Triangle{})
 			SurrogateDelta(pool, dP, uPrev, gradOut, nil, 1.0, 0.95, Triangle{})
 			requireBitEqual(t, "SurrogateDelta(nil next)"+label, dS, dP)
+		}
+	}
+}
+
+// runScansBitIdenticalToSteps checks the run-wide scans against k calls
+// of the step kernels: ScanLIF against StepLIF, which reads o_{t−1} from the
+// o it wrote, and ScanDelta against SurrogateDelta, at run lengths up to the
+// events workload's 120 steps, serial and at every pool width, with a
+// neuron count below, at and above the scan's per-lane floor.
+func runScansBitIdenticalToSteps(t *testing.T) {
+	pools := []*parallel.Pool{nil}
+	for _, lanes := range []int{1, 2, 4, 5} {
+		pool := parallel.NewPool(lanes)
+		defer pool.Close()
+		pools = append(pools, pool)
+	}
+	steps := func(k, n int, seed uint64) []*tensor.Tensor {
+		ts := make([]*tensor.Tensor, k)
+		for j := range ts {
+			ts[j] = tensor.New(n)
+			equivFill(ts[j].Data, seed+uint64(j))
+		}
+		return ts
+	}
+	clone := func(ts []*tensor.Tensor) []*tensor.Tensor {
+		out := make([]*tensor.Tensor, len(ts))
+		for j, v := range ts {
+			out[j] = v.Clone()
+		}
+		return out
+	}
+	for _, k := range []int{1, 2, 20, 120} {
+		g := runGrain(k)
+		for _, n := range []int{1, 7, g - 1, g, 2*g + 1, 5*g + 17} {
+			if n < 1 {
+				continue
+			}
+			currents := steps(k, n, 13) // latest first, as a walk lists them
+			carry := tensor.New(n)
+			equivFill(carry.Data, 5)
+			for _, reset := range []ResetMode{ResetSubtract, ResetZero} {
+				p := DefaultParams()
+				p.Reset = reset
+				for _, uPrev := range []*tensor.Tensor{nil, carry} {
+					// k StepLIF calls, earliest first, each from the u and o
+					// the last one wrote.
+					uRef, oRef := clone(currents), steps(k, n, 0)
+					var prevU, prevO *tensor.Tensor = uPrev, nil
+					if uPrev != nil {
+						prevO = tensor.New(n)
+						Fire(nil, prevO, uPrev, p.Threshold)
+					}
+					for j := k - 1; j >= 0; j-- {
+						StepLIF(nil, uRef[j], oRef[j], prevU, prevO, uRef[j], p)
+						prevU, prevO = uRef[j], oRef[j]
+					}
+					for pi, pool := range pools {
+						label := fmt.Sprintf("ScanLIF[k=%d n=%d reset=%d carry=%v pool#%d]", k, n, reset, uPrev != nil, pi)
+						us, os := clone(currents), steps(k, n, 0)
+						ScanLIF(pool, us, os, uPrev, p)
+						for j := range us {
+							requireBitEqual(t, fmt.Sprintf("%s step %d u", label, j), uRef[j], us[j])
+							requireBitEqual(t, fmt.Sprintf("%s step %d o", label, j), oRef[j], os[j])
+						}
+					}
+				}
+			}
+
+			membranes := steps(k, n, 31)
+			gradOuts := steps(k, n, 47)
+			for _, next := range []*tensor.Tensor{nil, carry} {
+				// k SurrogateDelta calls, latest first.
+				ref := steps(k, n, 0)
+				prev := next
+				for j := range ref {
+					SurrogateDelta(nil, ref[j], membranes[j], gradOuts[j], prev, 1.0, 0.95, Triangle{})
+					prev = ref[j]
+				}
+				for pi, pool := range pools {
+					label := fmt.Sprintf("ScanDelta[k=%d n=%d carry=%v pool#%d]", k, n, next != nil, pi)
+					ds := steps(k, n, 0)
+					ScanDelta(pool, ds, membranes, gradOuts, next, 1.0, 0.95, Triangle{})
+					// As the walk runs it: δ_t overwrites the U_t it reads.
+					aliased := clone(membranes)
+					ScanDelta(pool, aliased, aliased, gradOuts, next, 1.0, 0.95, Triangle{})
+					for j := range ds {
+						requireBitEqual(t, fmt.Sprintf("%s step %d", label, j), ref[j], ds[j])
+						requireBitEqual(t, fmt.Sprintf("%s aliased step %d", label, j), ref[j], aliased[j])
+					}
+				}
+			}
 		}
 	}
 }

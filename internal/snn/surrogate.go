@@ -156,25 +156,65 @@ func SurrogateGrad(pool *parallel.Pool, dst, u *tensor.Tensor, theta float32, s 
 // deltaNext (the layers reuse one buffer across timesteps).
 func SurrogateDelta(pool *parallel.Pool, delta, u, gradOut, deltaNext *tensor.Tensor, theta, leak float32, s Surrogate) {
 	n := delta.Len()
-	if u.Len() != n || gradOut.Len() != n {
+	if u.Len() != n || gradOut.Len() != n || deltaNext != nil && deltaNext.Len() != n {
 		panic("snn: SurrogateDelta size mismatch")
+	}
+	var nd []float32
+	if deltaNext != nil {
+		nd = deltaNext.Data
 	}
 	dd, ud, gd := delta.Data, u.Data, gradOut.Data
-	if deltaNext == nil {
-		pool.RunGrain(n, elemGrain, func(_, lo, hi int) {
-			for i := lo; i < hi; i++ {
-				dd[i] = s.Grad(ud[i], theta) * gd[i]
-			}
-		})
+	pool.RunGrain(n, elemGrain, func(_, lo, hi int) {
+		surrogateDelta(dd[lo:hi], ud[lo:hi], gd[lo:hi], cut(nd, lo, hi), theta, leak, s)
+	})
+}
+
+// ScanDelta is SurrogateDelta over a run of k steps in one pool dispatch.
+// deltas, us and gradOuts list the steps latest first, and next is δ from
+// the step after the latest (nil: none). Each step's δ carries into the step
+// before it. The neurons split across lanes once, k·grain of work to a lane,
+// and each lane walks its neurons through every step in descending t with
+// SurrogateDelta's expressions and roundings, so every δ is bit for bit what
+// k SurrogateDelta calls write, at every pool size. deltas[j] may alias
+// us[j] (δ_t overwriting the U_t it read) or next.
+func ScanDelta(pool *parallel.Pool, deltas, us, gradOuts []*tensor.Tensor, next *tensor.Tensor, theta, leak float32, s Surrogate) {
+	k := len(deltas)
+	if k == 0 {
 		return
 	}
-	if deltaNext.Len() != n {
-		panic("snn: SurrogateDelta size mismatch")
+	n := deltas[0].Len()
+	if len(us) != k || len(gradOuts) != k || next != nil && next.Len() != n {
+		panic("snn: ScanDelta size mismatch")
 	}
-	nd := deltaNext.Data
-	pool.RunGrain(n, elemGrain, func(_, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			dd[i] = float32(s.Grad(ud[i], theta)*gd[i]) + float32(leak*nd[i])
+	for j := range deltas {
+		if deltas[j].Len() != n || us[j].Len() != n || gradOuts[j].Len() != n {
+			panic("snn: ScanDelta size mismatch")
+		}
+	}
+	var nd []float32
+	if next != nil {
+		nd = next.Data
+	}
+	pool.RunGrain(n, runGrain(k), func(_, lo, hi int) {
+		carry := cut(nd, lo, hi)
+		for j := range deltas {
+			d := deltas[j].Data[lo:hi]
+			surrogateDelta(d, us[j].Data[lo:hi], gradOuts[j].Data[lo:hi], carry, theta, leak, s)
+			carry = d
 		}
 	})
+}
+
+// surrogateDelta is SurrogateDelta's arithmetic over equal-length slices;
+// nd nil is the form with no later step.
+func surrogateDelta(dd, ud, gd, nd []float32, theta, leak float32, s Surrogate) {
+	if nd == nil {
+		for i := range dd {
+			dd[i] = s.Grad(ud[i], theta) * gd[i]
+		}
+		return
+	}
+	for i := range dd {
+		dd[i] = float32(s.Grad(ud[i], theta)*gd[i]) + float32(leak*nd[i])
+	}
 }

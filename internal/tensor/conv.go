@@ -121,6 +121,9 @@ func conv2D(p *parallel.Pool, out, x, weight, bias *Tensor, s ConvSpec, sc *Scra
 		sc = NewScratch()
 	}
 	sc.reserve(p.Lanes())
+	if bias != nil && bias.Len() != s.OutChannels {
+		panic(fmt.Sprintf("tensor: Conv2D bias length %d != out channels %d", bias.Len(), s.OutChannels))
+	}
 	limit := gatherLimit(c*h*w, density)
 	wMat := weight.Data // [Cout, k] row-major view
 	p.Run(n, func(lane, lo, hi int) {
@@ -131,15 +134,21 @@ func conv2D(p *parallel.Pool, out, x, weight, bias *Tensor, s ConvSpec, sc *Scra
 			ximg := x.Data[img*c*h*w : (img+1)*c*h*w]
 			if cs.collect(ximg) {
 				cs.convGather(dst, wMat)
+			} else {
+				Im2Col(cs.col, ximg, c, h, w, s)
+				matmulAcc(dst, wMat, cs.col, s.OutChannels, k, ohw)
+			}
+			if bias == nil {
 				continue
 			}
-			Im2Col(cs.col, ximg, c, h, w, s)
-			matmulAcc(dst, wMat, cs.col, s.OutChannels, k, ohw)
+			for co, b := range bias.Data {
+				plane := dst[co*ohw : (co+1)*ohw]
+				for i := range plane {
+					plane[i] += b
+				}
+			}
 		}
 	})
-	if bias != nil {
-		AddBias(out, bias)
-	}
 }
 
 // Conv2DGradInput computes dx = convBackwardInput(dout, weight) for

@@ -285,7 +285,7 @@ func TestAvgPool2DAndGrad(t *testing.T) {
 		13, 14, 15, 16,
 	}, 1, 1, 4, 4)
 	out := New(1, 1, 2, 2)
-	AvgPool2D(out, x, 2)
+	AvgPool2D(nil, out, x, 2)
 	want := []float32{3.5, 5.5, 11.5, 13.5}
 	for i := range want {
 		if out.Data[i] != want[i] {
@@ -294,7 +294,7 @@ func TestAvgPool2DAndGrad(t *testing.T) {
 	}
 	dout := FromSlice([]float32{4, 8, 12, 16}, 1, 1, 2, 2)
 	dx := New(1, 1, 4, 4)
-	AvgPool2DGrad(dx, dout, 2)
+	AvgPool2DGrad(nil, dx, dout, 2)
 	if dx.At(0, 0, 0, 0) != 1 || dx.At(0, 0, 1, 1) != 1 {
 		t.Fatalf("AvgPool2DGrad top-left window = %v", dx.Data[:8])
 	}
@@ -309,12 +309,12 @@ func TestAvgPoolGradIsAdjoint(t *testing.T) {
 	x := New(2, 3, 6, 6)
 	r.FillNorm(x, 0, 1)
 	out := New(2, 3, 3, 3)
-	AvgPool2D(out, x, 2)
+	AvgPool2D(nil, out, x, 2)
 	g := New(2, 3, 3, 3)
 	r.FillNorm(g, 0, 1)
 	lhs := float64(Dot(out, g))
 	dx := New(2, 3, 6, 6)
-	AvgPool2DGrad(dx, g, 2)
+	AvgPool2DGrad(nil, dx, g, 2)
 	rhs := float64(Dot(x, dx))
 	if math.Abs(lhs-rhs) > 1e-3 {
 		t.Fatalf("avgpool adjoint violated: %v vs %v", lhs, rhs)

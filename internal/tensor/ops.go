@@ -141,27 +141,6 @@ func Mean(t *Tensor) float32 {
 	return Sum(t) / float32(len(t.Data))
 }
 
-// AddBias adds a per-channel bias to an NCHW activation tensor:
-// dst[n,c,h,w] += bias[c]. dst has shape [N,C,H,W] and bias shape [C].
-func AddBias(dst *Tensor, bias *Tensor) {
-	sh := dst.Shape()
-	if len(sh) != 4 {
-		panic(fmt.Sprintf("tensor: AddBias expects rank-4 NCHW, got %v", sh))
-	}
-	n, c, h, w := sh[0], sh[1], sh[2], sh[3]
-	if bias.Len() != c {
-		panic(fmt.Sprintf("tensor: AddBias bias length %d != channels %d", bias.Len(), c))
-	}
-	hw := h * w
-	for i := 0; i < n*c; i++ {
-		b := bias.Data[i%c]
-		plane := dst.Data[i*hw : (i+1)*hw]
-		for k := range plane {
-			plane[k] += b
-		}
-	}
-}
-
 // AddRowBias adds bias[j] to every row of a [N,M] matrix: dst[i,j] += bias[j].
 func AddRowBias(dst *Tensor, bias *Tensor) {
 	sh := dst.Shape()

@@ -392,3 +392,64 @@ func TestScratchReuseAcrossPoolWidths(t *testing.T) {
 		requireBitEqual(t, fmt.Sprintf("Conv2D shared scratch @%d lanes", lanes), ref, out)
 	}
 }
+
+// TestPoolAndBiasBitIdenticalAcrossPoolSizes covers the kernels that split
+// channel planes or add a bias inside their image lanes: AvgPool2D and
+// AvgPool2DGrad against the serial kernel, and a biased Conv2D against an
+// unbiased one plus the bias added plane by plane afterwards, as the
+// convolution did before it added the bias in its lanes. The plane counts
+// span one lane's floor to several lanes' worth.
+func TestPoolAndBiasBitIdenticalAcrossPoolSizes(t *testing.T) {
+	pools := []*parallel.Pool{nil}
+	for _, lanes := range []int{1, 2, 4} {
+		pool := parallel.NewPool(lanes)
+		defer pool.Close()
+		pools = append(pools, pool)
+	}
+	for _, sh := range []struct{ n, c, h, w, k int }{
+		{1, 1, 4, 4, 2},
+		{4, 8, 16, 16, 2},
+		{40, 8, 16, 16, 2},
+		{6, 5, 9, 9, 3},
+		{300, 4, 8, 8, 2},
+		{480, 3, 4, 4, 4},
+	} {
+		x := New(sh.n, sh.c, sh.h, sh.w)
+		roughFill(x.Data, 3)
+		dout := New(sh.n, sh.c, sh.h/sh.k, sh.w/sh.k)
+		roughFill(dout.Data, 5)
+		outS, dxS := New(dout.Shape()...), New(x.Shape()...)
+		AvgPool2D(nil, outS, x, sh.k)
+		AvgPool2DGrad(nil, dxS, dout, sh.k)
+		for pi, p := range pools {
+			label := fmt.Sprintf("[N%d C%d %dx%d k%d]@pool#%d", sh.n, sh.c, sh.h, sh.w, sh.k, pi)
+			out, dx := New(dout.Shape()...), New(x.Shape()...)
+			equivFill(dx.Data, 7) // fully overwritten
+			AvgPool2D(p, out, x, sh.k)
+			AvgPool2DGrad(p, dx, dout, sh.k)
+			requireBitEqual(t, "AvgPool2D"+label, outS, out)
+			requireBitEqual(t, "AvgPool2DGrad"+label, dxS, dx)
+		}
+	}
+	for _, sh := range convShapes {
+		spec := ConvSpec{InChannels: sh.c, OutChannels: sh.out, KernelH: sh.kh, KernelW: sh.kh, Stride: sh.s, Pad: sh.pd}
+		oh, ow := spec.OutSize(sh.h, sh.w)
+		for _, fill := range convFills() {
+			x := New(sh.n, sh.c, sh.h, sh.w)
+			weight, bias := New(sh.out, sh.c, sh.kh, sh.kh), New(sh.out)
+			fill.fill(x, 3)
+			fill.operand(weight.Data, 5)
+			roughFill(bias.Data, 7)
+			ref := New(sh.n, sh.out, oh, ow)
+			Conv2D(nil, ref, x, weight, nil, spec, NewScratch())
+			for i := range ref.Data {
+				ref.Data[i] += bias.Data[i/(oh*ow)%sh.out]
+			}
+			for pi, p := range pools {
+				out := New(sh.n, sh.out, oh, ow)
+				Conv2D(p, out, x, weight, bias, spec, NewScratch())
+				requireBitEqual(t, fmt.Sprintf("biased Conv2D[N%d C%d->%d %dx%d %s]@pool#%d", sh.n, sh.c, sh.out, sh.h, sh.w, fill.name, pi), ref, out)
+			}
+		}
+	}
+}

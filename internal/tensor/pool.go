@@ -1,12 +1,18 @@
 package tensor
 
-import "fmt"
+import (
+	"fmt"
+
+	"skipper/internal/parallel"
+)
 
 // AvgPool2D computes non-overlapping average pooling with window k and
 // stride k over x [N,C,H,W] into out [N,C,H/k,W/k]. The paper's evaluated
 // topologies use average pooling (standard for SNNs, where max pooling over
-// binary spikes loses rate information).
-func AvgPool2D(out, x *Tensor, k int) {
+// binary spikes loses rate information). The N·C channel planes partition
+// across pool lanes; a plane's outputs are computed by the serial code, so
+// the result is bit-identical for every pool size.
+func AvgPool2D(p *parallel.Pool, out, x *Tensor, k int) {
 	xs := x.Shape()
 	n, c, h, w := xs[0], xs[1], xs[2], xs[3]
 	oh, ow := h/k, w/k
@@ -15,10 +21,10 @@ func AvgPool2D(out, x *Tensor, k int) {
 		panic(fmt.Sprintf("tensor: AvgPool2D output shape %v, want [%d %d %d %d]", os, n, c, oh, ow))
 	}
 	inv := 1 / float32(k*k)
-	for img := 0; img < n; img++ {
-		for ch := 0; ch < c; ch++ {
-			src := x.Data[(img*c+ch)*h*w:]
-			dst := out.Data[(img*c+ch)*oh*ow:]
+	p.RunGrain(n*c, grainFor(h*w), func(_, lo, hi int) {
+		for plane := lo; plane < hi; plane++ {
+			src := x.Data[plane*h*w:]
+			dst := out.Data[plane*oh*ow:]
 			for oy := 0; oy < oh; oy++ {
 				for ox := 0; ox < ow; ox++ {
 					var s float32
@@ -32,12 +38,13 @@ func AvgPool2D(out, x *Tensor, k int) {
 				}
 			}
 		}
-	}
+	})
 }
 
 // AvgPool2DGrad computes the input gradient of AvgPool2D: each output
 // gradient is spread uniformly over its k×k window. dx is fully overwritten.
-func AvgPool2DGrad(dx, dout *Tensor, k int) {
+// The channel planes partition across pool lanes as in AvgPool2D.
+func AvgPool2DGrad(p *parallel.Pool, dx, dout *Tensor, k int) {
 	xs := dx.Shape()
 	n, c, h, w := xs[0], xs[1], xs[2], xs[3]
 	oh, ow := h/k, w/k
@@ -45,12 +52,12 @@ func AvgPool2DGrad(dx, dout *Tensor, k int) {
 	if len(os) != 4 || os[0] != n || os[1] != c || os[2] != oh || os[3] != ow {
 		panic(fmt.Sprintf("tensor: AvgPool2DGrad dout shape %v, want [%d %d %d %d]", os, n, c, oh, ow))
 	}
-	dx.Zero()
 	inv := 1 / float32(k*k)
-	for img := 0; img < n; img++ {
-		for ch := 0; ch < c; ch++ {
-			dst := dx.Data[(img*c+ch)*h*w:]
-			src := dout.Data[(img*c+ch)*oh*ow:]
+	p.RunGrain(n*c, grainFor(h*w), func(_, lo, hi int) {
+		for plane := lo; plane < hi; plane++ {
+			dst := dx.Data[plane*h*w : (plane+1)*h*w]
+			clear(dst)
+			src := dout.Data[plane*oh*ow:]
 			for oy := 0; oy < oh; oy++ {
 				for ox := 0; ox < ow; ox++ {
 					g := src[oy*ow+ox] * inv
@@ -63,7 +70,7 @@ func AvgPool2DGrad(dx, dout *Tensor, k int) {
 				}
 			}
 		}
-	}
+	})
 }
 
 // GlobalAvgPool2D averages each channel plane of x [N,C,H,W] into out [N,C].

@@ -179,19 +179,31 @@ func TestIsFinite(t *testing.T) {
 	}
 }
 
-func TestAddBiasAndSumPerChannel(t *testing.T) {
-	x := New(2, 3, 2, 2)
-	bias := FromSlice([]float32{1, 2, 3}, 3)
-	AddBias(x, bias)
-	if x.At(0, 1, 0, 0) != 2 || x.At(1, 2, 1, 1) != 3 {
-		t.Fatalf("AddBias wrong: %v", x.Data)
-	}
-	db := New(3)
-	SumPerChannel(db, x)
-	// each channel c has value (c+1) at 2 images × 4 positions = 8(c+1)
+// TestConv2DBiasAndSumPerChannel checks Conv2D's per-channel bias on both of
+// its paths: an all-zero image takes the empty gather, an all-one image the
+// dense one. The 1×1 identity kernel makes the output x + bias.
+func TestConv2DBiasAndSumPerChannel(t *testing.T) {
+	spec := ConvSpec{InChannels: 3, OutChannels: 3, KernelH: 1, KernelW: 1, Stride: 1}
+	weight := New(3, 3, 1, 1)
 	for c := 0; c < 3; c++ {
-		if db.Data[c] != float32(8*(c+1)) {
-			t.Fatalf("SumPerChannel[%d] = %v, want %d", c, db.Data[c], 8*(c+1))
+		weight.Set(1, c, c, 0, 0)
+	}
+	bias := FromSlice([]float32{1, 2, 3}, 3)
+	for _, v := range []float32{0, 1} {
+		x := New(2, 3, 2, 2)
+		x.Fill(v)
+		out := New(2, 3, 2, 2)
+		Conv2D(nil, out, x, weight, bias, spec, nil)
+		if out.At(0, 1, 0, 0) != v+2 || out.At(1, 2, 1, 1) != v+3 {
+			t.Fatalf("x=%v: Conv2D bias wrong: %v", v, out.Data)
+		}
+		db := New(3)
+		SumPerChannel(db, out)
+		// each channel c has value v+c+1 at 2 images × 4 positions
+		for c := 0; c < 3; c++ {
+			if want := 8 * (v + float32(c+1)); db.Data[c] != want {
+				t.Fatalf("x=%v: SumPerChannel[%d] = %v, want %v", v, c, db.Data[c], want)
+			}
 		}
 	}
 }

@@ -36,18 +36,20 @@ test -z "$(grep -rlE 'QuietState|QuietCovered|QuietSupported|InvalidateQuietCach
 # file may write the exposition format's # HELP / # TYPE lines by hand.
 test -z "$(grep -rlE '# (HELP|TYPE) ' --include='*.go' --exclude='*_test.go' --exclude-dir=benchmark . | grep -v '^\./internal/metrics/')"
 test -z "$(gofmt -l .)"
-go test -race ./internal/parallel/... ./internal/tensor/... ./internal/layers/... ./internal/serve/... ./internal/runstate/... ./internal/faults/... ./internal/trace/... ./internal/dist/... ./internal/router/... ./internal/stream/... ./internal/metrics/...
+go test -race ./internal/parallel/... ./internal/snn/... ./internal/tensor/... ./internal/layers/... ./internal/serve/... ./internal/runstate/... ./internal/faults/... ./internal/trace/... ./internal/dist/... ./internal/router/... ./internal/stream/... ./internal/metrics/...
 # The layer-major walk fans a whole segment's steps over the pool; the line
 # above races its own tests (TestWalk*), this one races it in the engine's
 # first pass, replay and backward.
 go test -race -run 'TestPassWalk|TestFirstPass|TestSegmentEngineGoldenAccounting' ./internal/core/
 go test ./...
 # The decoders' fuzz targets for a fixed budget each (go test ./... above
-# runs their seeds).
-go test -run '^$' -fuzz=FuzzDecodeSession -fuzztime=10s -parallel=2 ./internal/runstate/
-go test -run '^$' -fuzz=FuzzLoadTensors -fuzztime=10s -parallel=2 ./internal/serialize/
-go test -run '^$' -fuzz=FuzzFrameRead -fuzztime=10s -parallel=2 ./internal/frame/
-go test -run '^$' -fuzz=FuzzDecodeCorr -fuzztime=10s -parallel=2 ./internal/frame/
+# runs their seeds). A worker that finds new coverage minimises the input
+# before it reports it, uncounted and for up to a minute by default; capping
+# that keeps each target fuzzing for its whole budget.
+go test -run '^$' -fuzz=FuzzDecodeSession -fuzztime=10s -fuzzminimizetime=1s -parallel=2 ./internal/runstate/
+go test -run '^$' -fuzz=FuzzLoadTensors -fuzztime=10s -fuzzminimizetime=1s -parallel=2 ./internal/serialize/
+go test -run '^$' -fuzz=FuzzFrameRead -fuzztime=10s -fuzzminimizetime=1s -parallel=2 ./internal/frame/
+go test -run '^$' -fuzz=FuzzDecodeCorr -fuzztime=10s -fuzzminimizetime=1s -parallel=2 ./internal/frame/
 
 # The benchmark is its own module, so the root `go test ./...` does not reach
 # it; its surface_test.go pins the names the benchmark links against.
